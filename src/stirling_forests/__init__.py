@@ -27,6 +27,7 @@ from .stirling import (
 )
 from .forest import (
     Forest,
+    ForestProfile,
     ForestStats,
     LabeledTree,
     NodeClass,
@@ -34,6 +35,7 @@ from .forest import (
     enumerate_forests,
     enumerate_trees,
     forest_class,
+    forest_profile,
     forest_stats,
     label_sets,
     parse_forest,

@@ -16,11 +16,8 @@ import sys
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
     Forest,
-    forest_class,
-    forest_stats,
-    label_sets,
+    forest_profile,
     parse_forest,
-    removable_labels,
     serialize_forest,
     serialize_tree,
 )
@@ -160,8 +157,7 @@ def _cmd_enumerate(args) -> int:
                 if (args.filter == "bar") != in_bar(f):
                     continue
             elif args.filter == "star":
-                st = forest_stats(f)
-                if st.yleaf or st.rleaf:
+                if not forest_profile(f).in_star:
                     continue
             elif args.filter == "tilde":
                 if len(f.trees) != 1:
@@ -199,18 +195,17 @@ def _cmd_stats(args) -> int:
         }
     else:
         f = parse_forest(text, args.k)
-        st = forest_stats(f)
-        rem = removable_labels(f)
-        sets = label_sets(f)
+        p = forest_profile(f)
         record = {
             "kind": "forest",
             "forest": serialize_forest(f),
-            **st.as_dict(),
-            **forest_class(f),
-            "removable_old": sorted(rem["old"]),
-            "removable_young": sorted(rem["young"]),
-            "Oint_star": sorted(sets["Oint_star"]),
-            "Si_star": sorted(sets["Si_star"]),
+            **p.stats.as_dict(),
+            "in_bar": p.in_bar,
+            "in_star": p.in_star,
+            "removable_old": sorted(p.removable_old),
+            "removable_young": sorted(p.removable_young),
+            "Oint_star": sorted(p.oint_star),
+            "Si_star": sorted(p.si_star),
         }
     if args.format == "json":
         print(_compact(record))

@@ -16,6 +16,13 @@ Validity of a tree/forest:
 
 A non-root node is "old" when it has the greatest label among the grand
 children of its labeled grand parent, otherwise "young"; roots are neither.
+A young leaf s is removable iff it sits in the last slot of the last root
+and is below every subtree root label in that root's first k-1 slots: the
+condition for ``gfs.phi`` at s to empty those slots, which the test suite
+checks against ``phi``.  ``forest_profile`` finds classes, counters, label
+sets, removable leaves and bar/star membership in one explicit-stack
+traversal; ``node_classes``, ``forest_stats``, ``removable_labels``,
+``label_sets`` and ``forest_class`` are views of it.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -31,9 +38,9 @@ whitespace; serialization emits single spaces between trees only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .stirling import DEFAULT_MAX_OBJECTS, LimitError, count_k_stirling
 
@@ -117,15 +124,28 @@ class ForestStats:
     rleaf: int
 
     def as_dict(self) -> dict:
-        return {
-            "lleaf": self.lleaf,
-            "si": self.si,
-            "oleaf": self.oleaf,
-            "yleaf": self.yleaf,
-            "oint": self.oint,
-            "lint": self.lint,
-            "rleaf": self.rleaf,
-        }
+        return asdict(self)
+
+
+class ForestProfile(NamedTuple):
+    """The analyses of one forest, from ``forest_profile``: ``classes`` is
+    ``node_classes``, ``stats`` is ``forest_stats``, the sets are those of
+    ``label_sets`` and ``removable_labels``, the flags those of ``forest_class``.
+    A named tuple, not a frozen dataclass: census loops build one per forest,
+    and it constructs several times faster."""
+
+    classes: dict[int, NodeClass]
+    stats: ForestStats
+    oint: frozenset[int]
+    oleaf: frozenset[int]
+    yleaf: frozenset[int]
+    si: frozenset[int]
+    oint_star: frozenset[int]
+    si_star: frozenset[int]
+    removable_old: frozenset[int]
+    removable_young: frozenset[int]
+    in_bar: bool
+    in_star: bool
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +314,88 @@ def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
     return violations
 
 
+def forest_profile(f: Forest) -> ForestProfile:
+    """Every per-forest statistic, from one explicit-stack traversal.
+
+    A node's grand children are classified when the node is popped.  The
+    root's grand children then settle the tree's removable old leaf and, in
+    the last tree, the removable young leaves and the starred sets.
+    """
+    k, trees = f.k, f.trees
+    m = len(trees)
+    classes: dict[int, NodeClass] = {}
+    oint: set[int] = set()
+    oleaf: set[int] = set()
+    yleaf: set[int] = set()
+    si = {t.label for t in trees if t.slots is None}
+    si_star = {t.label for t in trees[:-1] if t.slots is None}
+    oint_star = oint  # a final singleton discounts nothing from oint
+    removable_old: set[int] = set()
+    removable_young: set[int] = set()
+    lint = 0
+    for i, t in enumerate(trees):
+        classes[t.label] = NodeClass.ROOT
+        if t.slots is None:
+            continue
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            lint += 1
+            grand = [s for slot in u.slots for s in slot]
+            top = max([s.label for s in grand])
+            inner = []
+            for s in grand:
+                x = s.label
+                if s.slots is None:
+                    if x == top:
+                        classes[x] = NodeClass.OLD_LEAF
+                        oleaf.add(x)
+                    else:
+                        classes[x] = NodeClass.YOUNG_LEAF
+                        yleaf.add(x)
+                else:
+                    inner.append(s)
+                    if x == top:
+                        classes[x] = NodeClass.OLD_INTERNAL
+                        oint.add(x)
+                    else:
+                        classes[x] = NodeClass.YOUNG_INTERNAL
+            stack.extend(reversed(inner))
+            if u is t:
+                root_top, root_grand = top, grand
+        earlier = [s.label for slot in t.slots[: k - 1] for s in slot]
+        if (
+            not earlier
+            and (i == m - 1 or root_top < trees[i + 1].label)
+            and [s.label for s in root_grand if s.slots is None] == [root_top]
+        ):
+            removable_old.add(root_top)
+        if i == m - 1:
+            bound = min(earlier, default=root_top)
+            removable_young = {s.label for s in t.slots[-1] if s.slots is None and s.label < bound}
+            oint_star = oint - {root_top}
+    rleaf = len(removable_old) + len(removable_young)
+    stats = ForestStats(len(oleaf) + len(yleaf) + len(si), len(si), len(oleaf), len(yleaf),
+                        len(oint), lint, rleaf)
+    return ForestProfile(
+        classes=classes,
+        stats=stats,
+        oint=frozenset(oint),
+        oleaf=frozenset(oleaf),
+        yleaf=frozenset(yleaf),
+        si=frozenset(si),
+        oint_star=frozenset(oint_star),
+        si_star=frozenset(si_star),
+        removable_old=frozenset(removable_old),
+        removable_young=frozenset(removable_young),
+        in_bar=in_bar(f),
+        in_star=stats.yleaf == 0 and stats.rleaf == 0,
+    )
+
+
 def node_classes(f: Forest) -> dict[int, NodeClass]:
     """Class of every labeled node, keyed by label."""
-    classes: dict[int, NodeClass] = {}
-
-    def walk(u: LabeledTree) -> None:
-        if u.slots is None:
-            return
-        grand = list(u.grand_children())
-        top = max(s.label for s in grand)
-        for s in grand:
-            old = s.label == top
-            if s.slots is None:
-                classes[s.label] = NodeClass.OLD_LEAF if old else NodeClass.YOUNG_LEAF
-            else:
-                classes[s.label] = NodeClass.OLD_INTERNAL if old else NodeClass.YOUNG_INTERNAL
-            walk(s)
-
-    for t in f.trees:
-        classes[t.label] = NodeClass.ROOT
-        walk(t)
-    return classes
+    return forest_profile(f).classes
 
 
 def classify_label(f: Forest, x: int) -> NodeClass:
@@ -331,104 +412,31 @@ def removable_labels(f: Forest) -> dict:
     An old leaf u of a tree T_i is removable when u is a grand child of the
     root of T_i and the only leaf among those grand children, the first k-1
     slots of the root are empty, and (for i < m) u's label is below the next
-    root.  A young leaf of the last tree that is a grand child of its root is
-    removable when toggling it (gfs.phi) empties the root's first k-1 slots;
-    detection applies the toggle and inspects the result.
+    root.  A young leaf of the last tree is removable when it sits in the
+    last slot of the root and its label is below every subtree root label in
+    the root's first k-1 slots: exactly the young leaves whose toggle
+    (gfs.phi) empties those slots, which the test suite checks against phi.
     """
-    from .gfs import phi
-
-    old: set[int] = set()
-    young: set[int] = set()
-    m = len(f.trees)
-    for i, t in enumerate(f.trees):
-        if t.slots is None:
-            continue
-        grand = list(t.grand_children())
-        leaves = [s for s in grand if s.slots is None]
-        top = max(s.label for s in grand)
-        candidate = next((s for s in leaves if s.label == top), None)
-        if (
-            candidate is not None
-            and len(leaves) == 1
-            and all(not slot for slot in t.slots[: f.k - 1])
-            and (i == m - 1 or candidate.label < f.trees[i + 1].label)
-        ):
-            old.add(candidate.label)
-    last = f.trees[-1] if f.trees else None
-    if last is not None and last.slots is not None:
-        grand = list(last.grand_children())
-        top = max(s.label for s in grand)
-        for s in grand:
-            if s.slots is None and s.label != top:
-                toggled = phi(last, s.label)
-                assert toggled.slots is not None
-                if all(not slot for slot in toggled.slots[: f.k - 1]):
-                    young.add(s.label)
-    return {"old": old, "young": young}
+    p = forest_profile(f)
+    return {"old": set(p.removable_old), "young": set(p.removable_young)}
 
 
 def forest_stats(f: Forest) -> ForestStats:
     """All seven counters; singletons count as labeled leaves."""
-    lleaf = si = oleaf = yleaf = oint = lint = 0
-    classes = node_classes(f)
-    for t in f.trees:
-        if t.slots is None:
-            si += 1
-    for label, cls in classes.items():
-        if cls is NodeClass.ROOT:
-            root = next(t for t in f.trees if t.label == label)
-            if root.slots is None:
-                lleaf += 1
-            else:
-                lint += 1
-        elif cls is NodeClass.OLD_LEAF:
-            lleaf += 1
-            oleaf += 1
-        elif cls is NodeClass.YOUNG_LEAF:
-            lleaf += 1
-            yleaf += 1
-        elif cls is NodeClass.OLD_INTERNAL:
-            lint += 1
-            oint += 1
-        else:
-            lint += 1
-    rem = removable_labels(f)
-    return ForestStats(
-        lleaf=lleaf,
-        si=si,
-        oleaf=oleaf,
-        yleaf=yleaf,
-        oint=oint,
-        lint=lint,
-        rleaf=len(rem["old"]) + len(rem["young"]),
-    )
+    return forest_profile(f).stats
 
 
 def label_sets(f: Forest) -> dict:
     """Old-internal / old-leaf / young-leaf / singleton label sets and the
     starred variants that discount the last tree."""
-    classes = node_classes(f)
-    oint = {x for x, c in classes.items() if c is NodeClass.OLD_INTERNAL}
-    oleaf = {x for x, c in classes.items() if c is NodeClass.OLD_LEAF}
-    yleaf = {x for x, c in classes.items() if c is NodeClass.YOUNG_LEAF}
-    si = {t.label for t in f.trees if t.slots is None}
-    oint_star = set(oint)
-    si_star = set(si)
-    if f.trees:
-        last = f.trees[-1]
-        if last.slots is None:
-            si_star.discard(last.label)
-        else:
-            for s in last.grand_children():
-                if classes[s.label] is NodeClass.OLD_INTERNAL:
-                    oint_star.discard(s.label)
+    p = forest_profile(f)
     return {
-        "Oint": oint,
-        "Oleaf": oleaf,
-        "Yleaf": yleaf,
-        "Si": si,
-        "Oint_star": oint_star,
-        "Si_star": si_star,
+        "Oint": set(p.oint),
+        "Oleaf": set(p.oleaf),
+        "Yleaf": set(p.yleaf),
+        "Si": set(p.si),
+        "Oint_star": set(p.oint_star),
+        "Si_star": set(p.si_star),
     }
 
 
@@ -438,14 +446,14 @@ def in_bar(f: Forest) -> bool:
     if not f.trees:
         return True
     last = f.trees[-1]
-    return last.slots is None or all(not slot for slot in last.slots[: f.k - 1])
+    return last.slots is None or not any(last.slots[: f.k - 1])
 
 
 def forest_class(f: Forest) -> dict:
     """Bar membership plus star membership (no young leaves and no
     removable leaves)."""
-    stats = forest_stats(f)
-    return {"in_bar": in_bar(f), "in_star": stats.yleaf == 0 and stats.rleaf == 0}
+    p = forest_profile(f)
+    return {"in_bar": p.in_bar, "in_star": p.in_star}
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 from .forest import (
     Forest,
+    ForestProfile,
     LabeledTree,
-    forest_stats,
-    label_sets,
+    forest_profile,
     serialize_forest,
     serialize_tree,
 )
@@ -105,25 +105,28 @@ def _phi_walk(u: LabeledTree, x: int, probe: bool) -> LabeledTree | None:
 
 def _raise_children(u: LabeledTree, gx: LabeledTree) -> LabeledTree:
     """Old-internal case: gx's slot contents join u's slots; gx becomes a leaf."""
-    assert gx.slots is not None and u.slots is not None
+    if gx.slots is None or u.slots is None:
+        raise RuntimeError("only an internal grand child can raise its children")
     new_slots = []
     for slot, extra in zip(u.slots, gx.slots):
         merged = tuple(LabeledTree(gx.label) if s is gx else s for s in slot) + extra
-        assert all(
-            a.label < b.label for a, b in zip(merged, merged[1:])
-        ), "appending a greatest grand child's subtrees must keep slots increasing"
+        if any(a.label >= b.label for a, b in zip(merged, merged[1:])):
+            raise RuntimeError(
+                "appending a greatest grand child's subtrees must keep slots increasing"
+            )
         new_slots.append(merged)
     return LabeledTree(u.label, tuple(new_slots))
 
 
 def _lower_greater(u: LabeledTree, x: int) -> LabeledTree:
     """Young-leaf case: subtrees of u with roots above x drop under x."""
-    assert u.slots is not None
+    if u.slots is None:
+        raise RuntimeError("only an internal node can lower its grand children")
     pulled = tuple(tuple(s for s in slot if s.label > x) for slot in u.slots)
-    assert any(pulled), "a young leaf always has a greater sibling to pull down"
-    assert all(
-        a.label < b.label for slot in pulled for a, b in zip(slot, slot[1:])
-    ), "pulled subtrees must arrive in increasing root order"
+    if not any(pulled):
+        raise RuntimeError("a young leaf always has a greater sibling to pull down")
+    if any(a.label >= b.label for slot in pulled for a, b in zip(slot, slot[1:])):
+        raise RuntimeError("pulled subtrees must arrive in increasing root order")
     new_x = LabeledTree(x, pulled)
     new_slots = tuple(
         tuple(new_x if s.label == x else s for s in slot if s.label <= x)
@@ -175,9 +178,9 @@ def orbit_representative(t: LabeledTree) -> LabeledTree:
     checked to be young-leaf free.
     """
     f = Forest(_tree_k(t), (t,))
-    young = label_sets(f)["Yleaf"]
-    rep = phi_set(f, young).trees[0]
-    assert forest_stats(Forest(f.k, (rep,))).yleaf == 0
+    rep = phi_set(f, forest_profile(f).yleaf).trees[0]
+    if forest_profile(Forest(f.k, (rep,))).stats.yleaf:
+        raise RuntimeError("toggling every young leaf must leave none")
     return rep
 
 
@@ -193,71 +196,53 @@ def _tree_k(t: LabeledTree) -> int:
 def in_x(mf: MarkedForest) -> bool:
     """Forest without young leaves, marks among old internals and non-final
     singletons."""
-    sets = label_sets(mf.forest)
-    return forest_stats(mf.forest).yleaf == 0 and mf.marks <= (
-        sets["Oint"] | sets["Si_star"]
-    )
+    return _in_x(mf.marks, forest_profile(mf.forest))
+
+
+def _in_x(marks: frozenset[int], p: ForestProfile) -> bool:
+    return p.stats.yleaf == 0 and marks <= p.oint | p.si_star
 
 
 def in_y(mf: MarkedForest) -> bool:
     """Marks among non-final singletons."""
-    return mf.marks <= label_sets(mf.forest)["Si_star"]
+    return mf.marks <= forest_profile(mf.forest).si_star
 
 
 def in_x_bar(mf: MarkedForest) -> bool:
-    from .forest import forest_class
-
-    cls = forest_class(mf.forest)
-    sets = label_sets(mf.forest)
-    return (
-        cls["in_bar"]
-        and cls["in_star"]
-        and mf.marks <= (sets["Oint_star"] | sets["Si_star"])
-    )
+    p = forest_profile(mf.forest)
+    return p.in_bar and p.in_star and mf.marks <= p.oint_star | p.si_star
 
 
 def in_x_hat(mf: MarkedForest) -> bool:
-    from .forest import forest_class
-
-    cls = forest_class(mf.forest)
-    sets = label_sets(mf.forest)
-    return (
-        not cls["in_bar"]
-        and cls["in_star"]
-        and mf.marks <= (sets["Oint"] | sets["Si_star"])
-    )
+    p = forest_profile(mf.forest)
+    return not p.in_bar and p.in_star and mf.marks <= p.oint | p.si_star
 
 
 def in_y_bar(mf: MarkedForest) -> bool:
-    from .forest import forest_class
-
-    cls = forest_class(mf.forest)
-    stats = forest_stats(mf.forest)
-    return cls["in_bar"] and stats.rleaf == 0 and in_y(mf)
+    p = forest_profile(mf.forest)
+    return p.in_bar and p.stats.rleaf == 0 and mf.marks <= p.si_star
 
 
 def in_y_hat(mf: MarkedForest) -> bool:
-    from .forest import forest_class
-
-    cls = forest_class(mf.forest)
-    stats = forest_stats(mf.forest)
-    return not cls["in_bar"] and stats.rleaf == 0 and in_y(mf)
+    p = forest_profile(mf.forest)
+    return not p.in_bar and p.stats.rleaf == 0 and mf.marks <= p.si_star
 
 
 def theta(mf: MarkedForest) -> MarkedForest:
     """Toggle the old-internal part of the marks, keep the singleton part."""
-    if not in_x(mf):
+    p = forest_profile(mf.forest)
+    if not _in_x(mf.marks, p):
         raise ValueError("theta requires a young-leaf-free forest with marks "
                          "among old internals and non-final singletons")
-    sets = label_sets(mf.forest)
-    s1 = mf.marks & sets["Oint"]
-    s2 = mf.marks & sets["Si_star"]
+    s1 = mf.marks & p.oint
+    s2 = mf.marks & p.si_star
     return MarkedForest(phi_set(mf.forest, s1), frozenset(s2))
 
 
 def theta_prime(mf: MarkedForest) -> MarkedForest:
     """Toggle all young leaves away and absorb their labels into the marks."""
-    if not in_y(mf):
+    p = forest_profile(mf.forest)
+    if not mf.marks <= p.si_star:
         raise ValueError("theta_prime requires marks among non-final singletons")
-    s2 = label_sets(mf.forest)["Yleaf"]
+    s2 = p.yleaf
     return MarkedForest(phi_set(mf.forest, s2), frozenset(mf.marks | s2))

@@ -15,12 +15,10 @@ from .forest import (
     Forest,
     enumerate_forests,
     enumerate_trees,
-    forest_class,
+    forest_profile,
     forest_stats,
     in_bar,
-    label_sets,
     node_classes,
-    removable_labels,
     serialize_forest,
     serialize_tree,
     validate_forest,
@@ -163,10 +161,11 @@ def gamma_census_bar_hat(
     bar: list[int] = []
     hat: list[int] = []
     for f in enumerate_forests(range(1, n + 1), k, max_objects):
-        st = forest_stats(f)
-        if st.yleaf or st.rleaf:
+        p = forest_profile(f)
+        if not p.in_star:
             continue
-        hist = bar if in_bar(f) else hat
+        st = p.stats
+        hist = bar if p.in_bar else hat
         while len(hist) <= st.oleaf:
             hist.append(0)
         hist[st.oleaf] += 1
@@ -234,13 +233,6 @@ def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
     )
 
 
-def _rising_product(n: int, k: int) -> int:
-    product = 1
-    for i in range(n):
-        product *= i * k + 1
-    return product
-
-
 def _suite_polynomials(n, k, max_objects):
     A_egf = egf_one_over_k_eulerian(k, n)[n]
     A_exc = exc_cyc_polynomial(n, k)
@@ -249,7 +241,7 @@ def _suite_polynomials(n, k, max_objects):
     yield _eq_report("poly.egf=exc-cyc", n, k, A_egf, A_exc)
     yield _eq_report("poly.egf=ap", n, k, A_egf, A_ap)
     yield _eq_report("poly.total=rising-product", n, k,
-                     A_egf.evaluate(1), _rising_product(n, k))
+                     A_egf.evaluate(1), count_k_stirling(n, k))
     yield _eq_report("poly.lap=reversed-ap", n, k, lap_poly, A_ap.reversal(n))
     if k == 1:
         yield _eq_report("poly.descent-symmetric", n, k,
@@ -348,10 +340,10 @@ def _suite_gfs(n, k, max_objects):
     # round-trip on the unrestricted marked domain
     bad_theta = []
     for f in enumerate_forests(labels, k, max_objects):
-        if forest_stats(f).yleaf:
+        p = forest_profile(f)
+        if p.stats.yleaf:
             continue
-        sets = label_sets(f)
-        pool = sorted(sets["Oint"] | sets["Si_star"])
+        pool = sorted(p.oint | p.si_star)
         for mask in range(1 << len(pool)):
             marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
             mf = MarkedForest(f, marks)
@@ -365,35 +357,34 @@ def _suite_gfs(n, k, max_objects):
         image: dict[MarkedForest, int] = {}
         members = 0
         for f in enumerate_forests(labels, k, max_objects):
-            cls = forest_class(f)
-            if cls["in_bar"] != bar or not cls["in_star"]:
+            p = forest_profile(f)
+            if p.in_bar != bar or not p.in_star:
                 continue
-            sets = label_sets(f)
-            pool = sorted(
-                (sets["Oint_star"] if bar else sets["Oint"]) | sets["Si_star"]
-            )
-            base = forest_stats(f)
+            pool = sorted((p.oint_star if bar else p.oint) | p.si_star)
+            base = p.stats
             for mask in range(1 << len(pool)):
                 marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
                 mf = MarkedForest(f, marks)
-                s1 = marks & sets["Oint"]
+                s1 = marks & p.oint
                 out = gfs.theta(mf)
-                outst = forest_stats(out.forest)
+                outp = forest_profile(out.forest)
+                outst = outp.stats
                 if (
                     outst.lleaf - outst.si != base.lleaf - base.si + len(s1)
                     or outst.rleaf != 0
-                    or label_sets(out.forest)["Si_star"] != sets["Si_star"]
-                    or in_bar(out.forest) != bar
+                    or outp.si_star != p.si_star
+                    or outp.in_bar != bar
                 ):
                     bad_shift.append(mf.text())
                 image[out] = image.get(out, 0) + 1
                 members += 1
         target = []
         for g in enumerate_forests(labels, k, max_objects):
-            if in_bar(g) != bar or forest_stats(g).rleaf != 0:
+            pg = forest_profile(g)
+            if pg.in_bar != bar or pg.stats.rleaf != 0:
                 continue
-            for mask in range(1 << len(label_sets(g)["Si_star"])):
-                pool_g = sorted(label_sets(g)["Si_star"])
+            pool_g = sorted(pg.si_star)
+            for mask in range(1 << len(pool_g)):
                 marks = frozenset(x for i, x in enumerate(pool_g) if mask >> i & 1)
                 target.append(MarkedForest(g, marks))
         bijective = members == len(target) and all(
@@ -410,36 +401,34 @@ def _suite_pipeline(n, k, max_objects):
     labels = range(1, n + 1)
     bad_shift, bad_class, bad_round, bad_obs, bad_ab_traj = [], [], [], [], []
     for f in enumerate_forests(labels, k, max_objects):
-        base = forest_stats(f)
-        base_stat = base.lleaf - base.si
-        f_bar = in_bar(f)
-        rem = removable_labels(f)
+        p = forest_profile(f)
+        base_stat = p.stats.lleaf - p.stats.si
         for x in labels:
-            g = pipeline.psi(f, x)
-            gs = forest_stats(g)
+            g = pipeline.psi(f, x, p)
+            gp = forest_profile(g)
             idx = next(
                 (i for i, t in enumerate(f.trees) if t.slots is None and t.label == x),
                 None,
             )
             if idx is not None and idx < len(f.trees) - 1:
                 expect = base_stat + 1
-            elif x in rem["old"]:
+            elif x in p.removable_old:
                 expect = base_stat - 1
-            elif x in rem["young"]:
+            elif x in p.removable_young:
                 # ejected leaf subtrees turn into singletons; there are none
                 # exactly when x is the least removable label, the only one
                 # the beta step ever selects
                 slot = f.trees[-1].slots[-1]
-                q = next(p for p, s in enumerate(slot) if s.label == x)
+                q = next(pos for pos, s in enumerate(slot) if s.label == x)
                 ejected_leaves = sum(1 for s in slot[:q] if s.slots is None)
                 expect = base_stat - 1 - ejected_leaves
-                if x == min(rem["old"] | rem["young"]) and ejected_leaves:
+                if x == min(p.removable_old | p.removable_young) and ejected_leaves:
                     bad_shift.append(f"{serialize_forest(f)} @ {x}")
             else:
                 expect = base_stat
-            if gs.lleaf - gs.si != expect or validate_forest(g):
+            if gp.stats.lleaf - gp.stats.si != expect or validate_forest(g):
                 bad_shift.append(f"{serialize_forest(f)} @ {x}")
-            if in_bar(g) != f_bar:
+            if gp.in_bar != p.in_bar:
                 bad_class.append(f"{serialize_forest(f)} @ {x}")
         mf, states, steps = pipeline.gamma_prime_map(f, with_trajectory=True)
         for (prev, cur), (x, y) in zip(zip(states, states[1:]), steps):
@@ -450,8 +439,8 @@ def _suite_pipeline(n, k, max_objects):
                 for i, t in enumerate(cur.forest.trees)
                 if t.slots is None and t.label == y
             )
-            rem_after = removable_labels(cur.forest)
-            for r in rem_after["old"] | rem_after["young"]:
+            after = forest_profile(cur.forest)
+            for r in after.removable_old | after.removable_young:
                 if cur.forest.tree_index_of(r) < y_pos:
                     bad_obs.append(f"{serialize_forest(cur.forest)} @ {r}")
         if pipeline.gamma_map(mf) != f:
@@ -464,9 +453,10 @@ def _suite_pipeline(n, k, max_objects):
     # gamma on marked pairs, with beta-after-alpha inversion along the way
     bad_pairs, bad_ba = [], []
     for f in enumerate_forests(labels, k, max_objects):
-        if forest_stats(f).rleaf:
+        p = forest_profile(f)
+        if p.stats.rleaf:
             continue
-        pool = sorted(label_sets(f)["Si_star"])
+        pool = sorted(p.si_star)
         for mask in range(1 << len(pool)):
             marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
             mf = MarkedForest(f, marks)
@@ -486,14 +476,11 @@ def _suite_pipeline(n, k, max_objects):
         ok_shift = True
         members = 0
         for f in enumerate_forests(labels, k, max_objects):
-            cls = forest_class(f)
-            if cls["in_bar"] != bar or not cls["in_star"]:
+            p = forest_profile(f)
+            if p.in_bar != bar or not p.in_star:
                 continue
-            sets = label_sets(f)
-            pool = sorted(
-                (sets["Oint_star"] if bar else sets["Oint"]) | sets["Si_star"]
-            )
-            base = forest_stats(f)
+            pool = sorted((p.oint_star if bar else p.oint) | p.si_star)
+            base = p.stats
             for mask in range(1 << len(pool)):
                 marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
                 members += 1
@@ -559,13 +546,13 @@ def _suite_theorems(n, k, max_objects):
     if n >= 1:
         bad_oys, bad_bar_rel, bad_hat_rel = [], [], []
         for f in enumerate_forests(range(1, n + 1), k, max_objects):
-            st = forest_stats(f)
+            p = forest_profile(f)
+            st = p.stats
             if st.oleaf + st.yleaf + st.si != st.lleaf or validate_forest(f):
                 bad_oys.append(serialize_forest(f))
-            if st.yleaf == 0 and st.rleaf == 0:
-                sets = label_sets(f)
-                if in_bar(f):
-                    if len(sets["Oint_star"]) + len(sets["Si_star"]) != n - 1 - 2 * st.oleaf:
+            if p.in_star:
+                if p.in_bar:
+                    if len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
                         bad_bar_rel.append(serialize_forest(f))
                 elif st.oint + st.si != n - 2 * st.oleaf:
                     bad_hat_rel.append(serialize_forest(f))

@@ -29,7 +29,7 @@ beta until no removable leaf remains; the two are mutually inverse.
 
 from __future__ import annotations
 
-from .forest import Forest, LabeledTree, forest_stats, label_sets, removable_labels
+from .forest import Forest, ForestProfile, LabeledTree, forest_profile
 from .gfs import MarkedForest, in_x_bar, in_x_hat, theta
 
 
@@ -40,16 +40,19 @@ def _singleton_index(f: Forest, x: int) -> int | None:
     return None
 
 
-def psi(f: Forest, x: int) -> Forest:
+def psi(f: Forest, x: int, profile: ForestProfile | None = None) -> Forest:
+    """The fundamental transformation at x; ``profile`` is
+    ``forest_profile(f)`` when the caller already has it."""
     if x not in set(f.labels()):
         raise KeyError(f"label {x} does not occur in the forest")
     m = len(f.trees)
     i = _singleton_index(f, x)
-    rem = removable_labels(f)
+    p = forest_profile(f) if profile is None else profile
     applicable = sum(
-        [i is not None and i < m - 1, x in rem["old"], x in rem["young"]]
+        [i is not None and i < m - 1, x in p.removable_old, x in p.removable_young]
     )
-    assert applicable <= 1, "psi cases must be mutually exclusive"
+    if applicable > 1:
+        raise RuntimeError("psi cases must be mutually exclusive")
     if i is not None and i < m - 1:
         j = next(
             jj
@@ -59,9 +62,9 @@ def psi(f: Forest, x: int) -> Forest:
         if f.trees[j].slots is None:
             return _absorb_right(f, i, j)
         return _merge_into_last(f, i)
-    if x in rem["old"]:
+    if x in p.removable_old:
         return _pop_old(f, f.tree_index_of(x))
-    if x in rem["young"]:
+    if x in p.removable_young:
         return _pop_young(f, x)
     return f
 
@@ -78,12 +81,14 @@ def _merge_into_last(f: Forest, i: int) -> Forest:
     """Case 2: relabel the last root by x; old root label becomes a leaf."""
     x = f.trees[i].label
     last = f.trees[-1]
-    assert last.slots is not None
+    if last.slots is None:
+        raise RuntimeError("case 2 needs a non-singleton last tree")
     y = last.label
     incoming = f.trees[i + 1 : -1] + (LabeledTree(y),)
     merged = tuple(sorted(last.slots[-1] + incoming, key=lambda t: t.label))
     labels = [t.label for t in merged]
-    assert len(set(labels)) == len(labels), "slot merge collided on a label"
+    if len(set(labels)) != len(labels):
+        raise RuntimeError("slot merge collided on a label")
     new_last = LabeledTree(x, last.slots[:-1] + (merged,))
     return Forest(f.k, f.trees[:i] + (new_last,))
 
@@ -91,7 +96,8 @@ def _merge_into_last(f: Forest, i: int) -> Forest:
 def _pop_old(f: Forest, i: int) -> Forest:
     """Case 3: eject the slot-k subtrees of tree i; its root goes singleton."""
     t = f.trees[i]
-    assert t.slots is not None
+    if t.slots is None:
+        raise RuntimeError("a removable old leaf hangs under a non-singleton root")
     ejected = t.slots[-1]
     return Forest(
         f.k, f.trees[:i] + (LabeledTree(t.label),) + ejected + f.trees[i + 1 :]
@@ -102,11 +108,13 @@ def _pop_young(f: Forest, x: int) -> Forest:
     """Case 4: split the last tree at the young leaf x; old root label
     reappears as a singleton."""
     last = f.trees[-1]
-    assert last.slots is not None
+    if last.slots is None:
+        raise RuntimeError("a removable young leaf hangs under a non-singleton root")
     y = last.label
     slot = last.slots[-1]
     q = next(p for p, s in enumerate(slot) if s.label == x)
-    assert slot[q].slots is None
+    if slot[q].slots is not None:
+        raise RuntimeError("a removable young leaf must be a leaf")
     new_last = LabeledTree(x, last.slots[:-1] + (slot[q + 1 :],))
     return Forest(
         f.k,
@@ -126,18 +134,23 @@ def alpha_step(mf: MarkedForest) -> MarkedForest:
 
 def beta_step(mf: MarkedForest) -> MarkedForest:
     """psi at the least removable leaf; record its root label as a mark."""
-    rem = removable_labels(mf.forest)
-    pool = rem["old"] | rem["young"]
+    return _beta(mf, forest_profile(mf.forest))[0]
+
+
+def _beta(mf: MarkedForest, p: ForestProfile) -> tuple[MarkedForest, int, int]:
+    """beta_step given the forest's profile, with the leaf x it removed and
+    the root label y it marked."""
+    pool = p.removable_old | p.removable_young
     if not pool:
         raise ValueError("beta requires a removable leaf")
     x = min(pool)
-    root_label = mf.forest.trees[mf.forest.tree_index_of(x)].label
-    return MarkedForest(psi(mf.forest, x), frozenset(mf.marks | {root_label}))
+    y = mf.forest.trees[mf.forest.tree_index_of(x)].label
+    return MarkedForest(psi(mf.forest, x, p), frozenset(mf.marks | {y})), x, y
 
 
 def gamma_map(mf: MarkedForest) -> Forest:
     """Drain the marks, greatest first, through psi."""
-    if not mf.marks <= label_sets(mf.forest)["Si_star"]:
+    if not mf.marks <= forest_profile(mf.forest).si_star:
         raise ValueError("gamma requires marks among non-final singletons")
     for _ in range(len(mf.marks)):
         mf = alpha_step(mf)
@@ -154,13 +167,13 @@ def gamma_prime_map(f: Forest, with_trajectory: bool = False):
     mf = MarkedForest(f, frozenset())
     trajectory = [mf]
     steps: list[tuple[int, int]] = []
-    budget = forest_stats(f).lleaf - forest_stats(f).si
-    while forest_stats(mf.forest).rleaf > 0:
-        assert len(steps) <= budget, "beta failed to terminate within its budget"
-        rem = removable_labels(mf.forest)
-        x = min(rem["old"] | rem["young"])
-        y = mf.forest.trees[mf.forest.tree_index_of(x)].label
-        mf = beta_step(mf)
+    p = forest_profile(f)
+    budget = p.stats.lleaf - p.stats.si
+    while p.stats.rleaf > 0:
+        if len(steps) > budget:
+            raise RuntimeError("beta failed to terminate within its budget")
+        mf, x, y = _beta(mf, p)
+        p = forest_profile(mf.forest)
         steps.append((x, y))
         trajectory.append(mf)
     if with_trajectory:

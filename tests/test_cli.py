@@ -164,12 +164,29 @@ class TestEnumerateStats:
         assert record["in_tilde"] is True
 
     def test_stats_forest(self, capsys):
-        code, out, _ = run_cli(capsys, "stats", "--k", "3",
-                               "--input", "1[;3,7;] 2[4[;;6];;5] 8")
-        record = json.loads(out)
-        assert record["kind"] == "forest"
-        assert record["lleaf"] == 5 and record["si"] == 1
-        assert record["in_bar"] is True
+        # whole records, byte for byte
+        cases = [
+            ("3", "1[;3,7;] 2[4[;;6];;5] 8",
+             '"lleaf":5,"si":1,"oleaf":3,"yleaf":1,"oint":0,"lint":3,"rleaf":0,'
+             '"in_bar":true,"in_star":false,"removable_old":[],"removable_young":[],'
+             '"Oint_star":[],"Si_star":[]'),
+            ("3", "1[3;2;] 4[;6,8;5,7]",
+             '"lleaf":6,"si":0,"oleaf":2,"yleaf":4,"oint":0,"lint":2,"rleaf":1,'
+             '"in_bar":false,"in_star":false,"removable_old":[],"removable_young":[5],'
+             '"Oint_star":[],"Si_star":[]'),
+            ("2", "1 2[;3[4;]] 5[6;]",
+             '"lleaf":3,"si":1,"oleaf":2,"yleaf":0,"oint":1,"lint":3,"rleaf":0,'
+             '"in_bar":false,"in_star":true,"removable_old":[],"removable_young":[],'
+             '"Oint_star":[3],"Si_star":[1]'),
+            ("2", "1 2[3[4;];] 5[;6]",
+             '"lleaf":3,"si":1,"oleaf":2,"yleaf":0,"oint":1,"lint":3,"rleaf":1,'
+             '"in_bar":true,"in_star":false,"removable_old":[6],"removable_young":[],'
+             '"Oint_star":[3],"Si_star":[1]'),
+        ]
+        for k, forest, fields in cases:
+            code, out, _ = run_cli(capsys, "stats", "--k", k, "--input", forest)
+            assert code == 0
+            assert out == f'{{"kind":"forest","forest":"{forest}",{fields}}}\n'
 
     def test_stats_type_override(self, capsys):
         code, out, _ = run_cli(capsys, "stats", "--k", "2", "--input", "5",

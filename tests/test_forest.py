@@ -23,6 +23,7 @@ from stirling_forests.forest import (
     tree_to_json,
     validate_forest,
 )
+from stirling_forests.gfs import phi
 from stirling_forests.stirling import LimitError, count_k_stirling
 
 FIG1 = "1[10;;9] 2[;;3] 4[5[;6;],8;;7]"
@@ -191,23 +192,21 @@ class TestRemovable:
     def test_blocked_by_next_root(self):
         assert removable_labels(parse_forest("1[;3] 2", 2)) == {"old": set(), "young": set()}
 
-    @pytest.mark.parametrize("k,n", [(1, 5), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("k,n", [(1, 6), (2, 6), (3, 5)])
     def test_definitional_young_matches_derived_criterion(self, k, n):
-        # derived form: in the last slot of the last root, with every tree of
-        # the earlier slots rooted above it
+        # definitional form: a young grand child leaf of the last root whose
+        # toggle (phi) empties the root's first k-1 slots
         for f in enumerate_forests(range(1, n + 1), k):
             expected = set()
             if f.trees and f.trees[-1].slots is not None:
                 last = f.trees[-1]
                 grand = list(last.grand_children())
                 top = max(s.label for s in grand)
-                for s in last.slots[-1]:
-                    if s.slots is None and s.label != top and all(
-                        t.label > s.label
-                        for slot in last.slots[: k - 1]
-                        for t in slot
-                    ):
-                        expected.add(s.label)
+                for s in grand:
+                    if s.slots is None and s.label != top:
+                        toggled = phi(last, s.label)
+                        if all(not slot for slot in toggled.slots[: k - 1]):
+                            expected.add(s.label)
             assert removable_labels(f)["young"] == expected
 
 

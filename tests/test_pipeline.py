@@ -1,5 +1,6 @@
 import pytest
 
+from stirling_forests import pipeline
 from stirling_forests.forest import (
     enumerate_forests,
     forest_stats,
@@ -138,6 +139,13 @@ class TestGammaMaps:
         assert steps[0] == (3, 1)
         assert states[0].marks == frozenset()
         assert forest_stats(out.forest).rleaf == 0
+
+    def test_gamma_prime_budget_guard_raises(self, monkeypatch):
+        # a psi that never removes a leaf must trip the termination guard,
+        # also under python -O
+        monkeypatch.setattr(pipeline, "psi", lambda f, *args, **kwargs: f)
+        with pytest.raises(RuntimeError, match="budget"):
+            gamma_prime_map(parse_forest("1[;2] 3", 2))
 
     @pytest.mark.parametrize("k,n", [(1, 5), (2, 4), (3, 4)])
     def test_gamma_after_gamma_prime_is_identity(self, k, n):
