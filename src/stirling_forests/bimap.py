@@ -62,7 +62,8 @@ def _split_on_letter(block: Word, a: int, k: int) -> list[Word]:
     """The k+1 factors around the k copies of a; the factor before the first
     copy comes first."""
     positions = [i for i, c in enumerate(block) if c == a]
-    assert len(positions) == k, "letter multiplicity broken inside a block"
+    if len(positions) != k:
+        raise RuntimeError("letter multiplicity broken inside a block")
     factors = [block[: positions[0]]]
     for p, q in zip(positions, positions[1:]):
         factors.append(block[p + 1 : q])
@@ -73,7 +74,8 @@ def _split_on_letter(block: Word, a: int, k: int) -> list[Word]:
 def _xi_block_tree(block: Word, k: int) -> LabeledTree:
     b = block[-1]
     factors = _split_on_letter(block, b, k)
-    assert not factors[-1], "block must end with its minimum"
+    if factors[-1]:
+        raise RuntimeError("block must end with its minimum")
     mus = factors[:-1]
     if all(not mu for mu in mus):
         return LabeledTree(b)
@@ -120,7 +122,8 @@ def chi(word: Sequence[int], k: int) -> LabeledTree:
         raise ValueError("chi requires the word to start with its minimum letter")
     a = w[0]
     factors = _split_on_letter(w, a, k)
-    assert not factors[0], "minimum letter must come first"
+    if factors[0]:
+        raise RuntimeError("minimum letter must come first")
     ws = factors[1:]
     if all(not wj for wj in ws):
         return LabeledTree(a)
@@ -128,7 +131,8 @@ def chi(word: Sequence[int], k: int) -> LabeledTree:
     for wj in ws:
         trees = _xi_trees(wj, k)
         ordered = tuple(sorted(trees, key=lambda t: t.label))
-        assert ordered == trees, "xi image slots should already be increasing"
+        if ordered != trees:
+            raise RuntimeError("xi image slots should already be increasing")
         slots.append(ordered)
     return LabeledTree(a, tuple(slots))
 

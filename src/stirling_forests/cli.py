@@ -16,13 +16,14 @@ import sys
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
     Forest,
+    enumerate_forests,
     forest_profile,
     parse_forest,
     serialize_forest,
     serialize_tree,
 )
 from .gfs import MarkedForest, marked_forest
-from .polyx import gamma_expand, symmetric_decompose
+from .polyx import egf_one_over_k_eulerian, gamma_expand, symmetric_decompose
 from .stirling import (
     DEFAULT_MAX_OBJECTS,
     enumerate_k_stirling,
@@ -129,44 +130,35 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# --filter by --kind: the oracle's family tests, plus the starred forests
+_FAMILY = oracle.FAMILY_TESTS
+_FILTERS = {
+    "perms": {"bar": _FAMILY["Qbar"], "hat": _FAMILY["Qhat"], "tilde": _FAMILY["Qtilde"]},
+    "forests": {"bar": _FAMILY["Fbar"], "hat": _FAMILY["Fhat"], "tilde": _FAMILY["T"],
+                "star": lambda f, p: p.in_star},
+}
+
+
 def _cmd_enumerate(args) -> int:
-    emitted = 0
+    k = args.k
     if args.kind == "perms":
-        for w in enumerate_k_stirling(args.n, args.k, args.max_objects):
-            cls = word_class(w, args.k)
-            if args.filter == "bar" and not cls["in_bar"]:
-                continue
-            if args.filter == "hat" and cls["in_bar"]:
-                continue
-            if args.filter == "tilde" and not cls["in_tilde"]:
-                continue
-            if args.filter == "star":
-                raise _usage_error("--filter star applies to forests")
-            text = word_to_text(w)
-            print(_compact({"word": text}) if args.format == "json" else text)
-            emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
+        objects = enumerate_k_stirling(args.n, k, args.max_objects)
+        record, show, key = (lambda w: word_class(w, k)), word_to_text, "word"
     else:
-        from .forest import enumerate_forests
-
-        for f in enumerate_forests(range(1, args.n + 1), args.k, args.max_objects):
-            if args.filter in ("bar", "hat"):
-                from .forest import in_bar
-
-                if (args.filter == "bar") != in_bar(f):
-                    continue
-            elif args.filter == "star":
-                if not forest_profile(f).in_star:
-                    continue
-            elif args.filter == "tilde":
-                if len(f.trees) != 1:
-                    continue
-            text = serialize_forest(f)
-            print(_compact({"forest": text}) if args.format == "json" else text)
-            emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
+        objects = enumerate_forests(range(1, args.n + 1), k, args.max_objects)
+        record, show, key = forest_profile, serialize_forest, "forest"
+    test = _FILTERS[args.kind].get(args.filter)
+    if args.filter and test is None:
+        raise _usage_error("--filter star applies to forests")
+    emitted = 0
+    for obj in objects:
+        if test is not None and not test(obj, record(obj)):
+            continue
+        text = show(obj)
+        print(_compact({key: text}) if args.format == "json" else text)
+        emitted += 1
+        if args.limit is not None and emitted >= args.limit:
+            break
     return 0
 
 
@@ -217,8 +209,6 @@ def _cmd_stats(args) -> int:
 
 def _a_polynomial(n: int, k: int, route: str, max_objects: int):
     if route == "egf":
-        from .polyx import egf_one_over_k_eulerian
-
         return egf_one_over_k_eulerian(k, n)[n]
     if route == "exc-cyc":
         return exc_cyc_polynomial(n, k)
@@ -269,8 +259,6 @@ def _cmd_gamma(args) -> int:
             census = oracle.gamma_census_bar_hat(n, k, args.max_objects)
             vec = census["gamma_bar"] if args.which == "a" else census["gamma_hat"]
         else:
-            from .polyx import egf_one_over_k_eulerian
-
             dec = symmetric_decompose(egf_one_over_k_eulerian(k, n)[n], n - 1)
             part = dec.a if args.which == "a" else dec.b.shift(1)
             vec = list(gamma_expand(part, center).gamma)

@@ -149,7 +149,7 @@ class ForestProfile(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# text and JSON forms
+# text form
 
 
 def serialize_tree(t: LabeledTree) -> str:
@@ -252,26 +252,6 @@ def parse_tree(text: str, k: int, validate: bool = True) -> LabeledTree:
     if len(f.trees) != 1:
         raise ValueError(f"expected a single tree, found {len(f.trees)}")
     return f.trees[0]
-
-
-def tree_to_json(t: LabeledTree) -> dict:
-    if t.slots is None:
-        return {"label": t.label}
-    return {
-        "label": t.label,
-        "slots": [[tree_to_json(s) for s in slot] for slot in t.slots],
-    }
-
-
-def tree_from_json(obj: dict) -> LabeledTree:
-    if "slots" not in obj:
-        return LabeledTree(int(obj["label"]))
-    slots = tuple(tuple(tree_from_json(s) for s in slot) for slot in obj["slots"])
-    return LabeledTree(int(obj["label"]), slots)
-
-
-def forest_to_json(f: Forest) -> list:
-    return [tree_to_json(t) for t in f.trees]
 
 
 # ---------------------------------------------------------------------------

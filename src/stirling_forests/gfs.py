@@ -58,29 +58,18 @@ def _tree_has(t: LabeledTree, x: int) -> bool:
     return any(lab == x for lab in t.labels())
 
 
-def phi_acts(t: LabeledTree, x: int) -> bool:
-    """True when the toggle at x is not the identity on this tree."""
-    if not _tree_has(t, x):
-        raise KeyError(f"label {x} does not occur in the tree")
-    return _phi_walk(t, x, probe=True) is not None
-
-
 def phi(t: LabeledTree, x: int) -> LabeledTree:
     """Toggle old-internal/young-leaf status at label x (an involution)."""
     if not _tree_has(t, x):
         raise KeyError(f"label {x} does not occur in the tree")
     if t.label == x:
         return t
-    result = _phi_walk(t, x, probe=False)
+    result = _phi_walk(t, x)
     return t if result is None else result
 
 
-def _phi_walk(u: LabeledTree, x: int, probe: bool) -> LabeledTree | None:
-    """Rebuild u with the toggle applied below it; None when x is fixed.
-
-    With probe=True, returns u itself as a cheap "acts" witness instead of
-    rebuilding (still None when x is fixed).
-    """
+def _phi_walk(u: LabeledTree, x: int) -> LabeledTree | None:
+    """Rebuild u with the toggle applied below it; None when x is fixed."""
     if u.slots is None:
         return None
     grand = list(u.grand_children())
@@ -88,15 +77,15 @@ def _phi_walk(u: LabeledTree, x: int, probe: bool) -> LabeledTree | None:
         top = max(s.label for s in grand)
         gx = next(s for s in grand if s.label == x)
         if x == top and gx.slots is not None:
-            return u if probe else _raise_children(u, gx)
+            return _raise_children(u, gx)
         if x != top and gx.slots is None:
-            return u if probe else _lower_greater(u, x)
+            return _lower_greater(u, x)
         return None
     for j, slot in enumerate(u.slots):
         for p, sub in enumerate(slot):
             if _tree_has(sub, x):
-                new_sub = _phi_walk(sub, x, probe)
-                if new_sub is None or probe:
+                new_sub = _phi_walk(sub, x)
+                if new_sub is None:
                     return new_sub
                 new_slot = slot[:p] + (new_sub,) + slot[p + 1 :]
                 return LabeledTree(u.label, u.slots[:j] + (new_slot,) + u.slots[j + 1 :])
@@ -210,12 +199,18 @@ def in_y(mf: MarkedForest) -> bool:
 
 def in_x_bar(mf: MarkedForest) -> bool:
     p = forest_profile(mf.forest)
-    return p.in_bar and p.in_star and mf.marks <= p.oint_star | p.si_star
+    return p.in_bar and _in_x_class(mf.marks, p)
 
 
 def in_x_hat(mf: MarkedForest) -> bool:
     p = forest_profile(mf.forest)
-    return not p.in_bar and p.in_star and mf.marks <= p.oint | p.si_star
+    return not p.in_bar and _in_x_class(mf.marks, p)
+
+
+def _in_x_class(marks: frozenset[int], p: ForestProfile) -> bool:
+    """Starred forest with marks among its class's old internals (bar:
+    excluding the last root's) and non-final singletons."""
+    return p.in_star and marks <= (p.oint_star if p.in_bar else p.oint) | p.si_star
 
 
 def in_y_bar(mf: MarkedForest) -> bool:
@@ -230,7 +225,11 @@ def in_y_hat(mf: MarkedForest) -> bool:
 
 def theta(mf: MarkedForest) -> MarkedForest:
     """Toggle the old-internal part of the marks, keep the singleton part."""
-    p = forest_profile(mf.forest)
+    return _theta(mf, forest_profile(mf.forest))
+
+
+def _theta(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
+    """theta given the forest's profile."""
     if not _in_x(mf.marks, p):
         raise ValueError("theta requires a young-leaf-free forest with marks "
                          "among old internals and non-final singletons")

@@ -4,20 +4,39 @@ identity suite tying the whole library together.
 Every check compares exact polynomials or exact counts; there is no
 tolerance anywhere.  Failures come back as reports carrying a replayable
 witness in canonical text form, never as exceptions.
+
+Each suite makes one pass over each family per (n, k) cell, and two folds
+do the census work:
+
+* the word fold takes ap, lap and ``word_class`` once per word and fills the
+  ap and lap histograms of Q, Qbar, Qhat and Qtilde: the ``poly.*`` routes,
+  the classwise splits A = a + x*b, ``thm.tilde.trees=words`` and
+  ``thm.k1.reduction``;
+* the forest fold builds one ``forest_profile`` per forest and fills the
+  lleaf and lleaf - si histograms of F, Fbar and Fhat, the bar/hat gamma
+  censuses, the forest count and the ``thm.relation.*`` checks, and from the
+  one-tree forests the T lleaf histogram and the tilde gamma census: every
+  other ``thm.*`` report.
+
+``distribution``, ``gamma_census_bar_hat`` and ``gamma_census_tilde`` are
+views of these folds; the objects folded pick the family: words, forests,
+or trees wrapped as one-tree forests.  The bijection, gfs and pipeline
+suites likewise read one profile per forest in a single pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from . import bimap, gfs, pipeline
 from .forest import (
     Forest,
+    NodeClass,
     enumerate_forests,
     enumerate_trees,
     forest_profile,
     forest_stats,
-    in_bar,
     node_classes,
     serialize_forest,
     serialize_tree,
@@ -44,9 +63,26 @@ from .stirling import (
     word_to_text,
 )
 
-FAMILIES = ("Q", "Qbar", "Qhat", "Qtilde", "F", "Fbar", "Fhat", "T")
+# The one table of families: membership of an object given its class record
+# (``word_class`` for a word, ``forest_profile`` for a forest).  A family
+# named Q* holds words, T one-tree forests, the others forests.
+FAMILY_TESTS = {
+    "Q": lambda w, cls: True,
+    "Qbar": lambda w, cls: cls["in_bar"],
+    "Qhat": lambda w, cls: not cls["in_bar"],
+    "Qtilde": lambda w, cls: cls["in_tilde"],
+    "F": lambda f, p: True,
+    "Fbar": lambda f, p: p.in_bar,
+    "Fhat": lambda f, p: not p.in_bar,
+    "T": lambda f, p: len(f.trees) == 1,
+}
+FAMILIES = tuple(FAMILY_TESTS)
 STATISTICS = ("ap", "lap", "lleaf", "lleaf-si")
 SUITES = ("polynomials", "bijections", "gfs", "pipeline", "theorems")
+
+_WORD_FAMILIES = tuple(f for f in FAMILIES if f.startswith("Q"))
+_FOREST_FAMILIES = tuple(f for f in FAMILIES if not f.startswith("Q"))
+_RELATIONS = ("thm.relation.leaf-split", "thm.relation.bar-star", "thm.relation.hat-star")
 
 # Exhaustive-suite ranges: censuses run to 7 for k <= 2 and 6 for k = 3
 # (about 2 * 10^6 objects); the action and pipeline suites, which touch each
@@ -58,15 +94,6 @@ _SUITE_N_CAP = {
     "pipeline": lambda k: 5,
     "theorems": lambda k: 7 if k <= 2 else 6,
 }
-
-_WORD_CACHE: dict[tuple[int, int], list[Word]] = {}
-
-
-def _words(n: int, k: int, max_objects: int) -> list[Word]:
-    key = (n, k)
-    if key not in _WORD_CACHE:
-        _WORD_CACHE[key] = list(enumerate_k_stirling(n, k, max_objects))
-    return _WORD_CACHE[key]
 
 
 @dataclass
@@ -101,6 +128,86 @@ def _jsonable(value):
     return value
 
 
+# ---------------------------------------------------------------------------
+# the two folds and their views
+
+
+@dataclass
+class _Census:
+    """What one fold feeds: histograms keyed by (family, statistic) or by
+    census name ("gamma_bar", "gamma_hat", "tilde"), the object count, and
+    the witnesses of each structural relation that fails."""
+
+    hist: dict = field(default_factory=dict)
+    count: int = 0
+    bad: dict = field(default_factory=lambda: {name: [] for name in _RELATIONS})
+
+    def bump(self, key, value: int) -> None:
+        counts = self.hist.setdefault(key, [])
+        if len(counts) <= value:
+            counts.extend([0] * (value + 1 - len(counts)))
+        counts[value] += 1
+
+    def counts(self, key) -> list[int]:
+        return list(self.hist.get(key, ()))
+
+    def poly(self, key) -> IntPolynomial:
+        return IntPolynomial(self.hist.get(key, ()))
+
+    def composed(self, key, center: int) -> IntPolynomial:
+        """The polynomial with the census ``key`` as its gamma vector."""
+        return gamma_compose(GammaExpansion(center=center, gamma=tuple(self.counts(key))))
+
+
+def _fold_words(words: Iterable[Word], k: int) -> _Census:
+    census = _Census()
+    for w in words:
+        cls = word_class(w, k)
+        ap, lap = stat_ap(w, k), stat_lap(w, k)
+        for family in _WORD_FAMILIES:
+            if FAMILY_TESTS[family](w, cls):
+                census.bump((family, "ap"), ap)
+                census.bump((family, "lap"), lap)
+    return census
+
+
+def _fold_forests(forests: Iterable[Forest]) -> _Census:
+    census = _Census()
+    for f in forests:
+        p = forest_profile(f)
+        st = p.stats
+        census.count += 1
+        for family in _FOREST_FAMILIES:
+            if FAMILY_TESTS[family](f, p):
+                census.bump((family, "lleaf"), st.lleaf)
+                census.bump((family, "lleaf-si"), st.lleaf - st.si)
+        if FAMILY_TESTS["T"](f, p) and not st.yleaf:
+            census.bump("tilde", st.lleaf)
+        if st.oleaf + st.yleaf + st.si != st.lleaf or validate_forest(f):
+            census.bad["thm.relation.leaf-split"].append(serialize_forest(f))
+        if not p.in_star:
+            continue
+        n = len(p.classes)
+        if p.in_bar:
+            census.bump("gamma_bar", st.oleaf)
+            if len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
+                census.bad["thm.relation.bar-star"].append(serialize_forest(f))
+        else:
+            census.bump("gamma_hat", st.oleaf)
+            if st.oint + st.si != n - 2 * st.oleaf:
+                census.bad["thm.relation.hat-star"].append(serialize_forest(f))
+    return census
+
+
+def _forests(n: int, k: int, max_objects: int) -> Iterator[Forest]:
+    return enumerate_forests(range(1, n + 1), k, max_objects)
+
+
+def _trees(n: int, k: int, max_objects: int) -> Iterator[Forest]:
+    """The trees on 1..n, each wrapped as a one-tree forest."""
+    return (Forest(k, (t,)) for t in enumerate_trees(range(1, n + 1), k, max_objects))
+
+
 def distribution(
     family: str, statistic: str, n: int, k: int, max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> IntPolynomial:
@@ -109,48 +216,19 @@ def distribution(
         raise ValueError(f"unknown family {family!r}")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    coeffs: list[int] = []
-
-    def bump(value: int) -> None:
-        while len(coeffs) <= value:
-            coeffs.append(0)
-        coeffs[value] += 1
-
-    if family in ("Q", "Qbar", "Qhat", "Qtilde"):
+    if family in _WORD_FAMILIES:
         if statistic not in ("ap", "lap"):
             raise ValueError(f"statistic {statistic!r} undefined on words")
-        stat = stat_ap if statistic == "ap" else stat_lap
-        for w in _words(n, k, max_objects):
-            cls = word_class(w, k)
-            if family == "Qbar" and not cls["in_bar"]:
-                continue
-            if family == "Qhat" and cls["in_bar"]:
-                continue
-            if family == "Qtilde" and not cls["in_tilde"]:
-                continue
-            bump(stat(w, k))
+        census = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
     elif family == "T":
         if statistic != "lleaf":
             raise ValueError(f"statistic {statistic!r} undefined on trees")
-        for t in enumerate_trees(range(1, n + 1), k, max_objects):
-            bump(forest_stats(Forest(k, (t,))).lleaf)
+        census = _fold_forests(_trees(n, k, max_objects))
     else:
         if statistic not in ("lleaf", "lleaf-si"):
             raise ValueError(f"statistic {statistic!r} undefined on forests")
-        for f in enumerate_forests(range(1, n + 1), k, max_objects):
-            if family == "Fbar" and not in_bar(f):
-                continue
-            if family == "Fhat" and in_bar(f):
-                continue
-            st = forest_stats(f)
-            bump(st.lleaf if statistic == "lleaf" else st.lleaf - st.si)
-    return IntPolynomial(coeffs)
-
-
-def _trim(hist: list[int]) -> list[int]:
-    while hist and hist[-1] == 0:
-        hist.pop()
-    return hist
+        census = _fold_forests(_forests(n, k, max_objects))
+    return census.poly((family, statistic))
 
 
 def gamma_census_bar_hat(
@@ -158,18 +236,8 @@ def gamma_census_bar_hat(
 ) -> dict:
     """Histograms, by old-leaf count, of bar/hat forests free of young
     leaves and removable leaves (trailing zeros trimmed)."""
-    bar: list[int] = []
-    hat: list[int] = []
-    for f in enumerate_forests(range(1, n + 1), k, max_objects):
-        p = forest_profile(f)
-        if not p.in_star:
-            continue
-        st = p.stats
-        hist = bar if p.in_bar else hat
-        while len(hist) <= st.oleaf:
-            hist.append(0)
-        hist[st.oleaf] += 1
-    return {"gamma_bar": _trim(bar), "gamma_hat": _trim(hat)}
+    census = _fold_forests(_forests(n, k, max_objects))
+    return {"gamma_bar": census.counts("gamma_bar"), "gamma_hat": census.counts("gamma_hat")}
 
 
 def gamma_census_tilde(
@@ -178,15 +246,20 @@ def gamma_census_tilde(
     """Histogram, by labeled-leaf count, of young-leaf-free trees on 1..n."""
     if n < 2:
         raise ValueError("the tree census needs n >= 2")
-    hist: list[int] = []
-    for t in enumerate_trees(range(1, n + 1), k, max_objects):
-        st = forest_stats(Forest(k, (t,)))
-        if st.yleaf:
-            continue
-        while len(hist) <= st.lleaf:
-            hist.append(0)
-        hist[st.lleaf] += 1
-    return _trim(hist)
+    return _fold_forests(_trees(n, k, max_objects)).counts("tilde")
+
+
+def _marked(f: Forest, pool) -> Iterator[MarkedForest]:
+    """f marked by each subset of pool, in binary-counter order."""
+    pool = sorted(pool)
+    for mask in range(1 << len(pool)):
+        yield MarkedForest(f, frozenset(x for i, x in enumerate(pool) if mask >> i & 1))
+
+
+def _class_pool(p) -> frozenset[int]:
+    """Labels a starred forest may mark on its class's marked domain: old
+    internals (bar: not the last root's) and non-final singletons."""
+    return (p.oint_star if p.in_bar else p.oint) | p.si_star
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +307,16 @@ def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
 
 
 def _suite_polynomials(n, k, max_objects):
+    words = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
     A_egf = egf_one_over_k_eulerian(k, n)[n]
     A_exc = exc_cyc_polynomial(n, k)
-    A_ap = distribution("Q", "ap", n, k, max_objects)
-    lap_poly = distribution("Q", "lap", n, k, max_objects)
+    A_ap = words.poly(("Q", "ap"))
     yield _eq_report("poly.egf=exc-cyc", n, k, A_egf, A_exc)
     yield _eq_report("poly.egf=ap", n, k, A_egf, A_ap)
     yield _eq_report("poly.total=rising-product", n, k,
                      A_egf.evaluate(1), count_k_stirling(n, k))
-    yield _eq_report("poly.lap=reversed-ap", n, k, lap_poly, A_ap.reversal(n))
+    yield _eq_report("poly.lap=reversed-ap", n, k, words.poly(("Q", "lap")),
+                     A_ap.reversal(n))
     if k == 1:
         yield _eq_report("poly.descent-symmetric", n, k,
                          descent_polynomial(n),
@@ -251,31 +325,31 @@ def _suite_polynomials(n, k, max_objects):
 
 def _suite_bijections(n, k, max_objects):
     bad_xi, bad_chi, bad_zeta, bad_class = [], [], [], []
-    xi_images: set[Forest] = set()
-    zeta_images: set[Forest] = set()
-    for w in _words(n, k, max_objects):
+    xi_images, zeta_images = set(), set()
+    for w in enumerate_k_stirling(n, k, max_objects):
+        cls = word_class(w, k)
         fx = bimap.xi(w, k)
         if bimap.xi_inv(fx) != w or forest_stats(fx).lleaf != stat_lap(w, k):
             bad_xi.append(word_to_text(w))
         xi_images.add(fx)
         fz = bimap.zeta(w, k)
-        sz = forest_stats(fz)
-        if bimap.zeta_inv(fz) != w or sz.lleaf - sz.si != stat_ap(w, k):
+        pz = forest_profile(fz)
+        if bimap.zeta_inv(fz) != w or pz.stats.lleaf - pz.stats.si != stat_ap(w, k):
             bad_zeta.append(word_to_text(w))
-        if word_class(w, k)["in_bar"] != in_bar(fz):
+        if cls["in_bar"] != pz.in_bar:
             bad_class.append(word_to_text(w))
         zeta_images.add(fz)
-        if n and word_class(w, k)["in_tilde"]:
+        if n and cls["in_tilde"]:
             t = bimap.chi(w, k)
             st = forest_stats(Forest(k, (t,)))
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
                 or (n >= 2 and st.lleaf != stat_ap(w, k))
-                or word_class(w, k)["starts_with_plateau"] != plateau_slots
+                or cls["in_bar"] != plateau_slots
             ):
                 bad_chi.append(word_to_text(w))
-    all_forests = set(enumerate_forests(range(1, n + 1), k, max_objects))
+    all_forests = set(_forests(n, k, max_objects))
     yield _count_report("bij.xi.roundtrip+lap", n, k, bad_xi)
     yield _count_report("bij.chi.roundtrip+ap", n, k, bad_chi)
     yield _count_report("bij.zeta.roundtrip+ap", n, k, bad_zeta)
@@ -287,9 +361,17 @@ def _suite_bijections(n, k, max_objects):
 
 
 def _toggled(before, after) -> bool:
-    from .forest import NodeClass
-
     return {before, after} == {NodeClass.OLD_INTERNAL, NodeClass.YOUNG_LEAF}
+
+
+def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
+    """Every target hit exactly once by the image counts, and no witness of
+    a broken side condition."""
+    members = sum(image.values())
+    bijective = members == len(target) and all(image.get(t, 0) == 1 for t in target)
+    witness = bad[0] if bad else None if bijective else "image mismatch"
+    return IdentityReport(identity, n, k, members, len(target),
+                          bijective and not bad, witness)
 
 
 def _suite_gfs(n, k, max_objects):
@@ -337,79 +419,62 @@ def _suite_gfs(n, k, max_objects):
         # least two labels (a lone singleton has a leaf but no old leaf)
         yield _eq_report("gfs.orbit.census=lleaf-distribution", n, k,
                          orbit_total, distribution("T", "lleaf", n, k, max_objects))
-    # round-trip on the unrestricted marked domain
-    bad_theta = []
-    for f in enumerate_forests(labels, k, max_objects):
+    # theta round trip on the unrestricted marked domain; on the bar/hat
+    # marked domains (keyed by in_bar) also image equality onto the unmarked
+    # removable-leaf-free forests with singleton marks, plus the statistic
+    # shift and invariance facts
+    bad_theta: list[str] = []
+    bad_shift: dict[bool, list[str]] = {True: [], False: []}
+    image: dict[bool, dict[MarkedForest, int]] = {True: {}, False: {}}
+    target: dict[bool, list[MarkedForest]] = {True: [], False: []}
+    for f in _forests(n, k, max_objects):
         p = forest_profile(f)
-        if p.stats.yleaf:
+        base = p.stats
+        if base.rleaf == 0:
+            target[p.in_bar].extend(_marked(f, p.si_star))
+        if base.yleaf:
             continue
-        pool = sorted(p.oint | p.si_star)
-        for mask in range(1 << len(pool)):
-            marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
-            mf = MarkedForest(f, marks)
-            if gfs.theta_prime(gfs.theta(mf)) != mf:
+        pool = _class_pool(p) if p.in_star else None
+        for mf in _marked(f, p.oint | p.si_star):
+            out = gfs.theta(mf)
+            if gfs.theta_prime(out) != mf:
                 bad_theta.append(mf.text())
+            if pool is None or not mf.marks <= pool:
+                continue
+            outp = forest_profile(out.forest)
+            outst = outp.stats
+            if (
+                outst.lleaf - outst.si != base.lleaf - base.si + len(mf.marks & p.oint)
+                or outst.rleaf != 0
+                or outp.si_star != p.si_star
+                or outp.in_bar != p.in_bar
+            ):
+                bad_shift[p.in_bar].append(mf.text())
+            image[p.in_bar][out] = image[p.in_bar].get(out, 0) + 1
     yield _count_report("gfs.theta.roundtrip", n, k, bad_theta)
-    # restricted to the bar/hat marked domains: image equality plus the
-    # statistic shift and invariance facts
-    for bar in (True, False):
-        bad_shift: list[str] = []
-        image: dict[MarkedForest, int] = {}
-        members = 0
-        for f in enumerate_forests(labels, k, max_objects):
-            p = forest_profile(f)
-            if p.in_bar != bar or not p.in_star:
-                continue
-            pool = sorted((p.oint_star if bar else p.oint) | p.si_star)
-            base = p.stats
-            for mask in range(1 << len(pool)):
-                marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
-                mf = MarkedForest(f, marks)
-                s1 = marks & p.oint
-                out = gfs.theta(mf)
-                outp = forest_profile(out.forest)
-                outst = outp.stats
-                if (
-                    outst.lleaf - outst.si != base.lleaf - base.si + len(s1)
-                    or outst.rleaf != 0
-                    or outp.si_star != p.si_star
-                    or outp.in_bar != bar
-                ):
-                    bad_shift.append(mf.text())
-                image[out] = image.get(out, 0) + 1
-                members += 1
-        target = []
-        for g in enumerate_forests(labels, k, max_objects):
-            pg = forest_profile(g)
-            if pg.in_bar != bar or pg.stats.rleaf != 0:
-                continue
-            pool_g = sorted(pg.si_star)
-            for mask in range(1 << len(pool_g)):
-                marks = frozenset(x for i, x in enumerate(pool_g) if mask >> i & 1)
-                target.append(MarkedForest(g, marks))
-        bijective = members == len(target) and all(
-            image.get(mf, 0) == 1 for mf in target
-        )
-        side = "bar" if bar else "hat"
-        yield IdentityReport(f"gfs.theta.{side}-bijection", n, k, members,
-                             len(target), bijective and not bad_shift,
-                             bad_shift[0] if bad_shift else
-                             None if bijective else "image mismatch")
+    for bar, side in ((True, "bar"), (False, "hat")):
+        yield _bijection_report(f"gfs.theta.{side}-bijection", n, k,
+                                image[bar], target[bar], bad_shift[bar])
 
 
 def _suite_pipeline(n, k, max_objects):
     labels = range(1, n + 1)
     bad_shift, bad_class, bad_round, bad_obs, bad_ab_traj = [], [], [], [], []
-    for f in enumerate_forests(labels, k, max_objects):
+    bad_pairs, bad_ba = [], []
+    # the composite bijection onto each class (keyed by in_bar), with the
+    # mark-count shift
+    image: dict[bool, dict[Forest, int]] = {True: {}, False: {}}
+    target: dict[bool, list[Forest]] = {True: [], False: []}
+    bad_main: dict[bool, list[str]] = {True: [], False: []}
+    for f in _forests(n, k, max_objects):
         p = forest_profile(f)
         base_stat = p.stats.lleaf - p.stats.si
+        target[p.in_bar].append(f)
         for x in labels:
             g = pipeline.psi(f, x, p)
             gp = forest_profile(g)
-            idx = next(
-                (i for i, t in enumerate(f.trees) if t.slots is None and t.label == x),
-                None,
-            )
+            idx = next((i for i, t in enumerate(f.trees)
+                        if t.slots is None and t.label == x), None)
             if idx is not None and idx < len(f.trees) - 1:
                 expect = base_stat + 1
             elif x in p.removable_old:
@@ -434,131 +499,74 @@ def _suite_pipeline(n, k, max_objects):
         for (prev, cur), (x, y) in zip(zip(states, states[1:]), steps):
             if pipeline.alpha_step(cur) != prev:
                 bad_ab_traj.append(f"{prev.text()} -> {cur.text()}")
-            y_pos = next(
-                i
-                for i, t in enumerate(cur.forest.trees)
-                if t.slots is None and t.label == y
-            )
+            y_pos = next(i for i, t in enumerate(cur.forest.trees)
+                         if t.slots is None and t.label == y)
             after = forest_profile(cur.forest)
             for r in after.removable_old | after.removable_young:
                 if cur.forest.tree_index_of(r) < y_pos:
                     bad_obs.append(f"{serialize_forest(cur.forest)} @ {r}")
         if pipeline.gamma_map(mf) != f:
             bad_round.append(serialize_forest(f))
+        # gamma on marked pairs, with beta-after-alpha inversion along the way
+        if not p.stats.rleaf:
+            for mf in _marked(f, p.si_star):
+                state = mf
+                while state.marks:
+                    nxt = pipeline.alpha_step(state)
+                    if pipeline.beta_step(nxt) != state:
+                        bad_ba.append(state.text())
+                    state = nxt
+                if pipeline.gamma_prime_map(pipeline.gamma_map(mf)) != mf:
+                    bad_pairs.append(mf.text())
+        if p.in_star:
+            for mf in _marked(f, _class_pool(p)):
+                g = pipeline.main_bijection(mf)
+                gs = forest_stats(g)
+                if gs.lleaf - gs.si != base_stat + len(mf.marks):
+                    bad_main[p.in_bar].append(mf.text())
+                image[p.in_bar][g] = image[p.in_bar].get(g, 0) + 1
     yield _count_report("pipe.psi.shift", n, k, bad_shift)
     yield _count_report("pipe.psi.bar-preserved", n, k, bad_class)
     yield _count_report("pipe.gamma.gamma-prime.roundtrip", n, k, bad_round)
     yield _count_report("pipe.alpha-after-beta.inversion", n, k, bad_ab_traj)
     yield _count_report("pipe.beta.left-clean", n, k, bad_obs)
-    # gamma on marked pairs, with beta-after-alpha inversion along the way
-    bad_pairs, bad_ba = [], []
-    for f in enumerate_forests(labels, k, max_objects):
-        p = forest_profile(f)
-        if p.stats.rleaf:
-            continue
-        pool = sorted(p.si_star)
-        for mask in range(1 << len(pool)):
-            marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
-            mf = MarkedForest(f, marks)
-            state = mf
-            while state.marks:
-                nxt = pipeline.alpha_step(state)
-                if pipeline.beta_step(nxt) != state:
-                    bad_ba.append(state.text())
-                state = nxt
-            if pipeline.gamma_prime_map(pipeline.gamma_map(mf)) != mf:
-                bad_pairs.append(mf.text())
     yield _count_report("pipe.beta-after-alpha.inversion", n, k, bad_ba)
     yield _count_report("pipe.gamma-prime.gamma.roundtrip", n, k, bad_pairs)
-    # the composite bijection onto each class, with the mark-count shift
-    for bar in (True, False):
-        image: dict[Forest, int] = {}
-        ok_shift = True
-        members = 0
-        for f in enumerate_forests(labels, k, max_objects):
-            p = forest_profile(f)
-            if p.in_bar != bar or not p.in_star:
-                continue
-            pool = sorted((p.oint_star if bar else p.oint) | p.si_star)
-            base = p.stats
-            for mask in range(1 << len(pool)):
-                marks = frozenset(x for i, x in enumerate(pool) if mask >> i & 1)
-                members += 1
-                g = pipeline.main_bijection(MarkedForest(f, marks))
-                gs = forest_stats(g)
-                if gs.lleaf - gs.si != base.lleaf - base.si + len(marks):
-                    ok_shift = False
-                image[g] = image.get(g, 0) + 1
-        target = [
-            g for g in enumerate_forests(labels, k, max_objects) if in_bar(g) == bar
-        ]
-        bijective = (
-            members == len(target)
-            and all(image.get(g, 0) == 1 for g in target)
-            and ok_shift
-        )
-        side = "bar" if bar else "hat"
-        yield IdentityReport(f"pipe.main.{side}-bijection", n, k, members,
-                             len(target), bijective,
-                             None if bijective else "image mismatch")
+    for bar, side in ((True, "bar"), (False, "hat")):
+        yield _bijection_report(f"pipe.main.{side}-bijection", n, k,
+                                image[bar], target[bar], bad_main[bar])
 
 
 def _suite_theorems(n, k, max_objects):
+    if n < 1:
+        return
+    words = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
+    forests = _fold_forests(_forests(n, k, max_objects))
     A = egf_one_over_k_eulerian(k, n)[n]
-    if n >= 1:
-        dec = symmetric_decompose(A, n - 1)
-        a_part, xb_part = dec.a, dec.b.shift(1)
-        yield _eq_report("thm.classwise.bar=a", n, k,
-                         distribution("Qbar", "ap", n, k, max_objects), a_part)
-        yield _eq_report("thm.classwise.hat=xb", n, k,
-                         distribution("Qhat", "ap", n, k, max_objects), xb_part)
-        census = gamma_census_bar_hat(n, k, max_objects)
-        composed_bar = gamma_compose(
-            GammaExpansion(center=n - 1, gamma=tuple(census["gamma_bar"]))
-        )
-        composed_hat = gamma_compose(
-            GammaExpansion(center=n, gamma=tuple(census["gamma_hat"]))
-        )
-        yield _eq_report("thm.bar.census=distribution", n, k, composed_bar,
-                         distribution("Fbar", "lleaf-si", n, k, max_objects))
-        yield _eq_report("thm.hat.census=distribution", n, k, composed_hat,
-                         distribution("Fhat", "lleaf-si", n, k, max_objects))
-        yield _eq_report("thm.bar.census=decomposition", n, k, composed_bar, a_part)
-        yield _eq_report("thm.hat.census=decomposition", n, k, composed_hat, xb_part)
-        yield _eq_report(
-            "thm.count.forests", n, k,
-            sum(1 for _ in enumerate_forests(range(1, n + 1), k, max_objects)),
-            count_k_stirling(n, k),
-        )
+    dec = symmetric_decompose(A, n - 1)
+    a_part, xb_part = dec.a, dec.b.shift(1)
+    yield _eq_report("thm.classwise.bar=a", n, k, words.poly(("Qbar", "ap")), a_part)
+    yield _eq_report("thm.classwise.hat=xb", n, k, words.poly(("Qhat", "ap")), xb_part)
+    composed_bar = forests.composed("gamma_bar", n - 1)
+    composed_hat = forests.composed("gamma_hat", n)
+    yield _eq_report("thm.bar.census=distribution", n, k, composed_bar,
+                     forests.poly(("Fbar", "lleaf-si")))
+    yield _eq_report("thm.hat.census=distribution", n, k, composed_hat,
+                     forests.poly(("Fhat", "lleaf-si")))
+    yield _eq_report("thm.bar.census=decomposition", n, k, composed_bar, a_part)
+    yield _eq_report("thm.hat.census=decomposition", n, k, composed_hat, xb_part)
+    yield _eq_report("thm.count.forests", n, k, forests.count, count_k_stirling(n, k))
     if n >= 2:
-        tilde = gamma_census_tilde(n, k, max_objects)
-        composed = gamma_compose(GammaExpansion(center=n, gamma=tuple(tilde)))
-        tree_dist = distribution("T", "lleaf", n, k, max_objects)
+        tree_dist = forests.poly(("T", "lleaf"))
+        tilde_words = words.poly(("Qtilde", "ap"))
         yield _eq_report("thm.tilde.census=tree-distribution", n, k,
-                         composed, tree_dist)
-        yield _eq_report("thm.tilde.trees=words", n, k, tree_dist,
-                         distribution("Qtilde", "ap", n, k, max_objects))
+                         forests.composed("tilde", n), tree_dist)
+        yield _eq_report("thm.tilde.trees=words", n, k, tree_dist, tilde_words)
         if k == 1:
-            yield _eq_report("thm.k1.reduction", n, k,
-                             distribution("Qtilde", "ap", n, 1, max_objects),
+            yield _eq_report("thm.k1.reduction", n, k, tilde_words,
                              descent_polynomial(n - 1).shift(1))
-    # structural relations over every forest in range
-    if n >= 1:
-        bad_oys, bad_bar_rel, bad_hat_rel = [], [], []
-        for f in enumerate_forests(range(1, n + 1), k, max_objects):
-            p = forest_profile(f)
-            st = p.stats
-            if st.oleaf + st.yleaf + st.si != st.lleaf or validate_forest(f):
-                bad_oys.append(serialize_forest(f))
-            if p.in_star:
-                if p.in_bar:
-                    if len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
-                        bad_bar_rel.append(serialize_forest(f))
-                elif st.oint + st.si != n - 2 * st.oleaf:
-                    bad_hat_rel.append(serialize_forest(f))
-        yield _count_report("thm.relation.leaf-split", n, k, bad_oys)
-        yield _count_report("thm.relation.bar-star", n, k, bad_bar_rel)
-        yield _count_report("thm.relation.hat-star", n, k, bad_hat_rel)
+    for name in _RELATIONS:
+        yield _count_report(name, n, k, forests.bad[name])
 
 
 _SUITE_RUNNERS = {

@@ -30,7 +30,7 @@ beta until no removable leaf remains; the two are mutually inverse.
 from __future__ import annotations
 
 from .forest import Forest, ForestProfile, LabeledTree, forest_profile
-from .gfs import MarkedForest, in_x_bar, in_x_hat, theta
+from .gfs import MarkedForest, _in_x_class, _theta
 
 
 def _singleton_index(f: Forest, x: int) -> int | None:
@@ -183,9 +183,10 @@ def gamma_prime_map(f: Forest, with_trajectory: bool = False):
 
 def main_bijection(mf: MarkedForest) -> Forest:
     """gamma after theta, on the bar- or hat-class marked domains."""
-    if not (in_x_bar(mf) or in_x_hat(mf)):
+    p = forest_profile(mf.forest)
+    if not _in_x_class(mf.marks, p):
         raise ValueError(
             "main bijection requires a starred forest with marks among "
             "old internals (bar: excluding the last root's) and non-final singletons"
         )
-    return gamma_map(theta(mf))
+    return gamma_map(_theta(mf, p))

@@ -121,12 +121,9 @@ def word_class(word: Sequence[int], k: int) -> dict:
     The complement of in_bar is membership in the hat class.  The empty word
     is taken to lie in the bar and tilde classes.
     """
-    in_bar = starts_with_plateau(word, k)
-    in_tilde = not word or word[0] == min(word)
     return {
-        "in_bar": in_bar,
-        "in_tilde": in_tilde,
-        "starts_with_plateau": in_bar,
+        "in_bar": starts_with_plateau(word, k),
+        "in_tilde": not word or word[0] == min(word),
     }
 
 

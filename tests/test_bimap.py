@@ -1,5 +1,6 @@
 import pytest
 
+from stirling_forests import bimap
 from stirling_forests.bimap import chi, chi_inv, xi, xi_inv, zeta, zeta_inv
 from stirling_forests.forest import (
     Forest,
@@ -70,6 +71,14 @@ class TestChi:
         with pytest.raises(ValueError):
             chi(word_from_text("2211"), 2)
 
+    def test_broken_slot_order_raises(self, monkeypatch):
+        # an xi image whose slot comes out decreasing must be refused, also
+        # under python -O
+        xi_trees = bimap._xi_trees
+        monkeypatch.setattr(bimap, "_xi_trees", lambda w, k: xi_trees(w, k)[::-1])
+        with pytest.raises(RuntimeError, match="increasing"):
+            chi(word_from_text("122331"), 2)
+
 
 class TestZeta:
     def test_fig4(self):
@@ -120,7 +129,7 @@ class TestExhaustive:
             if n >= 2:
                 assert forest_stats(Forest(k, (t,))).lleaf == stat_ap(w, k)
             plateau = t.slots is None or all(not s for s in t.slots[: k - 1])
-            assert plateau == word_class(w, k)["starts_with_plateau"]
+            assert plateau == word_class(w, k)["in_bar"]
             trees.add(t)
         single = {
             f.trees[0] for f in enumerate_forests(range(1, n + 1), k) if len(f.trees) == 1

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from stirling_forests.forest import (
@@ -13,14 +11,11 @@ from stirling_forests.forest import (
     enumerate_trees,
     forest_class,
     forest_stats,
-    forest_to_json,
     in_bar,
     label_sets,
     parse_forest,
     removable_labels,
     serialize_forest,
-    tree_from_json,
-    tree_to_json,
     validate_forest,
 )
 from stirling_forests.gfs import phi
@@ -82,13 +77,6 @@ class TestParseSerialize:
     def test_roundtrip_over_enumeration(self, k, n):
         for f in enumerate_forests(range(1, n + 1), k):
             assert parse_forest(serialize_forest(f), k) == f
-
-    def test_json_roundtrip(self):
-        f = parse_forest(FIG1, 3)
-        assert [tree_from_json(json.loads(json.dumps(o))) for o in forest_to_json(f)] == list(
-            f.trees
-        )
-        assert "slots" not in tree_to_json(LabeledTree(5))
 
 
 class TestValidate:

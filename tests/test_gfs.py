@@ -24,7 +24,6 @@ from stirling_forests.gfs import (
     orbit,
     orbit_representative,
     phi,
-    phi_acts,
     phi_set,
     theta,
     theta_prime,
@@ -60,7 +59,6 @@ class TestPhi:
     def test_root_is_fixed(self):
         t = parse_tree(FIG5_LEFT, 3)
         assert phi(t, 1) == t
-        assert not phi_acts(t, 1)
 
     def test_old_leaf_fixed(self):
         t = parse_tree("1[;2,3]", 2)

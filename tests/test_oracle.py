@@ -1,5 +1,7 @@
 import pytest
 
+from stirling_forests.cli import main
+from stirling_forests.forest import enumerate_forests, forest_stats
 from stirling_forests.oracle import (
     distribution,
     gamma_census_bar_hat,
@@ -12,6 +14,7 @@ from stirling_forests.polyx import (
     egf_one_over_k_eulerian,
     gamma_compose,
 )
+from stirling_forests.stirling import enumerate_k_stirling, stat_ap, stat_lap
 
 
 class TestDistribution:
@@ -104,3 +107,69 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite(2, 2, suites=("nope",))
+
+
+# Independent reference: the families written out here from their
+# definitions, not read from the library's class predicates.
+def _reference_families(obj, k):
+    if isinstance(obj, tuple):  # a word
+        yield "Q"
+        yield "Qbar" if all(a == obj[0] for a in obj[:k]) else "Qhat"
+        if not obj or obj[0] == min(obj):
+            yield "Qtilde"
+        return
+    yield "F"
+    last = obj.trees[-1] if obj.trees else None
+    bar = last is None or last.slots is None or all(not s for s in last.slots[: k - 1])
+    yield "Fbar" if bar else "Fhat"
+    if len(obj.trees) == 1:
+        yield "T"
+
+
+def _reference_histograms(n, k):
+    hist = {}
+
+    def bump(key, value):
+        counts = hist.setdefault(key, [])
+        counts.extend([0] * (value + 1 - len(counts)))
+        counts[value] += 1
+
+    for w in enumerate_k_stirling(n, k):
+        for family in _reference_families(w, k):
+            bump((family, "ap"), stat_ap(w, k))
+            bump((family, "lap"), stat_lap(w, k))
+    for f in enumerate_forests(range(1, n + 1), k):
+        st = forest_stats(f)
+        for family in _reference_families(f, k):
+            bump((family, "lleaf"), st.lleaf)
+            if family != "T":
+                bump((family, "lleaf-si"), st.lleaf - st.si)
+    return {key: IntPolynomial(counts) for key, counts in hist.items()}
+
+
+_VALID_PAIRS = [(fam, stat) for fam in ("Q", "Qbar", "Qhat", "Qtilde") for stat in ("ap", "lap")]
+_VALID_PAIRS += [(fam, stat) for fam in ("F", "Fbar", "Fhat") for stat in ("lleaf", "lleaf-si")]
+_VALID_PAIRS += [("T", "lleaf")]
+_CELLS = [(n, k) for n in range(5) for k in range(1, 4)]
+
+
+class TestIndependentReference:
+    @pytest.mark.parametrize("n,k", _CELLS)
+    def test_distribution_matches_reference(self, n, k):
+        reference = _reference_histograms(n, k)
+        for family, stat in _VALID_PAIRS:
+            expected = reference.get((family, stat), IntPolynomial())
+            assert distribution(family, stat, n, k) == expected, (family, stat)
+
+    @pytest.mark.parametrize("n,k", _CELLS)
+    def test_enumerate_filter_counts(self, n, k, capsys):
+        families = {
+            ("perms", "bar"): ("Qbar", "ap"), ("perms", "hat"): ("Qhat", "ap"),
+            ("perms", "tilde"): ("Qtilde", "ap"), ("forests", "bar"): ("Fbar", "lleaf"),
+            ("forests", "hat"): ("Fhat", "lleaf"), ("forests", "tilde"): ("T", "lleaf"),
+        }
+        for (kind, name), (family, stat) in families.items():
+            assert main(["enumerate", "--n", str(n), "--k", str(k), "--kind", kind,
+                         "--filter", name]) == 0
+            lines = capsys.readouterr().out.count("\n")
+            assert lines == distribution(family, stat, n, k).evaluate(1), (kind, name)

@@ -96,7 +96,7 @@ class TestStatistics:
         cls = word_class(W(text), k)
         assert cls["in_bar"] is in_bar
         assert cls["in_tilde"] is in_tilde
-        assert cls["starts_with_plateau"] is in_bar
+        assert cls["in_bar"] is starts_with_plateau(W(text), k)
 
     @given(st.integers(1, 3), st.integers(1, 5), st.data())
     def test_lap_minus_ap_tracks_leading_plateau(self, k, n, data):
