@@ -33,13 +33,17 @@ Canonical text grammar (bit-exact round-trip):
 so the k=3 tree with root 4, slot 1 holding trees 5[;6;] and 8, slot 3
 holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  Parsing skips redundant
 whitespace; serialization emits single spaces between trees only.
+
+The parser, the serializer, ``validate_forest``, ``LabeledTree.labels`` and
+``forest_profile`` walk trees with explicit stacks and take any depth;
+``LabeledTree`` equality and hashing, made by the dataclass, still recurse.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .stirling import DEFAULT_MAX_OBJECTS, LimitError, count_k_stirling
@@ -73,11 +77,19 @@ class LabeledTree:
         return self.slots is None
 
     def labels(self) -> Iterator[int]:
+        """Labels in preorder; the stack holds one iterator per open node."""
         yield self.label
-        if self.slots is not None:
-            for slot in self.slots:
-                for sub in slot:
-                    yield from sub.labels()
+        if self.slots is None:
+            return
+        stack = [chain.from_iterable(self.slots)]
+        while stack:
+            for t in stack[-1]:
+                yield t.label
+                if t.slots is not None:
+                    stack.append(chain.from_iterable(t.slots))
+                    break
+            else:
+                stack.pop()
 
     def grand_children(self) -> Iterator["LabeledTree"]:
         """Subtree roots across all slots, left to right."""
@@ -153,10 +165,25 @@ class ForestProfile(NamedTuple):
 
 
 def serialize_tree(t: LabeledTree) -> str:
-    if t.slots is None:
-        return str(t.label)
-    body = ";".join(",".join(serialize_tree(s) for s in slot) for slot in t.slots)
-    return f"{t.label}[{body}]"
+    out: list[str] = []
+    stack: list[LabeledTree | str] = [t]  # trees to print, and punctuation
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif u.slots is None:
+            out.append(str(u.label))
+        else:
+            out.append(f"{u.label}[")
+            stack.append("]")
+            for j, slot in enumerate(reversed(u.slots)):
+                if j:
+                    stack.append(";")
+                for i, s in enumerate(reversed(slot)):
+                    if i:
+                        stack.append(",")
+                    stack.append(s)
+    return "".join(out)
 
 
 def serialize_forest(f: Forest) -> str:
@@ -191,39 +218,47 @@ class _Parser:
         return label
 
     def parse_tree(self) -> LabeledTree:
-        label = self.parse_label()
-        self.skip_ws()
-        if self.peek() != "[":
-            return LabeledTree(label)
-        self.pos += 1
-        slots: list[tuple[LabeledTree, ...]] = []
+        """One tree.  The stack holds the open nodes, each with its label,
+        its finished slots and the trees of the slot being read."""
+        stack: list[tuple[int, list[tuple[LabeledTree, ...]], list[LabeledTree]]] = []
         while True:
-            slots.append(self.parse_slot())
+            label = self.parse_label()  # a tree starts here
             self.skip_ws()
-            ch = self.peek()
-            if ch == ";":
+            if self.peek() == "[":
                 self.pos += 1
-            elif ch == "]":
-                self.pos += 1
-                break
+                stack.append((label, [], []))
+                tree = None
             else:
-                raise self.error("expected ';' or ']'")
-        if len(slots) != self.k:
-            raise self.error(f"expected exactly {self.k} slots, found {len(slots)}")
-        return LabeledTree(label, tuple(slots))
-
-    def parse_slot(self) -> tuple[LabeledTree, ...]:
-        self.skip_ws()
-        if self.peek() in (";", "]"):
-            return ()
-        trees = [self.parse_tree()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            self.skip_ws()
-            trees.append(self.parse_tree())
-            self.skip_ws()
-        return tuple(trees)
+                tree = LabeledTree(label)
+            while True:
+                if tree is None:  # a slot starts here
+                    self.skip_ws()
+                    if self.peek() not in (";", "]"):
+                        break
+                else:  # a tree ends here
+                    if not stack:
+                        return tree
+                    stack[-1][2].append(tree)
+                    self.skip_ws()
+                    if self.peek() == ",":
+                        self.pos += 1
+                        self.skip_ws()
+                        break
+                label, slots, trees = stack[-1]  # the open slot ends here
+                slots.append(tuple(trees))
+                trees.clear()
+                ch = self.peek()
+                if ch == ";":
+                    self.pos += 1
+                    tree = None
+                elif ch == "]":
+                    self.pos += 1
+                    if len(slots) != self.k:
+                        raise self.error(f"expected exactly {self.k} slots, found {len(slots)}")
+                    stack.pop()
+                    tree = LabeledTree(label, tuple(slots))
+                else:
+                    raise self.error("expected ';' or ']'")
 
     def parse_forest(self) -> Forest:
         trees = []
@@ -259,38 +294,42 @@ def parse_tree(text: str, k: int, validate: bool = True) -> LabeledTree:
 
 
 def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
-    """All invariant violations as (offending label, message); empty when valid."""
+    """All invariant violations as (offending label, message); empty when valid.
+
+    Depth first with an explicit stack of (parent label, node, slot) tasks.
+    The first node of a slot carries the slot, whose order is checked before
+    the walk enters it, after the walk of the slots before it.
+    """
     violations: list[tuple[int | None, str]] = []
     seen: set[int] = set()
-
-    def walk(t: LabeledTree) -> None:
+    for a, b in zip(f.trees, f.trees[1:]):
+        if a.label >= b.label:
+            violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
+    stack: list[tuple[int | None, LabeledTree, tuple[LabeledTree, ...]]] = [
+        (None, t, ()) for t in reversed(f.trees)
+    ]
+    while stack:
+        parent, t, slot = stack.pop()
+        for a, b in zip(slot, slot[1:]):
+            if a.label >= b.label:
+                violations.append(
+                    (b.label, f"slot under {parent} not increasing: {a.label} before {b.label}")
+                )
+        if parent is not None and t.label <= parent:
+            violations.append((t.label, f"path not increasing: {t.label} below {parent}"))
         if t.label in seen:
             violations.append((t.label, f"duplicate label {t.label}"))
         seen.add(t.label)
         if t.slots is None:
-            return
+            continue
         if len(t.slots) != f.k:
             violations.append((t.label, f"node {t.label} has {len(t.slots)} slots, expected {f.k}"))
-        if all(not slot for slot in t.slots):
+        if not any(t.slots):
             violations.append((t.label, f"internal node {t.label} has k empty slots (not pruned)"))
-        for slot in t.slots:
-            for a, b in zip(slot, slot[1:]):
-                if a.label >= b.label:
-                    violations.append(
-                        (b.label, f"slot under {t.label} not increasing: {a.label} before {b.label}")
-                    )
-            for sub in slot:
-                if sub.label <= t.label:
-                    violations.append(
-                        (sub.label, f"path not increasing: {sub.label} below {t.label}")
-                    )
-                walk(sub)
-
-    for a, b in zip(f.trees, f.trees[1:]):
-        if a.label >= b.label:
-            violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
-    for t in f.trees:
-        walk(t)
+        for slot in reversed(t.slots):
+            stack += [(t.label, sub, ()) for sub in slot[:0:-1]]
+            if slot:
+                stack.append((t.label, slot[0], slot))
     return violations
 
 

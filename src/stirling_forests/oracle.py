@@ -163,7 +163,8 @@ def _fold_words(words: Iterable[Word], k: int) -> _Census:
     census = _Census()
     for w in words:
         cls = word_class(w, k)
-        ap, lap = stat_ap(w, k), stat_lap(w, k)
+        ap = stat_ap(w, k)
+        lap = ap + (bool(w) and cls["in_bar"])  # = stat_lap(w, k)
         for family in _WORD_FAMILIES:
             if FAMILY_TESTS[family](w, cls):
                 census.bump((family, "ap"), ap)

@@ -39,22 +39,26 @@ def count_k_stirling(n: int, k: int) -> int:
 
 
 def stirling_violation(word: Sequence[int], k: int) -> str | None:
-    """Reason the word fails to be k-Stirling, or None if it is one."""
+    """Reason the word fails to be k-Stirling, or None if it is one.
+
+    After the multiplicity check one scan keeps a stack of the letters seen
+    fewer than k times; a letter below the top lies between two copies of it.
+    """
     counts: dict[int, int] = {}
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, a in enumerate(word):
+    for a in word:
         counts[a] = counts.get(a, 0) + 1
-        first.setdefault(a, i)
-        last[a] = i
     for a, c in counts.items():
         if c != k:
             return f"label {a} occurs {c} times, expected {k}"
-    for a in counts:
-        lo, hi = first[a], last[a]
-        for i in range(lo + 1, hi):
-            if word[i] < a:
-                return f"letter {word[i]} at position {i} lies between two {a}'s"
+    stack: list[list[int]] = []  # open letters, increasing: [letter, copies seen]
+    for i, a in enumerate(word):
+        if not stack or a > stack[-1][0]:
+            stack.append([a, 0])
+        elif a < stack[-1][0]:
+            return f"letter {a} at position {i} lies between two {stack[-1][0]}'s"
+        stack[-1][1] += 1
+        if stack[-1][1] == k:
+            stack.pop()
     return None
 
 
@@ -106,8 +110,9 @@ def stat_ap(word: Sequence[int], k: int) -> int:
 
 
 def stat_lap(word: Sequence[int], k: int) -> int:
-    """Ascent-plateau count of the word with a 0 patched in front."""
-    return stat_ap((0,) + tuple(word), k)
+    """Ascent-plateau count of the word with a 0 patched in front: with
+    positive labels, ap plus one when the word starts with k equal letters."""
+    return stat_ap(word, k) + (len(word) >= k and starts_with_plateau(word, k))
 
 
 def starts_with_plateau(word: Sequence[int], k: int) -> bool:

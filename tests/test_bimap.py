@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stirling_forests import bimap
 from stirling_forests.bimap import chi, chi_inv, xi, xi_inv, zeta, zeta_inv
@@ -72,11 +75,11 @@ class TestChi:
             chi(word_from_text("2211"), 2)
 
     def test_broken_slot_order_raises(self, monkeypatch):
-        # an xi image whose slot comes out decreasing must be refused, also
-        # under python -O
+        # chi reads its tree off the xi pass on the rotated word; a pass that
+        # gives more than the one tree must be refused, also under python -O
         xi_trees = bimap._xi_trees
-        monkeypatch.setattr(bimap, "_xi_trees", lambda w, k: xi_trees(w, k)[::-1])
-        with pytest.raises(RuntimeError, match="increasing"):
+        monkeypatch.setattr(bimap, "_xi_trees", lambda w, k: xi_trees(w, k) + (LabeledTree(9),))
+        with pytest.raises(RuntimeError, match="one tree"):
             chi(word_from_text("122331"), 2)
 
 
@@ -135,3 +138,49 @@ class TestExhaustive:
             f.trees[0] for f in enumerate_forests(range(1, n + 1), k) if len(f.trees) == 1
         }
         assert trees == single
+
+
+def gap_word(n, k, min_first, nest, rnd):
+    """A k-Stirling word on 1..n grown by gap insertion of the blocks a^k.
+    With ``min_first`` nothing goes into the front gap, so the word starts
+    with its minimum; ``nest`` is the chance that a block goes right after
+    the first copy of the previous letter, which builds deep nesting."""
+    word, prev = [1] * k, 0
+    for a in range(2, n + 1):
+        if rnd.random() < nest:
+            gap = prev + 1
+        else:
+            gap = rnd.randint(1 if min_first else 0, len(word))
+        word[gap:gap] = [a] * k
+        prev = gap
+    return tuple(word)
+
+
+@st.composite
+def gap_words(draw, max_order=2000):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_order))
+    min_first = draw(st.booleans())
+    nest = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+    return gap_word(n, k, min_first, nest, draw(st.randoms(use_true_random=False))), k
+
+
+class TestLargeWords:
+    @settings(max_examples=10, deadline=None)
+    @example(case=(gap_word(2000, 4, True, 1.0, random.Random(0)), 4))  # one path 2000 deep
+    @example(case=(gap_word(2000, 2, False, 0.99, random.Random(1)), 2))
+    @given(gap_words())
+    def test_roundtrips_and_statistics(self, case):
+        # words and forest texts are compared, never deep trees
+        w, k = case
+        fx = xi(w, k)
+        assert xi_inv(fx) == w
+        assert forest_stats(fx).lleaf == stat_lap(w, k)
+        fz = zeta(w, k)
+        assert zeta_inv(fz) == w
+        sz = forest_stats(fz)
+        assert sz.lleaf - sz.si == stat_ap(w, k)
+        if w[0] == min(w):
+            t = chi(w, k)
+            assert chi_inv(t, k) == w
+            assert serialize_tree(t) == serialize_forest(fz)

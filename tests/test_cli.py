@@ -114,6 +114,24 @@ class TestMap:
         assert code == 0
         assert out.strip() == "1[;2]"
 
+    def test_deep_nested_word_round_trip(self, capsys, monkeypatch):
+        # order 5000 at k = 2: the copies of each letter wrap every larger
+        # letter, so the forest is one path 5000 levels deep
+        n = 5000
+        word = ".".join(map(str, [*range(1, n), n, n, *range(n - 1, 0, -1)]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(word))
+        code, forest, _ = run_cli(capsys, "map", "--name", "xi", "--k", "2", "--input", "-")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(forest))
+        code, back, _ = run_cli(capsys, "map", "--name", "xi-inv", "--k", "2", "--input", "-")
+        assert code == 0
+        assert back.strip() == word
+        monkeypatch.setattr("sys.stdin", io.StringIO(forest))
+        code, out, _ = run_cli(capsys, "stats", "--type", "forest", "--k", "2", "--input", "-")
+        assert code == 0
+        _, word_out, _ = run_cli(capsys, "stats", "--k", "2", "--input", word)
+        assert json.loads(out)["lleaf"] == json.loads(word_out)["lap"] == 1
+
     def test_bad_input_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "map", "--name", "zeta", "--k", "2",
                                "--input", "1212")

@@ -38,6 +38,10 @@ class TestMembership:
     def test_multiplicity_reason(self):
         assert "occurs" in stirling_violation(W("112"), 2)
 
+    def test_reason_names_first_breaking_position(self):
+        # 1 at position 2 is the first letter below an open letter, the 3
+        assert stirling_violation(W("231213"), 2) == "letter 1 at position 2 lies between two 3's"
+
 
 class TestEnumeration:
     def test_order_two(self):
@@ -97,6 +101,12 @@ class TestStatistics:
         assert cls["in_bar"] is in_bar
         assert cls["in_tilde"] is in_tilde
         assert cls["in_bar"] is starts_with_plateau(W(text), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lap_is_ap_with_a_zero_in_front(self, k):
+        for n in range(6):
+            for w in enumerate_k_stirling(n, k):
+                assert stat_lap(w, k) == stat_ap((0,) + w, k)
 
     @given(st.integers(1, 3), st.integers(1, 5), st.data())
     def test_lap_minus_ap_tracks_leading_plateau(self, k, n, data):
