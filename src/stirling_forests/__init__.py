@@ -4,7 +4,6 @@ k-ary forests, and the polynomials their plateau/leaf statistics generate."""
 from .polyx import (
     GammaExpansion,
     IntPolynomial,
-    RationalPolynomial,
     SymmetricDecomposition,
     egf_one_over_k_eulerian,
     gamma_compose,

@@ -4,7 +4,8 @@ Subcommands: enumerate, stats, poly, gamma, map, verify.  Polynomials print
 as dense integer arrays lowest degree first (``[1,10,4]``), gamma vectors as
 ``{"center":2,"gamma":[1,5]}``, words and forests in their canonical text
 forms, marked forests as ``<forest> | {1,3}``.  Exit status: 0 on success,
-1 when ``verify`` finds a failing identity, 2 on usage or input errors.
+1 when ``verify`` finds a failing identity, 2 on usage or input errors and
+when a request exceeds an enumeration or census limit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .gfs import MarkedForest, marked_forest
 from .polyx import egf_one_over_k_eulerian, gamma_expand, symmetric_decompose
 from .stirling import (
     DEFAULT_MAX_OBJECTS,
+    LimitError,
     enumerate_k_stirling,
     exc_cyc_polynomial,
     is_k_stirling,
@@ -370,7 +372,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, LimitError) as exc:
         print(f"sf {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

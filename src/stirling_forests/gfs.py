@@ -54,41 +54,51 @@ def marked_forest(forest: Forest, marks) -> MarkedForest:
     return MarkedForest(forest, marks)
 
 
-def _tree_has(t: LabeledTree, x: int) -> bool:
-    return any(lab == x for lab in t.labels())
-
-
 def phi(t: LabeledTree, x: int) -> LabeledTree:
     """Toggle old-internal/young-leaf status at label x (an involution)."""
-    if not _tree_has(t, x):
+    path = _path_to(t, x)
+    if path is None:
         raise KeyError(f"label {x} does not occur in the tree")
-    if t.label == x:
+    if not path:
         return t
-    result = _phi_walk(t, x)
-    return t if result is None else result
+    u, j, p = path[0]
+    gx = u.slots[j][p]
+    top = max(s.label for s in u.grand_children())
+    if x == top and gx.slots is not None:
+        new = _raise_children(u, gx)
+    elif x != top and gx.slots is None:
+        new = _lower_greater(u, x)
+    else:
+        return t
+    # rebuild the spine above x's grand parent, bottom-up
+    for u, j, p in path[1:]:
+        slot = u.slots[j]
+        new_slot = slot[:p] + (new,) + slot[p + 1 :]
+        new = LabeledTree(u.label, u.slots[:j] + (new_slot,) + u.slots[j + 1 :])
+    return new
 
 
-def _phi_walk(u: LabeledTree, x: int) -> LabeledTree | None:
-    """Rebuild u with the toggle applied below it; None when x is fixed."""
-    if u.slots is None:
-        return None
-    grand = list(u.grand_children())
-    if any(s.label == x for s in grand):
-        top = max(s.label for s in grand)
-        gx = next(s for s in grand if s.label == x)
-        if x == top and gx.slots is not None:
-            return _raise_children(u, gx)
-        if x != top and gx.slots is None:
-            return _lower_greater(u, x)
-        return None
-    for j, slot in enumerate(u.slots):
-        for p, sub in enumerate(slot):
-            if _tree_has(sub, x):
-                new_sub = _phi_walk(sub, x)
-                if new_sub is None:
-                    return new_sub
-                new_slot = slot[:p] + (new_sub,) + slot[p + 1 :]
-                return LabeledTree(u.label, u.slots[:j] + (new_slot,) + u.slots[j + 1 :])
+def _path_to(t: LabeledTree, x: int) -> list[tuple[LabeledTree, int, int]] | None:
+    """Steps (u, j, p) on the path between t and the node labeled x, bottom
+    up: u.slots[j][p] is the node below u on the path, so the first step is
+    x's grand parent.  [] when t is x, None when x is absent.
+
+    One depth-first walk; each pending node carries its path as a linked
+    chain of steps, read back once x is found.
+    """
+    todo = [(t, None)]
+    while todo:
+        node, chain = todo.pop()
+        if node.label == x:
+            path = []
+            while chain is not None:
+                chain, u, j, p = chain
+                path.append((u, j, p))
+            return path
+        if node.slots is not None:
+            for j, slot in enumerate(node.slots):
+                for p, child in enumerate(slot):
+                    todo.append((child, (chain, node, j, p)))
     return None
 
 

@@ -4,7 +4,7 @@ A polynomial is represented by a dense coefficient sequence starting with the
 constant term, so 1 + 10x + 4x^2 is ``IntPolynomial([1, 10, 4])``.  Trailing
 zeros are trimmed on construction; the zero polynomial has an empty
 coefficient tuple and degree -inf.  All arithmetic is exact over arbitrary
-precision integers (or exact rationals for the series intermediates).
+precision integers, the EGF coefficient extraction included.
 
 Shape notions are always taken relative to an explicit center degree n, which
 may exceed the actual degree:
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from itertools import zip_longest
 from typing import Sequence
 
 
@@ -129,44 +128,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
-
-
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Dense polynomial with exact rational coefficients (series plumbing)."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(coeffs: Sequence[Fraction | int]) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RationalPolynomial(tuple(cs))
-
-    def add(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return RationalPolynomial.of(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def mul(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return RationalPolynomial.of(out)
-
-    def scale(self, s: Fraction | int) -> "RationalPolynomial":
-        return RationalPolynomial.of([c * s for c in self.coeffs])
-
-    def to_int_polynomial(self) -> IntPolynomial:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ArithmeticError(f"non-integer coefficients: {self.coeffs}")
-        return IntPolynomial([int(c) for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -309,26 +270,38 @@ def egf_one_over_k_eulerian(k: int, N: int) -> list[IntPolynomial]:
     The exponential generating function of A_n/n! is
     ((1 - x) / (e^(kz(x-1)) - x))^(1/k).  Writing it as h(z) = g(z)^(-1/k)
     with g(z) = 1 - sum_{m>=1} k^m (x-1)^(m-1) z^m / m!, the coefficients
-    h_n follow from the first-order relation k h' g = -g' h, solved as a
-    triangular recurrence in exact rational arithmetic.  Each n! h_n must
-    come out integral; a fractional coefficient aborts.
+    h_n follow from the first-order relation k h' g = -g' h.  With
+    H_n = n! h_n and y = x - 1, clearing the factorials gives
+
+        H_{n+1} = H_n + sum_{m=1..n} C(n, m) k^m y^(m-1) (H_{n-m+1} + y H_{n-m}),
+
+    which has no division: every coefficient is an integer by construction,
+    so there is no fractional coefficient to guard against.  Each H_n is
+    carried in powers of y, where multiplying by y is a shift, and turned
+    into powers of x by one Horner pass at the end.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    x_minus_1_pow = [RationalPolynomial.of([1])]
-    for _ in range(N):
-        x_minus_1_pow.append(x_minus_1_pow[-1].mul(RationalPolynomial.of([-1, 1])))
-    g = [RationalPolynomial.of([1])]
-    for m in range(1, N + 1):
-        g.append(x_minus_1_pow[m - 1].scale(Fraction(-(k**m), factorial(m))))
-    h = [RationalPolynomial.of([1])]
+    H = [[1]]  # H_n in powers of y; H_n has degree n - 1 for n >= 1
+    D = []  # D_j = H_{j+1} + y H_j, the bracket of the sum; degree j (D_0 = 1 + y)
     for n in range(N):
-        acc = RationalPolynomial(())
+        if n:
+            D.append([a + b for a, b in zip_longest(H[n], [0] + H[n - 1], fillvalue=0)])
+        nxt = H[n] + [0] * (n + 1 - len(H[n]))
         for m in range(1, n + 1):
-            acc = acc.add(h[n - m + 1].mul(g[m]).scale(-k * (n - m + 1)))
-        for m in range(n + 1):
-            acc = acc.add(g[m + 1].mul(h[n - m]).scale(-(m + 1)))
-        h.append(acc.scale(Fraction(1, k * (n + 1))))
-    return [hn.scale(factorial(n)).to_int_polynomial() for n, hn in enumerate(h)]
+            c = math.comb(n, m) * k**m
+            for i, d in enumerate(D[n - m], m - 1):
+                nxt[i] += c * d
+        H.append(nxt)
+    out = []
+    for a in H:
+        # Horner's scheme for a(x - 1), in place
+        top = len(a) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                a[j] -= a[j + 1]
+        out.append(IntPolynomial(a))
+    return out
+

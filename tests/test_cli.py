@@ -1,5 +1,7 @@
 import io
 import json
+from itertools import accumulate
+from math import comb
 
 import pytest
 
@@ -58,6 +60,29 @@ class TestGamma:
                 assert record["center"] == center
                 seen.append(tuple(record["gamma"]))
             assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_decomposition_at_n_120(self, capsys, eulerian_recurrence, which):
+        n, k = 120, 3
+        code, out, _ = run_cli(capsys, "gamma", "--n", str(n), "--k", str(k),
+                               "--which", which, "--by", "decomposition")
+        assert code == 0
+        record = json.loads(out)
+        center = n - 1 if which == "a" else n
+        assert record["center"] == center
+        assert all(g >= 0 for g in record["gamma"])
+        # h = a + x b: a = (h - x^n h(1/x)) / (1 - x) about n - 1 and
+        # b = (x^(n-1) h(1/x) - h) / (1 - x) about n - 2
+        h = eulerian_recurrence(k, n)[n] + [0]
+        a = list(accumulate(h[i] - h[n - i] for i in range(n)))
+        b = list(accumulate(h[n - 1 - i] - h[i] for i in range(n - 1)))
+        assert [x + y for x, y in zip(a, [0] + b)] == h[:n]
+        expected = a if which == "a" else [0] + b + [0]  # x b, padded to x^n
+        composed = [0] * (center + 1)
+        for i, g in enumerate(record["gamma"]):
+            for j in range(center - 2 * i + 1):
+                composed[i + j] += g * comb(center - 2 * i, j)
+        assert composed == expected
 
 
 class TestMap:
@@ -131,6 +156,28 @@ class TestMap:
         assert code == 0
         _, word_out, _ = run_cli(capsys, "stats", "--k", "2", "--input", word)
         assert json.loads(out)["lleaf"] == json.loads(word_out)["lap"] == 1
+
+    def test_phi_on_deep_nested_forest(self, capsys, monkeypatch):
+        # the order-5000 nested forest is one path 5000 levels deep; 5000 is
+        # its young-leaf bottom with no greater sibling, so toggling it is the
+        # identity, and 2500 is an old internal node whose toggle is undone
+        # by a second one
+        n = 5000
+        word = ".".join(map(str, [*range(1, n), n, n, *range(n - 1, 0, -1)]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(word))
+        _, forest, _ = run_cli(capsys, "map", "--name", "xi", "--k", "2", "--input", "-")
+
+        def phi(text, x):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, _ = run_cli(capsys, "map", "--name", "phi", "--k", "2",
+                                   "--x", str(x), "--input", "-")
+            assert code == 0
+            return out
+
+        assert phi(forest, n) == forest
+        once = phi(forest, n // 2)
+        assert once != forest
+        assert phi(once, n // 2) == forest
 
     def test_bad_input_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "map", "--name", "zeta", "--k", "2",
@@ -232,3 +279,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-max", "2"])
         assert exc.value.code == 2
+
+
+class TestLimits:
+    # a census or enumeration past its ceiling is an input error: exit 2
+    # with one error line, not a traceback
+    @pytest.mark.parametrize("argv", [
+        ["poly", "--n", "11", "--k", "2", "--which", "A", "--route", "exc-cyc"],
+        ["enumerate", "--n", "5", "--k", "2", "--kind", "perms", "--max-objects", "10"],
+        ["gamma", "--n", "5", "--k", "2", "--which", "a", "--max-objects", "10"],
+    ])
+    def test_limit_error_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"sf {argv[0]}: error: ") and err.count("\n") == 1

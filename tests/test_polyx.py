@@ -156,11 +156,16 @@ class TestEgf:
 
     def test_totals_are_rising_products(self):
         for k in (1, 2, 3, 4):
-            polys = egf_one_over_k_eulerian(k, 6)
+            polys = egf_one_over_k_eulerian(k, 60)
             total = 1
             for n, p in enumerate(polys):
                 assert p.evaluate(1) == total
                 total *= n * k + 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_recurrence_to_60(self, k, eulerian_recurrence):
+        polys = egf_one_over_k_eulerian(k, 60)
+        assert [list(p.coeffs) for p in polys] == eulerian_recurrence(k, 60)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
