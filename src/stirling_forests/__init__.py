@@ -30,10 +30,8 @@ from .forest import (
     ForestStats,
     LabeledTree,
     NodeClass,
-    classify_label,
     enumerate_forests,
     enumerate_trees,
-    forest_class,
     forest_profile,
     forest_stats,
     label_sets,

@@ -64,22 +64,24 @@ def _read_input(value: str) -> str:
     return value
 
 
-def _parse_marked(text: str, k: int) -> MarkedForest:
-    if "|" in text:
-        forest_text, marks_text = text.split("|", 1)
-        marks_text = marks_text.strip()
-        if not (marks_text.startswith("{") and marks_text.endswith("}")):
-            raise ValueError("marks must look like {1,3}")
-        inner = marks_text[1:-1].strip()
-        marks = [int(x) for x in inner.split(",")] if inner else []
-        return marked_forest(parse_forest(forest_text.strip(), k), marks)
-    return marked_forest(parse_forest(text, k), [])
-
-
 def _parse_set(text: str | None) -> list[int]:
     if not text:
         return []
     return [int(x) for x in text.split(",")]
+
+
+def _parse_marked(text: str, k: int, mark_set: str | None) -> MarkedForest:
+    """A forest with marks given inline (``<forest> | {1,3}``) or via --set."""
+    if "|" not in text:
+        return marked_forest(parse_forest(text, k), _parse_set(mark_set))
+    if mark_set:
+        raise ValueError("give marks either inline or via --set")
+    forest_text, marks_text = text.split("|", 1)
+    marks_text = marks_text.strip()
+    if not (marks_text.startswith("{") and marks_text.endswith("}")):
+        raise ValueError("marks must look like {1,3}")
+    marks = _parse_set(marks_text[1:-1].strip())
+    return marked_forest(parse_forest(forest_text.strip(), k), marks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,6 +145,10 @@ _FILTERS = {
 
 def _cmd_enumerate(args) -> int:
     k = args.k
+    if args.n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be nonnegative")
     if args.kind == "perms":
         objects = enumerate_k_stirling(args.n, k, args.max_objects)
         record, show, key = (lambda w: word_class(w, k)), word_to_text, "word"
@@ -153,14 +159,14 @@ def _cmd_enumerate(args) -> int:
     if args.filter and test is None:
         raise _usage_error("--filter star applies to forests")
     emitted = 0
-    for obj in objects:
+    for obj in objects:  # the first step runs the enumerator's checks
+        if emitted == args.limit:
+            break
         if test is not None and not test(obj, record(obj)):
             continue
         text = show(obj)
         print(_compact({key: text}) if args.format == "json" else text)
         emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
     return 0
 
 
@@ -307,32 +313,22 @@ def _cmd_map(args) -> int:
         f = parse_forest(text, k)
         print(serialize_forest(gfs.phi_set(f, _parse_set(args.mark_set))))
         return 0
-    if name in ("theta", "theta-prime", "alpha", "beta", "gamma-prime"):
-        if "|" in text:
-            mf = _parse_marked(text, k)
-            if args.mark_set:
-                raise _usage_error("give marks either inline or via --set")
-        else:
-            mf = marked_forest(parse_forest(text, k), _parse_set(args.mark_set))
-        if name == "theta":
-            print(gfs.theta(mf).text())
-        elif name == "theta-prime":
-            print(gfs.theta_prime(mf).text())
-        elif name == "alpha":
-            print(pipeline.alpha_step(mf).text())
-        elif name == "beta":
-            print(pipeline.beta_step(mf).text())
-        else:
-            if mf.marks:
-                raise _usage_error("gamma-prime starts from an unmarked forest")
-            print(pipeline.gamma_prime_map(mf.forest).text())
-        return 0
-    # gamma: forest plus marks in, forest out
-    if "|" in text:
-        mf = _parse_marked(text, k)
-    else:
-        mf = marked_forest(parse_forest(text, k), _parse_set(args.mark_set))
-    print(serialize_forest(pipeline.gamma_map(mf)))
+    # the marked maps: theta, theta-prime, alpha, beta, gamma-prime, gamma
+    mf = _parse_marked(text, k, args.mark_set)
+    if name == "theta":
+        print(gfs.theta(mf).text())
+    elif name == "theta-prime":
+        print(gfs.theta_prime(mf).text())
+    elif name == "alpha":
+        print(pipeline.alpha_step(mf).text())
+    elif name == "beta":
+        print(pipeline.beta_step(mf).text())
+    elif name == "gamma-prime":
+        if mf.marks:
+            raise _usage_error("gamma-prime starts from an unmarked forest")
+        print(pipeline.gamma_prime_map(mf.forest).text())
+    else:  # gamma: forest plus marks in, forest out
+        print(serialize_forest(pipeline.gamma_map(mf)))
     return 0
 
 

@@ -21,8 +21,8 @@ and is below every subtree root label in that root's first k-1 slots: the
 condition for ``gfs.phi`` at s to empty those slots, which the test suite
 checks against ``phi``.  ``forest_profile`` finds classes, counters, label
 sets, removable leaves and bar/star membership in one explicit-stack
-traversal; ``node_classes``, ``forest_stats``, ``removable_labels``,
-``label_sets`` and ``forest_class`` are views of it.
+traversal; ``node_classes``, ``forest_stats``, ``removable_labels`` and
+``label_sets`` are views of it.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -37,6 +37,11 @@ whitespace; serialization emits single spaces between trees only.
 The parser, the serializer, ``validate_forest``, ``LabeledTree.labels`` and
 ``forest_profile`` walk trees with explicit stacks and take any depth;
 ``LabeledTree`` equality and hashing, made by the dataclass, still recurse.
+
+``enumerate_forests`` and ``enumerate_trees`` stream their family in a fixed
+order.  Each call memoises the sub-families it shares (remainders and slot
+shares) in a dict of its own, dropped when the generator ends; the module
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -142,7 +147,8 @@ class ForestStats:
 class ForestProfile(NamedTuple):
     """The analyses of one forest, from ``forest_profile``: ``classes`` is
     ``node_classes``, ``stats`` is ``forest_stats``, the sets are those of
-    ``label_sets`` and ``removable_labels``, the flags those of ``forest_class``.
+    ``label_sets`` and ``removable_labels``; ``in_bar`` is ``in_bar`` and
+    ``in_star`` means no young and no removable leaves.
     A named tuple, not a frozen dataclass: census loops build one per forest,
     and it constructs several times faster."""
 
@@ -417,14 +423,6 @@ def node_classes(f: Forest) -> dict[int, NodeClass]:
     return forest_profile(f).classes
 
 
-def classify_label(f: Forest, x: int) -> NodeClass:
-    """Class of the node labeled x: root, or old/young crossed with leaf/internal."""
-    classes = node_classes(f)
-    if x not in classes:
-        raise KeyError(f"label {x} does not occur in the forest")
-    return classes[x]
-
-
 def removable_labels(f: Forest) -> dict:
     """Labels of removable old leaves and removable young leaves.
 
@@ -468,58 +466,58 @@ def in_bar(f: Forest) -> bool:
     return last.slots is None or not any(last.slots[: f.k - 1])
 
 
-def forest_class(f: Forest) -> dict:
-    """Bar membership plus star membership (no young leaves and no
-    removable leaves)."""
-    p = forest_profile(f)
-    return {"in_bar": p.in_bar, "in_star": p.in_star}
-
-
 # ---------------------------------------------------------------------------
 # direct enumeration, independent of the word bijections
 
-_FOREST_CACHE: dict[tuple[tuple[int, ...], int], list[tuple[LabeledTree, ...]]] = {}
-_TREE_CACHE: dict[tuple[tuple[int, ...], int], list[LabeledTree]] = {}
+
+def _checked_labels(
+    labels: Sequence[int], k: int, max_objects: int, counted: str
+) -> tuple[int, ...]:
+    """The sorted labels, once k, their distinctness and the ceiling pass."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    labs = tuple(sorted(labels))
+    if len(set(labs)) != len(labs):
+        raise ValueError("labels must be distinct")
+    count = count_k_stirling(len(labs), k)
+    if count > max_objects:
+        raise LimitError(f"{counted} {count} exceeds ceiling {max_objects}")
+    return labs
 
 
-def _forest_tuples(labels: tuple[int, ...], k: int) -> list[tuple[LabeledTree, ...]]:
-    key = (labels, k)
-    cached = _FOREST_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _family(labels: tuple[int, ...], k: int, memo: dict) -> list[tuple[LabeledTree, ...]]:
+    """The forests on a proper sub-family's labels, built once per call."""
+    if labels not in memo:
+        memo[labels] = list(_forests(labels, k, memo))
+    return memo[labels]
+
+
+def _forests(labels: tuple[int, ...], k: int, memo: dict) -> Iterator[tuple[LabeledTree, ...]]:
+    """Tree tuples: the block holding the least label, in binary-counter
+    order of the rest, then its trees, then the forests on the remainder."""
     if not labels:
-        out: list[tuple[LabeledTree, ...]] = [()]
-    else:
-        out = []
-        first, rest = labels[0], labels[1:]
-        for mask in range(1 << len(rest)):
-            block = (first,) + tuple(a for i, a in enumerate(rest) if mask >> i & 1)
-            remainder = tuple(a for i, a in enumerate(rest) if not mask >> i & 1)
-            for t in _tree_list(block, k):
-                for tail in _forest_tuples(remainder, k):
-                    out.append((t,) + tail)
-    _FOREST_CACHE[key] = out
-    return out
+        yield ()
+        return
+    first, rest = labels[0], labels[1:]
+    for mask in range(1 << len(rest)):
+        block = (first,) + tuple(a for i, a in enumerate(rest) if mask >> i & 1)
+        tails = _family(tuple(a for i, a in enumerate(rest) if not mask >> i & 1), k, memo)
+        for t in _trees(block, k, memo):
+            for tail in tails:
+                yield (t,) + tail
 
 
-def _tree_list(block: tuple[int, ...], k: int) -> list[LabeledTree]:
-    key = (block, k)
-    cached = _TREE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if len(block) == 1:
-        out = [LabeledTree(block[0])]
-    else:
-        out = []
-        root, rest = block[0], block[1:]
-        for assignment in product(range(k), repeat=len(rest)):
-            shares = tuple(
-                tuple(a for a, slot in zip(rest, assignment) if slot == j) for j in range(k)
-            )
-            for combo in product(*(_forest_tuples(share, k) for share in shares)):
-                out.append(LabeledTree(root, tuple(combo)))
-    _TREE_CACHE[key] = out
-    return out
+def _trees(block: tuple[int, ...], k: int, memo: dict) -> Iterator[LabeledTree]:
+    """The least label as root over each assignment of the rest to the k
+    slots, in counter order, then each k-tuple of forests on the shares."""
+    root, rest = block[0], block[1:]
+    if not rest:
+        yield LabeledTree(root)
+        return
+    for assignment in product(range(k), repeat=len(rest)):
+        shares = [tuple(a for a, slot in zip(rest, assignment) if slot == j) for j in range(k)]
+        for slots in product(*(_family(share, k, memo) for share in shares)):
+            yield LabeledTree(root, slots)
 
 
 def enumerate_forests(
@@ -529,16 +527,11 @@ def enumerate_forests(
 
     A forest on M is a set partition of M into blocks ordered by minima, one
     tree per block; a tree on a block is its minimum as root plus an ordered
-    k-tuple of forests partitioning the remaining labels.
+    k-tuple of forests partitioning the remaining labels.  The family is
+    streamed; the memo of its sub-families lives as long as this generator.
     """
-    labs = tuple(sorted(labels))
-    if len(set(labs)) != len(labs):
-        raise ValueError("labels must be distinct")
-    if count_k_stirling(len(labs), k) > max_objects:
-        raise LimitError(
-            f"forest count {count_k_stirling(len(labs), k)} exceeds ceiling {max_objects}"
-        )
-    for trees in _forest_tuples(labs, k):
+    labs = _checked_labels(labels, k, max_objects, "forest count")
+    for trees in _forests(labs, k, {}):
         yield Forest(k, trees)
 
 
@@ -546,13 +539,6 @@ def enumerate_trees(
     labels: Sequence[int], k: int, max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Iterator[LabeledTree]:
     """All single trees on the given label set (the one-block forests)."""
-    labs = tuple(sorted(labels))
-    if len(set(labs)) != len(labs):
-        raise ValueError("labels must be distinct")
-    if not labs:
-        return
-    if count_k_stirling(len(labs), k) > max_objects:
-        raise LimitError(
-            f"tree count is bounded by {count_k_stirling(len(labs), k)} > {max_objects}"
-        )
-    yield from _tree_list(labs, k)
+    labs = _checked_labels(labels, k, max_objects, "tree count bound")
+    if labs:
+        yield from _trees(labs, k, {})

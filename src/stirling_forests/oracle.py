@@ -379,8 +379,11 @@ def _suite_gfs(n, k, max_objects):
     labels = list(range(1, n + 1))
     bad_inv, bad_comm, bad_type, bad_orbit = [], [], [], []
     orbit_total = IntPolynomial()
+    trees = _Census()  # the T lleaf histogram, from the profiles taken here
     for t in enumerate_trees(labels, k, max_objects):
-        before = node_classes(Forest(k, (t,)))
+        p = forest_profile(Forest(k, (t,)))
+        trees.bump("lleaf", p.stats.lleaf)
+        before = p.classes
         images = {x: gfs.phi(t, x) for x in labels}
         for x in labels:
             tx = images[x]
@@ -404,7 +407,7 @@ def _suite_gfs(n, k, max_objects):
             young_free = sum(
                 1 for s in members if forest_stats(Forest(k, (s,))).yleaf == 0
             )
-            st = forest_stats(Forest(k, (rep,)))
+            st = p.stats
             if young_free != 1 or len(members) != 2**st.oint:
                 bad_orbit.append(serialize_tree(t))
             orbit_total = orbit_total + gamma_compose(
@@ -419,7 +422,7 @@ def _suite_gfs(n, k, max_objects):
         # the closed form for an orbit's leaf generating function needs at
         # least two labels (a lone singleton has a leaf but no old leaf)
         yield _eq_report("gfs.orbit.census=lleaf-distribution", n, k,
-                         orbit_total, distribution("T", "lleaf", n, k, max_objects))
+                         orbit_total, trees.poly("lleaf"))
     # theta round trip on the unrestricted marked domain; on the bar/hat
     # marked domains (keyed by in_bar) also image equality onto the unmarked
     # removable-leaf-free forests with singleton marks, plus the statistic

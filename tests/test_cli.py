@@ -49,6 +49,13 @@ class TestGamma:
         _, out, _ = run_cli(capsys, "gamma", "--n", "3", "--k", "2", "--which", "a")
         assert json.loads(out) == {"center": 2, "gamma": [1, 5]}
 
+    @pytest.mark.parametrize("which", ["a", "b", "c"])
+    def test_census_needs_positive_k(self, capsys, which):
+        code, out, err = run_cli(capsys, "gamma", "--n", "3", "--k", "0",
+                                 "--which", which, "--by", "census")
+        assert code == 2 and out == ""
+        assert "k must be a positive integer" in err
+
     def test_all_routes_match(self, capsys):
         for which, center in (("a", 2), ("b", 3), ("c", 3)):
             seen = []
@@ -131,6 +138,14 @@ class TestMap:
         _, out, _ = run_cli(capsys, "map", "--name", "beta", "--k", "2",
                             "--input", "1[;2] 3 | {}")
         assert out.strip() == "1 2 3 | {1}"
+
+    @pytest.mark.parametrize("name", ["theta", "theta-prime", "alpha", "beta",
+                                      "gamma-prime", "gamma"])
+    def test_marks_inline_and_set_refused(self, capsys, name):
+        code, out, err = run_cli(capsys, "map", "--name", name, "--k", "2",
+                                 "--input", "1 2 3 | {1}", "--set", "2")
+        assert code == 2 and out == ""
+        assert "give marks either inline or via --set" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1122\n"))
@@ -219,6 +234,24 @@ class TestEnumerateStats:
         lines = out.strip().splitlines()
         assert code == 0 and len(lines) == 4
         assert all("word" in json.loads(line) for line in lines)
+
+    def test_limit_zero_prints_nothing(self, capsys):
+        for kind in ("perms", "forests"):
+            code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--k", "2",
+                                   "--kind", kind, "--limit", "0")
+            assert code == 0 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--k", "2", "--kind", "forests", "--limit", "-1"],
+        ["--n", "2", "--k", "0", "--kind", "forests"],
+        ["--n", "2", "--k", "0", "--kind", "forests", "--limit", "0"],
+        ["--n", "-1", "--k", "2", "--kind", "forests"],
+        ["--n", "-1", "--k", "2", "--kind", "perms"],
+    ])
+    def test_bad_enumerate_request_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("sf enumerate: error: ")
 
     def test_stats_word(self, capsys):
         code, out, _ = run_cli(capsys, "stats", "--k", "3",

@@ -1,21 +1,22 @@
 import pytest
 
+import stirling_forests.forest as forest_module
 from stirling_forests.forest import (
     Forest,
     ForestInvariantError,
     ForestSyntaxError,
     LabeledTree,
     NodeClass,
-    classify_label,
     enumerate_forests,
     enumerate_trees,
-    forest_class,
+    forest_profile,
     forest_stats,
     in_bar,
     label_sets,
     parse_forest,
     removable_labels,
     serialize_forest,
+    serialize_tree,
     validate_forest,
 )
 from stirling_forests.gfs import phi
@@ -102,17 +103,17 @@ class TestValidate:
 
 class TestClassification:
     def test_fig1_old_and_young(self):
-        f = parse_forest(FIG1, 3)
-        assert classify_label(f, 6) is NodeClass.OLD_LEAF
-        assert classify_label(f, 8) is NodeClass.OLD_LEAF
-        assert classify_label(f, 5) is NodeClass.YOUNG_INTERNAL
-        assert classify_label(f, 7) is NodeClass.YOUNG_LEAF
-        assert classify_label(f, 4) is NodeClass.ROOT
-        assert classify_label(f, 10) is NodeClass.OLD_LEAF
+        classes = forest_profile(parse_forest(FIG1, 3)).classes
+        assert classes[6] is NodeClass.OLD_LEAF
+        assert classes[8] is NodeClass.OLD_LEAF
+        assert classes[5] is NodeClass.YOUNG_INTERNAL
+        assert classes[7] is NodeClass.YOUNG_LEAF
+        assert classes[4] is NodeClass.ROOT
+        assert classes[10] is NodeClass.OLD_LEAF
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
-            classify_label(parse_forest("1", 2), 7)
+            forest_profile(parse_forest("1", 2)).classes[7]
 
 
 class TestStats:
@@ -201,15 +202,15 @@ class TestRemovable:
 class TestClassesAndEnumeration:
     def test_fig2_all_bar(self):
         for text in BAR_3_2:
-            assert forest_class(parse_forest(text, 2))["in_bar"] is True
+            assert forest_profile(parse_forest(text, 2)).in_bar is True
 
     def test_fig3_all_hat(self):
         for text in HAT_3_2:
-            assert forest_class(parse_forest(text, 2))["in_bar"] is False
+            assert forest_profile(parse_forest(text, 2)).in_bar is False
 
     def test_star_excludes_young_leaves(self):
-        cls = forest_class(parse_forest("1[;2,3]", 2))
-        assert cls == {"in_bar": True, "in_star": False}
+        p = forest_profile(parse_forest("1[;2,3]", 2))
+        assert (p.in_bar, p.in_star) == (True, False)
 
     def test_bar_hat_split_at_3_2(self):
         forests = list(enumerate_forests([1, 2, 3], 2))
@@ -247,3 +248,64 @@ class TestClassesAndEnumeration:
         forests = list(enumerate_forests([2, 5, 9], 2))
         assert len(forests) == 15
         assert all(sorted(f.labels()) == [2, 5, 9] for f in forests)
+
+    def test_k_must_be_positive(self):
+        for enumerate_family in (enumerate_forests, enumerate_trees):
+            for k in (0, -1):
+                with pytest.raises(ValueError, match="k must be a positive integer"):
+                    next(enumerate_family([1, 2], k))
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            next(enumerate_trees([], 0))
+
+
+class TestEnumerationOrder:
+    # the order is a guarantee: these are the texts, in order, that the
+    # enumerators have always produced
+    FORESTS_3_2 = [
+        "1 2 3", "1 2[3;]", "1 2[;3]", "1[2;] 3", "1[;2] 3", "1[3;] 2",
+        "1[;3] 2", "1[2,3;]", "1[2[3;];]", "1[2[;3];]", "1[2;3]", "1[3;2]",
+        "1[;2,3]", "1[;2[3;]]", "1[;2[;3]]",
+    ]
+    TREES_4_2 = [
+        "1[2,3,4;]", "1[2,3[4;];]", "1[2,3[;4];]", "1[2[3;],4;]", "1[2[;3],4;]",
+        "1[2[4;],3;]", "1[2[;4],3;]", "1[2[3,4;];]", "1[2[3[4;];];]",
+        "1[2[3[;4];];]", "1[2[3;4];]", "1[2[4;3];]", "1[2[;3,4];]",
+        "1[2[;3[4;]];]", "1[2[;3[;4]];]", "1[2,3;4]", "1[2[3;];4]", "1[2[;3];4]",
+        "1[2,4;3]", "1[2[4;];3]", "1[2[;4];3]", "1[2;3,4]", "1[2;3[4;]]",
+        "1[2;3[;4]]", "1[3,4;2]", "1[3[4;];2]", "1[3[;4];2]", "1[3;2,4]",
+        "1[3;2[4;]]", "1[3;2[;4]]", "1[4;2,3]", "1[4;2[3;]]", "1[4;2[;3]]",
+        "1[;2,3,4]", "1[;2,3[4;]]", "1[;2,3[;4]]", "1[;2[3;],4]", "1[;2[;3],4]",
+        "1[;2[4;],3]", "1[;2[;4],3]", "1[;2[3,4;]]", "1[;2[3[4;];]]",
+        "1[;2[3[;4];]]", "1[;2[3;4]]", "1[;2[4;3]]", "1[;2[;3,4]]",
+        "1[;2[;3[4;]]]", "1[;2[;3[;4]]]",
+    ]
+
+    def test_forests_3_2(self):
+        assert [serialize_forest(f) for f in enumerate_forests([1, 2, 3], 2)] == self.FORESTS_3_2
+
+    def test_trees_4_2(self):
+        assert [serialize_tree(t) for t in enumerate_trees([4, 3, 2, 1], 2)] == self.TREES_4_2
+
+    def test_module_state_does_not_grow(self):
+        def sizes():
+            return {name: len(value) for name, value in vars(forest_module).items()
+                    if isinstance(value, (dict, list, set))}
+
+        before = sizes()
+        assert sum(1 for _ in enumerate_forests([3, 7, 8, 20, 21], 3)) == count_k_stirling(5, 3)
+        trees = sum(1 for _ in enumerate_trees([3, 7, 8, 20, 22], 2))
+        assert trees == sum(1 for f in enumerate_forests(range(5), 2) if len(f.trees) == 1)
+        assert sizes() == before
+
+    def test_interleaved_enumerations_are_independent(self):
+        labels = [1, 2, 3, 4]
+        expect2 = list(enumerate_forests(labels, 2))
+        expect3 = list(enumerate_forests(labels, 3))
+        abandoned = enumerate_forests(labels, 2)
+        for _ in range(len(expect2) // 2):
+            next(abandoned)
+        gen2, gen3 = enumerate_forests(labels, 2), enumerate_forests(labels, 3)
+        pairs = list(zip(gen2, gen3))  # gen2 is the shorter family
+        assert [f for f, _ in pairs] == expect2
+        assert [f for _, f in pairs] + list(gen3) == expect3
+        assert list(abandoned) == expect2[len(expect2) // 2:]

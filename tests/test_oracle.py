@@ -1,5 +1,6 @@
 import pytest
 
+from stirling_forests import oracle
 from stirling_forests.cli import main
 from stirling_forests.forest import enumerate_forests, forest_stats
 from stirling_forests.oracle import (
@@ -42,6 +43,11 @@ class TestDistribution:
             distribution("T", "lleaf-si", 2, 2)
         with pytest.raises(ValueError):
             distribution("Qx", "ap", 2, 2)
+
+    def test_forest_families_need_positive_k(self):
+        for family in ("F", "T"):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                distribution(family, "lleaf", 3, 0)
 
 
 class TestCensuses:
@@ -103,6 +109,24 @@ class TestRunSuite:
         for r in reports:
             d = r.as_dict()
             assert {"identity", "n", "k", "pass", "left", "right"} <= set(d)
+
+    def test_gfs_suite_passes_trees_once(self, monkeypatch):
+        # one tree enumeration per cell, whose profiles also give the T
+        # lleaf histogram; the trees are not validated again
+        calls = {"enumerate_trees": 0, "validate_forest": 0}
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counted(name))
+        assert all(r.passed for r in run_suite(4, 2, suites=("gfs",)))
+        assert calls == {"enumerate_trees": 10, "validate_forest": 0}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
