@@ -104,7 +104,11 @@ def chi_inv(t: LabeledTree, k: int) -> Word:
 
 def zeta(word: Sequence[int], k: int) -> Forest:
     """Word-to-forest map preserving ap as lleaf - si."""
-    w = require_k_stirling(word, k)
+    return _zeta(require_k_stirling(word, k), k)
+
+
+def _zeta(w: Word, k: int) -> Forest:
+    """zeta on a k-Stirling word."""
     lows = list(accumulate(w, min))  # a block starts where the running minimum drops
     cuts = [i for i in range(len(w)) if i == 0 or lows[i] < lows[i - 1]] + [len(w)]
     blocks = [w[s:e] for s, e in zip(cuts, cuts[1:])]

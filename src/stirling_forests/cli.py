@@ -24,7 +24,7 @@ from .forest import (
     serialize_tree,
 )
 from .gfs import MarkedForest, marked_forest
-from .polyx import egf_one_over_k_eulerian, gamma_expand, symmetric_decompose
+from .polyx import _egf_last, gamma_expand, symmetric_decompose
 from .stirling import (
     DEFAULT_MAX_OBJECTS,
     LimitError,
@@ -217,7 +217,7 @@ def _cmd_stats(args) -> int:
 
 def _a_polynomial(n: int, k: int, route: str, max_objects: int):
     if route == "egf":
-        return egf_one_over_k_eulerian(k, n)[n]
+        return _egf_last(k, n)
     if route == "exc-cyc":
         return exc_cyc_polynomial(n, k)
     return oracle.distribution("Q", "ap", n, k, max_objects)
@@ -267,7 +267,7 @@ def _cmd_gamma(args) -> int:
             census = oracle.gamma_census_bar_hat(n, k, args.max_objects)
             vec = census["gamma_bar"] if args.which == "a" else census["gamma_hat"]
         else:
-            dec = symmetric_decompose(egf_one_over_k_eulerian(k, n)[n], n - 1)
+            dec = symmetric_decompose(_egf_last(k, n), n - 1)
             part = dec.a if args.which == "a" else dec.b.shift(1)
             vec = list(gamma_expand(part, center).gamma)
     while vec and vec[-1] == 0:  # censuses trim; keep both routes aligned

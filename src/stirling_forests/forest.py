@@ -47,7 +47,7 @@ keeps no state between calls.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -130,8 +130,9 @@ class NodeClass(enum.Enum):
     YOUNG_INTERNAL = "YoungInternal"
 
 
-@dataclass(frozen=True)
-class ForestStats:
+class ForestStats(NamedTuple):
+    """The counters of ``forest_stats``; a named tuple, as every profile builds one."""
+
     lleaf: int
     si: int
     oleaf: int
@@ -141,7 +142,7 @@ class ForestStats:
     rleaf: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class ForestProfile(NamedTuple):
@@ -349,14 +350,10 @@ def forest_profile(f: Forest) -> ForestProfile:
     k, trees = f.k, f.trees
     m = len(trees)
     classes: dict[int, NodeClass] = {}
-    oint: set[int] = set()
-    oleaf: set[int] = set()
-    yleaf: set[int] = set()
+    oint, oleaf, yleaf, removable_old, removable_young = set(), set(), set(), set(), set()
     si = {t.label for t in trees if t.slots is None}
     si_star = {t.label for t in trees[:-1] if t.slots is None}
     oint_star = oint  # a final singleton discounts nothing from oint
-    removable_old: set[int] = set()
-    removable_young: set[int] = set()
     lint = 0
     for i, t in enumerate(trees):
         classes[t.label] = NodeClass.ROOT
@@ -366,55 +363,44 @@ def forest_profile(f: Forest) -> ForestProfile:
         while stack:
             u = stack.pop()
             lint += 1
-            grand = [s for slot in u.slots for s in slot]
-            top = max([s.label for s in grand])
-            inner = []
-            for s in grand:
-                x = s.label
-                if s.slots is None:
-                    if x == top:
-                        classes[x] = NodeClass.OLD_LEAF
-                        oleaf.add(x)
+            top = max([s.label for slot in u.slots for s in slot])
+            for slot in u.slots:
+                for s in slot:
+                    x = s.label
+                    if s.slots is None:
+                        if x == top:
+                            classes[x] = NodeClass.OLD_LEAF
+                            oleaf.add(x)
+                        else:
+                            classes[x] = NodeClass.YOUNG_LEAF
+                            yleaf.add(x)
                     else:
-                        classes[x] = NodeClass.YOUNG_LEAF
-                        yleaf.add(x)
-                else:
-                    inner.append(s)
-                    if x == top:
-                        classes[x] = NodeClass.OLD_INTERNAL
-                        oint.add(x)
-                    else:
-                        classes[x] = NodeClass.YOUNG_INTERNAL
-            stack.extend(reversed(inner))
+                        stack.append(s)
+                        if x == top:
+                            classes[x] = NodeClass.OLD_INTERNAL
+                            oint.add(x)
+                        else:
+                            classes[x] = NodeClass.YOUNG_INTERNAL
             if u is t:
-                root_top, root_grand = top, grand
-        earlier = [s.label for slot in t.slots[: k - 1] for s in slot]
+                root_top = top
+        earlier = t.slots[: k - 1]
         if (
-            not earlier
+            not any(earlier)
             and (i == m - 1 or root_top < trees[i + 1].label)
-            and [s.label for s in root_grand if s.slots is None] == [root_top]
+            and [s.label for s in chain.from_iterable(t.slots) if s.slots is None] == [root_top]
         ):
             removable_old.add(root_top)
         if i == m - 1:
-            bound = min(earlier, default=root_top)
+            bound = min([s.label for slot in earlier for s in slot], default=root_top)
             removable_young = {s.label for s in t.slots[-1] if s.slots is None and s.label < bound}
             oint_star = oint - {root_top}
     rleaf = len(removable_old) + len(removable_young)
     stats = ForestStats(len(oleaf) + len(yleaf) + len(si), len(si), len(oleaf), len(yleaf),
                         len(oint), lint, rleaf)
     return ForestProfile(
-        classes=classes,
-        stats=stats,
-        oint=frozenset(oint),
-        oleaf=frozenset(oleaf),
-        yleaf=frozenset(yleaf),
-        si=frozenset(si),
-        oint_star=frozenset(oint_star),
-        si_star=frozenset(si_star),
-        removable_old=frozenset(removable_old),
-        removable_young=frozenset(removable_young),
-        in_bar=in_bar(f),
-        in_star=stats.yleaf == 0 and stats.rleaf == 0,
+        classes, stats, frozenset(oint), frozenset(oleaf), frozenset(yleaf), frozenset(si),
+        frozenset(oint_star), frozenset(si_star), frozenset(removable_old),
+        frozenset(removable_young), in_bar(f), not yleaf and not rleaf,
     )
 
 

@@ -177,7 +177,15 @@ def orbit_representative(t: LabeledTree) -> LabeledTree:
     checked to be young-leaf free.
     """
     f = Forest(_tree_k(t), (t,))
-    rep = phi_set(f, forest_profile(f).yleaf).trees[0]
+    return _representative(f, forest_profile(f))
+
+
+def _representative(f: Forest, p: ForestProfile) -> LabeledTree:
+    """orbit_representative of f's one tree given f's profile; without young
+    leaves the tree is its own."""
+    if not p.yleaf:
+        return f.trees[0]
+    rep = phi_set(f, p.yleaf).trees[0]
     if forest_profile(Forest(f.k, (rep,))).stats.yleaf:
         raise RuntimeError("toggling every young leaf must leave none")
     return rep
@@ -250,8 +258,11 @@ def _theta(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
 
 def theta_prime(mf: MarkedForest) -> MarkedForest:
     """Toggle all young leaves away and absorb their labels into the marks."""
-    p = forest_profile(mf.forest)
+    return _theta_prime(mf, forest_profile(mf.forest))
+
+
+def _theta_prime(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
+    """theta_prime given the forest's profile."""
     if not mf.marks <= p.si_star:
         raise ValueError("theta_prime requires marks among non-final singletons")
-    s2 = p.yleaf
-    return MarkedForest(phi_set(mf.forest, s2), frozenset(mf.marks | s2))
+    return MarkedForest(phi_set(mf.forest, p.yleaf), frozenset(mf.marks | p.yleaf))

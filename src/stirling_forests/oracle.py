@@ -20,8 +20,14 @@ do the census work:
 
 ``distribution``, ``gamma_census_bar_hat`` and ``gamma_census_tilde`` are
 views of these folds; the objects folded pick the family: words, forests,
-or trees wrapped as one-tree forests.  The bijection, gfs and pipeline
-suites likewise read one profile per forest in a single pass.
+or trees wrapped as one-tree forests.  Only the theorem suite's fold runs
+``validate_forest``, for ``thm.relation.leaf-split``.
+
+The map suites analyse each object once.  Enumerated words are k-Stirling,
+so the bijection suite runs the unchecked passes (``bimap._xi_trees``,
+``_zeta``, ``_chi_tree``) and takes ap once per word.  The gfs and pipeline
+suites hand each forest's profile to the maps' private twins (``_theta``,
+``_alpha``, ``_gamma_prime`` ...), and reuse it when a map returns its input.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .gfs import MarkedForest
 from .polyx import (
     GammaExpansion,
     IntPolynomial,
-    egf_one_over_k_eulerian,
+    _egf_last,
     gamma_compose,
     symmetric_decompose,
 )
@@ -58,7 +64,6 @@ from .stirling import (
     enumerate_k_stirling,
     exc_cyc_polynomial,
     stat_ap,
-    stat_lap,
     word_class,
     word_to_text,
 )
@@ -172,7 +177,8 @@ def _fold_words(words: Iterable[Word], k: int) -> _Census:
     return census
 
 
-def _fold_forests(forests: Iterable[Forest]) -> _Census:
+def _fold_forests(forests: Iterable[Forest], validate: bool = False) -> _Census:
+    """The forest fold; ``validate`` for the ``thm.relation.leaf-split`` report."""
     census = _Census()
     for f in forests:
         p = forest_profile(f)
@@ -184,7 +190,7 @@ def _fold_forests(forests: Iterable[Forest]) -> _Census:
                 census.bump((family, "lleaf-si"), st.lleaf - st.si)
         if FAMILY_TESTS["T"](f, p) and not st.yleaf:
             census.bump("tilde", st.lleaf)
-        if st.oleaf + st.yleaf + st.si != st.lleaf or validate_forest(f):
+        if st.oleaf + st.yleaf + st.si != st.lleaf or validate and validate_forest(f):
             census.bad["thm.relation.leaf-split"].append(serialize_forest(f))
         if not p.in_star:
             continue
@@ -277,6 +283,8 @@ def run_suite(
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if n_max < 0 or k_max < 1:
+        raise ValueError("need n_max >= 0 and k_max >= 1")
     reports: list[IdentityReport] = []
     for suite in suites:
         cap = _SUITE_N_CAP[suite]
@@ -296,20 +304,13 @@ def _eq_report(identity, n, k, left, right, witness=None) -> IdentityReport:
 
 
 def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
-    return IdentityReport(
-        identity,
-        n,
-        k,
-        len(violations),
-        0,
-        not violations,
-        violations[0] if violations else None,
-    )
+    return IdentityReport(identity, n, k, len(violations), 0, not violations,
+                          violations[0] if violations else None)
 
 
 def _suite_polynomials(n, k, max_objects):
     words = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
-    A_egf = egf_one_over_k_eulerian(k, n)[n]
+    A_egf = _egf_last(k, n)
     A_exc = exc_cyc_polynomial(n, k)
     A_ap = words.poly(("Q", "ap"))
     yield _eq_report("poly.egf=exc-cyc", n, k, A_egf, A_exc)
@@ -327,26 +328,28 @@ def _suite_polynomials(n, k, max_objects):
 def _suite_bijections(n, k, max_objects):
     bad_xi, bad_chi, bad_zeta, bad_class = [], [], [], []
     xi_images, zeta_images = set(), set()
+    # the enumerated words are k-Stirling: the unchecked passes take them
     for w in enumerate_k_stirling(n, k, max_objects):
         cls = word_class(w, k)
-        fx = bimap.xi(w, k)
-        if bimap.xi_inv(fx) != w or forest_stats(fx).lleaf != stat_lap(w, k):
+        ap = stat_ap(w, k)
+        fx = Forest(k, bimap._xi_trees(w, k))
+        if bimap.xi_inv(fx) != w or forest_stats(fx).lleaf != ap + (bool(w) and cls["in_bar"]):
             bad_xi.append(word_to_text(w))
         xi_images.add(fx)
-        fz = bimap.zeta(w, k)
+        fz = bimap._zeta(w, k)
         pz = forest_profile(fz)
-        if bimap.zeta_inv(fz) != w or pz.stats.lleaf - pz.stats.si != stat_ap(w, k):
+        if bimap.zeta_inv(fz) != w or pz.stats.lleaf - pz.stats.si != ap:
             bad_zeta.append(word_to_text(w))
         if cls["in_bar"] != pz.in_bar:
             bad_class.append(word_to_text(w))
         zeta_images.add(fz)
         if n and cls["in_tilde"]:
-            t = bimap.chi(w, k)
+            t = bimap._chi_tree(w, k)
             st = forest_stats(Forest(k, (t,)))
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
-                or (n >= 2 and st.lleaf != stat_ap(w, k))
+                or (n >= 2 and st.lleaf != ap)
                 or cls["in_bar"] != plateau_slots
             ):
                 bad_chi.append(word_to_text(w))
@@ -381,7 +384,8 @@ def _suite_gfs(n, k, max_objects):
     orbit_total = IntPolynomial()
     trees = _Census()  # the T lleaf histogram, from the profiles taken here
     for t in enumerate_trees(labels, k, max_objects):
-        p = forest_profile(Forest(k, (t,)))
+        f = Forest(k, (t,))
+        p = forest_profile(f)
         trees.bump("lleaf", p.stats.lleaf)
         before = p.classes
         images = {x: gfs.phi(t, x) for x in labels}
@@ -389,11 +393,9 @@ def _suite_gfs(n, k, max_objects):
             tx = images[x]
             if gfs.phi(tx, x) != t:
                 bad_inv.append(f"{serialize_tree(t)} @ {x}")
-            after = node_classes(Forest(k, (tx,)))
+            after = before if tx is t else node_classes(Forest(k, (tx,)))
             for z in labels:
-                ok = before[z] == after[z] if z != x else (
-                    before[z] == after[z] or _toggled(before[z], after[z])
-                )
+                ok = before[z] == after[z] or z == x and _toggled(before[z], after[z])
                 if not ok:
                     bad_type.append(f"{serialize_tree(t)} @ {x}/{z}")
             for y in labels:
@@ -401,7 +403,7 @@ def _suite_gfs(n, k, max_objects):
                     break
                 if gfs.phi(images[x], y) != gfs.phi(images[y], x):
                     bad_comm.append(f"{serialize_tree(t)} @ {x},{y}")
-        rep = gfs.orbit_representative(t)
+        rep = gfs._representative(f, p)
         if rep == t:
             members = gfs.orbit(t)
             young_free = sum(
@@ -440,12 +442,13 @@ def _suite_gfs(n, k, max_objects):
             continue
         pool = _class_pool(p) if p.in_star else None
         for mf in _marked(f, p.oint | p.si_star):
-            out = gfs.theta(mf)
-            if gfs.theta_prime(out) != mf:
+            out = gfs._theta(mf, p)
+            # theta toggles only the old-internal marks; without any it is f
+            outp = forest_profile(out.forest) if mf.marks & p.oint else p
+            if gfs._theta_prime(out, outp) != mf:
                 bad_theta.append(mf.text())
             if pool is None or not mf.marks <= pool:
                 continue
-            outp = forest_profile(out.forest)
             outst = outp.stats
             if (
                 outst.lleaf - outst.si != base.lleaf - base.si + len(mf.marks & p.oint)
@@ -474,11 +477,11 @@ def _suite_pipeline(n, k, max_objects):
         p = forest_profile(f)
         base_stat = p.stats.lleaf - p.stats.si
         target[p.in_bar].append(f)
+        f_bad = validate_forest(f)
         for x in labels:
             g = pipeline.psi(f, x, p)
-            gp = forest_profile(g)
-            idx = next((i for i, t in enumerate(f.trees)
-                        if t.slots is None and t.label == x), None)
+            gp, g_bad = (p, f_bad) if g is f else (forest_profile(g), validate_forest(g))
+            idx = pipeline._singleton_index(f, x)
             if idx is not None and idx < len(f.trees) - 1:
                 expect = base_stat + 1
             elif x in p.removable_old:
@@ -495,36 +498,36 @@ def _suite_pipeline(n, k, max_objects):
                     bad_shift.append(f"{serialize_forest(f)} @ {x}")
             else:
                 expect = base_stat
-            if gp.stats.lleaf - gp.stats.si != expect or validate_forest(g):
+            if gp.stats.lleaf - gp.stats.si != expect or g_bad:
                 bad_shift.append(f"{serialize_forest(f)} @ {x}")
             if gp.in_bar != p.in_bar:
                 bad_class.append(f"{serialize_forest(f)} @ {x}")
-        mf, states, steps = pipeline.gamma_prime_map(f, with_trajectory=True)
-        for (prev, cur), (x, y) in zip(zip(states, states[1:]), steps):
-            if pipeline.alpha_step(cur) != prev:
+        mf, states, steps, profiles = pipeline._gamma_prime(f, p)
+        for prev, cur, after, (x, y) in zip(states, states[1:], profiles[1:], steps):
+            if pipeline._alpha(cur, after) != prev:
                 bad_ab_traj.append(f"{prev.text()} -> {cur.text()}")
-            y_pos = next(i for i, t in enumerate(cur.forest.trees)
-                         if t.slots is None and t.label == y)
-            after = forest_profile(cur.forest)
+            y_pos = pipeline._singleton_index(cur.forest, y)
             for r in after.removable_old | after.removable_young:
                 if cur.forest.tree_index_of(r) < y_pos:
                     bad_obs.append(f"{serialize_forest(cur.forest)} @ {r}")
-        if pipeline.gamma_map(mf) != f:
+        if pipeline._gamma(mf, profiles[-1]) != f:
             bad_round.append(serialize_forest(f))
         # gamma on marked pairs, with beta-after-alpha inversion along the way
         if not p.stats.rleaf:
             for mf in _marked(f, p.si_star):
-                state = mf
+                state, sp = mf, p
                 while state.marks:
-                    nxt = pipeline.alpha_step(state)
-                    if pipeline.beta_step(nxt) != state:
+                    nxt = pipeline._alpha(state, sp)
+                    sp = forest_profile(nxt.forest)
+                    if pipeline._beta(nxt, sp)[0] != state:
                         bad_ba.append(state.text())
                     state = nxt
-                if pipeline.gamma_prime_map(pipeline.gamma_map(mf)) != mf:
+                # the chain is gamma's: state.forest is gamma(mf), sp its profile
+                if pipeline._gamma_prime(state.forest, sp)[0] != mf:
                     bad_pairs.append(mf.text())
         if p.in_star:
             for mf in _marked(f, _class_pool(p)):
-                g = pipeline.main_bijection(mf)
+                g = pipeline._main(mf, p)
                 gs = forest_stats(g)
                 if gs.lleaf - gs.si != base_stat + len(mf.marks):
                     bad_main[p.in_bar].append(mf.text())
@@ -545,8 +548,8 @@ def _suite_theorems(n, k, max_objects):
     if n < 1:
         return
     words = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
-    forests = _fold_forests(_forests(n, k, max_objects))
-    A = egf_one_over_k_eulerian(k, n)[n]
+    forests = _fold_forests(_forests(n, k, max_objects), validate=True)
+    A = _egf_last(k, n)
     dec = symmetric_decompose(A, n - 1)
     a_part, xb_part = dec.a, dec.b.shift(1)
     yield _eq_report("thm.classwise.bar=a", n, k, words.poly(("Qbar", "ap")), a_part)

@@ -34,31 +34,22 @@ from .gfs import MarkedForest, _in_x_class, _theta
 
 
 def _singleton_index(f: Forest, x: int) -> int | None:
-    for i, t in enumerate(f.trees):
-        if t.slots is None and t.label == x:
-            return i
-    return None
+    return next((i for i, t in enumerate(f.trees) if t.slots is None and t.label == x), None)
 
 
 def psi(f: Forest, x: int, profile: ForestProfile | None = None) -> Forest:
     """The fundamental transformation at x; ``profile`` is
     ``forest_profile(f)`` when the caller already has it."""
-    if x not in set(f.labels()):
+    p = forest_profile(f) if profile is None else profile
+    if x not in p.classes:  # every label has a class
         raise KeyError(f"label {x} does not occur in the forest")
     m = len(f.trees)
     i = _singleton_index(f, x)
-    p = forest_profile(f) if profile is None else profile
-    applicable = sum(
-        [i is not None and i < m - 1, x in p.removable_old, x in p.removable_young]
-    )
+    applicable = sum([i is not None and i < m - 1, x in p.removable_old, x in p.removable_young])
     if applicable > 1:
         raise RuntimeError("psi cases must be mutually exclusive")
     if i is not None and i < m - 1:
-        j = next(
-            jj
-            for jj in range(i + 1, m)
-            if f.trees[jj].slots is None or jj == m - 1
-        )
+        j = next(jj for jj in range(i + 1, m) if f.trees[jj].slots is None or jj == m - 1)
         if f.trees[j].slots is None:
             return _absorb_right(f, i, j)
         return _merge_into_last(f, i)
@@ -124,12 +115,17 @@ def _pop_young(f: Forest, x: int) -> Forest:
 
 def alpha_step(mf: MarkedForest) -> MarkedForest:
     """psi at the greatest mark, which must label a singleton; drop the mark."""
+    return _alpha(mf, forest_profile(mf.forest))
+
+
+def _alpha(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
+    """alpha_step given the forest's profile."""
     if not mf.marks:
         raise ValueError("alpha requires a nonempty mark set")
     x = max(mf.marks)
     if _singleton_index(mf.forest, x) is None:
         raise ValueError(f"mark {x} does not label a singleton")
-    return MarkedForest(psi(mf.forest, x), mf.marks - {x})
+    return MarkedForest(psi(mf.forest, x, p), mf.marks - {x})
 
 
 def beta_step(mf: MarkedForest) -> MarkedForest:
@@ -150,10 +146,15 @@ def _beta(mf: MarkedForest, p: ForestProfile) -> tuple[MarkedForest, int, int]:
 
 def gamma_map(mf: MarkedForest) -> Forest:
     """Drain the marks, greatest first, through psi."""
-    if not mf.marks <= forest_profile(mf.forest).si_star:
+    return _gamma(mf, forest_profile(mf.forest))
+
+
+def _gamma(mf: MarkedForest, p: ForestProfile) -> Forest:
+    """gamma_map given the forest's profile; each later state is profiled once."""
+    if not mf.marks <= p.si_star:
         raise ValueError("gamma requires marks among non-final singletons")
     for _ in range(len(mf.marks)):
-        mf = alpha_step(mf)
+        mf, p = _alpha(mf, p or forest_profile(mf.forest)), None
     return mf.forest
 
 
@@ -164,10 +165,14 @@ def gamma_prime_map(f: Forest, with_trajectory: bool = False):
     With ``with_trajectory`` the visited states and (x, y) choices come back
     too, for replay and audit.
     """
+    mf, trajectory, steps, _ = _gamma_prime(f, forest_profile(f))
+    return (mf, trajectory, steps) if with_trajectory else mf
+
+
+def _gamma_prime(f: Forest, p: ForestProfile):
+    """gamma_prime_map's trajectory given f's profile, with each state's profile."""
     mf = MarkedForest(f, frozenset())
-    trajectory = [mf]
-    steps: list[tuple[int, int]] = []
-    p = forest_profile(f)
+    trajectory, steps, profiles = [mf], [], [p]
     budget = p.stats.lleaf - p.stats.si
     while p.stats.rleaf > 0:
         if len(steps) > budget:
@@ -176,14 +181,17 @@ def gamma_prime_map(f: Forest, with_trajectory: bool = False):
         p = forest_profile(mf.forest)
         steps.append((x, y))
         trajectory.append(mf)
-    if with_trajectory:
-        return mf, trajectory, steps
-    return mf
+        profiles.append(p)
+    return mf, trajectory, steps, profiles
 
 
 def main_bijection(mf: MarkedForest) -> Forest:
     """gamma after theta, on the bar- or hat-class marked domains."""
-    p = forest_profile(mf.forest)
+    return _main(mf, forest_profile(mf.forest))
+
+
+def _main(mf: MarkedForest, p: ForestProfile) -> Forest:
+    """main_bijection given the forest's profile."""
     if not _in_x_class(mf.marks, p):
         raise ValueError(
             "main bijection requires a starred forest with marks among "

@@ -280,6 +280,16 @@ def egf_one_over_k_eulerian(k: int, N: int) -> list[IntPolynomial]:
     carried in powers of y, where multiplying by y is a shift, and turned
     into powers of x by one Horner pass at the end.
     """
+    return [_from_y(a) for a in _egf_in_y(k, N)]
+
+
+def _egf_last(k: int, n: int) -> IntPolynomial:
+    """``egf_one_over_k_eulerian(k, n)[n]``, turning only H_n into powers of x."""
+    return _from_y(_egf_in_y(k, n)[n])
+
+
+def _egf_in_y(k: int, N: int) -> list[list[int]]:
+    """H_0..H_N of ``egf_one_over_k_eulerian``, in powers of y = x - 1."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if N < 0:
@@ -295,13 +305,13 @@ def egf_one_over_k_eulerian(k: int, N: int) -> list[IntPolynomial]:
             for i, d in enumerate(D[n - m], m - 1):
                 nxt[i] += c * d
         H.append(nxt)
-    out = []
-    for a in H:
-        # Horner's scheme for a(x - 1), in place
-        top = len(a) - 1
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                a[j] -= a[j + 1]
-        out.append(IntPolynomial(a))
-    return out
+    return H
 
+
+def _from_y(a: list[int]) -> IntPolynomial:
+    """a(x - 1) in powers of x, by Horner's scheme in place."""
+    top = len(a) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            a[j] -= a[j + 1]
+    return IntPolynomial(a)

@@ -122,6 +122,14 @@ class TestExhaustive:
         assert xi_images == family
         assert zeta_images == family
 
+    def test_unchecked_passes_equal_public_maps(self, k, n):
+        # the oracle runs these on enumerated words, which need no check
+        for w in enumerate_k_stirling(n, k):
+            assert Forest(k, bimap._xi_trees(w, k)) == xi(w, k)
+            assert bimap._zeta(w, k) == zeta(w, k)
+            if w and w[0] == min(w):
+                assert bimap._chi_tree(w, k) == chi(w, k)
+
     def test_chi_bijects_tilde_words_onto_trees(self, k, n):
         trees = set()
         for w in enumerate_k_stirling(n, k):

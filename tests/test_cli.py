@@ -286,6 +286,18 @@ class TestEnumerateStats:
             assert code == 0
             assert out == f'{{"kind":"forest","forest":"{forest}",{fields}}}\n'
 
+    def test_forest_stats_json_is_fixed(self, capsys):
+        # counters in ForestStats field order, then the class record
+        code, out, _ = run_cli(capsys, "stats", "--k", "3", "--type", "forest",
+                               "--input", "1[3;;7] 2[;;4[;;6],5] 8[;;9,10[;;11]]")
+        assert code == 0
+        assert out == (
+            '{"kind":"forest","forest":"1[3;;7] 2[;;4[;;6],5] 8[;;9,10[;;11]]",'
+            '"lleaf":6,"si":0,"oleaf":4,"yleaf":2,"oint":1,"lint":5,"rleaf":2,'
+            '"in_bar":true,"in_star":false,"removable_old":[5],"removable_young":[9],'
+            '"Oint_star":[],"Si_star":[]}\n'
+        )
+
     def test_stats_type_override(self, capsys):
         code, out, _ = run_cli(capsys, "stats", "--k", "2", "--input", "5",
                                "--type", "forest")
@@ -307,6 +319,14 @@ class TestVerify:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert lines and all(rec["pass"] for rec in lines)
         assert {"identity", "n", "k", "pass", "left", "right"} <= set(lines[0])
+
+    @pytest.mark.parametrize("n_max,k_max", [("2", "0"), ("-3", "2")])
+    def test_empty_range_is_usage_error(self, capsys, n_max, k_max):
+        # a run that checks no cell must not report success
+        code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--k-max", k_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sf verify: error: ")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -124,6 +124,11 @@ class TestStats:
             "oint": 0, "lint": 0, "rleaf": 0,
         }
 
+    def test_named_tuple_keeps_field_order(self):
+        st = forest_stats(parse_forest("1[2[3;];] 4", 2))
+        assert list(st.as_dict()) == ["lleaf", "si", "oleaf", "yleaf", "oint", "lint", "rleaf"]
+        assert tuple(st) == tuple(st.as_dict().values()) == (2, 1, 1, 0, 1, 2, 0)
+
     def test_fig4(self):
         st = forest_stats(parse_forest(FIG4, 3))
         assert st.lleaf == 5

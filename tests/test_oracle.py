@@ -1,6 +1,8 @@
 import pytest
 
-from stirling_forests import oracle
+import stirling_forests.forest as forest_module
+import stirling_forests.stirling as stirling_module
+from stirling_forests import gfs, oracle, pipeline
 from stirling_forests.cli import main
 from stirling_forests.forest import enumerate_forests, forest_stats
 from stirling_forests.oracle import (
@@ -131,6 +133,36 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite(2, 2, suites=("nope",))
+
+    @pytest.mark.parametrize("n_max,k_max", [(2, 0), (-3, 2)])
+    def test_empty_range_rejected(self, n_max, k_max):
+        with pytest.raises(ValueError):
+            run_suite(n_max, k_max)
+
+    # Each suite analyses an object once: forest_profile calls at n <= 5,
+    # k <= 3, bounded by the counts measured when the profiles were first
+    # threaded through the maps (pipeline 75 663 and gfs 45 883 before).
+    @pytest.mark.parametrize("suite,calls", [("pipeline", 20_566), ("gfs", 19_194)])
+    def test_map_suites_profile_each_object_once(self, monkeypatch, suite, calls):
+        counted = [0]
+        real = forest_module.forest_profile
+
+        def profile(f):
+            counted[0] += 1
+            return real(f)
+
+        for module in (forest_module, gfs, pipeline, oracle):
+            monkeypatch.setattr(module, "forest_profile", profile)
+        assert all(r.passed for r in run_suite(5, 3, suites=(suite,)))
+        assert 0 < counted[0] <= calls
+
+    def test_bijection_suite_validates_no_word(self, monkeypatch):
+        # enumerated words are k-Stirling: the unchecked passes take them
+        def refuse(word, k):
+            raise AssertionError("word validated again")
+
+        monkeypatch.setattr(stirling_module, "stirling_violation", refuse)
+        assert all(r.passed for r in run_suite(5, 3, suites=("bijections",)))
 
 
 # Independent reference: the families written out here from their

@@ -1,8 +1,11 @@
 import pytest
 
-from stirling_forests import pipeline
+from stirling_forests import gfs, pipeline
 from stirling_forests.forest import (
+    Forest,
     enumerate_forests,
+    enumerate_trees,
+    forest_profile,
     forest_stats,
     in_bar,
     label_sets,
@@ -10,7 +13,7 @@ from stirling_forests.forest import (
     removable_labels,
     serialize_forest,
 )
-from stirling_forests.gfs import MarkedForest, marked_forest
+from stirling_forests.gfs import MarkedForest, marked_forest, orbit_representative
 from stirling_forests.pipeline import (
     alpha_step,
     beta_step,
@@ -19,6 +22,7 @@ from stirling_forests.pipeline import (
     main_bijection,
     psi,
 )
+from stirling_forests.stirling import count_k_stirling
 
 
 def mf(text, k, marks=()):
@@ -178,3 +182,56 @@ class TestMainBijection:
     def test_type_violation(self):
         with pytest.raises(ValueError):
             main_bijection(mf("1[;2] 3", 2))  # removable old leaf, not starred
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the twins must agree on errors too
+        return ("error", type(exc), str(exc))
+
+
+def _small_forests():
+    for k in (1, 2, 3):
+        for n in range(5):
+            yield from enumerate_forests(range(1, n + 1), k)
+
+
+class TestProfileTwins:
+    # each private entry point, handed the forest's profile, equals its
+    # public twin on every forest and marked forest with n <= 4, k <= 3
+
+    def test_marked_maps(self):
+        twins = [
+            (alpha_step, pipeline._alpha),
+            (beta_step, lambda mf, p: pipeline._beta(mf, p)[0]),
+            (gamma_map, pipeline._gamma),
+            (main_bijection, pipeline._main),
+            (gfs.theta, gfs._theta),
+            (gfs.theta_prime, gfs._theta_prime),
+        ]
+        checked = 0
+        for f in _small_forests():
+            p = forest_profile(f)
+            labels = sorted(f.labels())
+            for mask in range(1 << len(labels)):
+                mf = MarkedForest(f, frozenset(x for i, x in enumerate(labels) if mask >> i & 1))
+                for public, private in twins:
+                    assert _outcome(private, mf, p) == _outcome(public, mf), (mf.text(), public)
+                checked += 1
+        assert checked == sum(count_k_stirling(n, k) << n for k in (1, 2, 3) for n in range(5))
+
+    def test_gamma_prime_and_its_profiles(self):
+        for f in _small_forests():
+            p = forest_profile(f)
+            mf, states, steps, profiles = pipeline._gamma_prime(f, p)
+            assert (mf, states, steps) == gamma_prime_map(f, with_trajectory=True)
+            assert profiles == [forest_profile(state.forest) for state in states]
+
+    def test_representative(self):
+        for k in (1, 2, 3):
+            for n in range(1, 5):
+                for t in enumerate_trees(range(1, n + 1), k):
+                    f = Forest(k, (t,))
+                    assert gfs._representative(f, forest_profile(f)) == orbit_representative(t)

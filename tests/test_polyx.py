@@ -5,6 +5,7 @@ from stirling_forests.polyx import (
     GammaExpansion,
     IntPolynomial,
     SymmetryError,
+    _egf_last,
     egf_one_over_k_eulerian,
     gamma_compose,
     gamma_expand,
@@ -172,3 +173,12 @@ class TestEgf:
             egf_one_over_k_eulerian(0, 3)
         with pytest.raises(ValueError):
             egf_one_over_k_eulerian(2, -1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_last_polynomial_alone(self, k):
+        polys = egf_one_over_k_eulerian(k, 30)
+        assert [_egf_last(k, n) for n in range(31)] == polys
+        with pytest.raises(ValueError):
+            _egf_last(k, -1)
+        with pytest.raises(ValueError):
+            _egf_last(0, 3)
