@@ -34,9 +34,10 @@ so the k=3 tree with root 4, slot 1 holding trees 5[;6;] and 8, slot 3
 holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  Parsing skips redundant
 whitespace; serialization emits single spaces between trees only.
 
-The parser, the serializer, ``validate_forest``, ``LabeledTree.labels`` and
-``forest_profile`` walk trees with explicit stacks and take any depth;
-``LabeledTree`` equality and hashing, made by the dataclass, still recurse.
+The parser, the serializer, ``validate_forest`` (a stack of (parent, node)
+pairs and slot-order checks), ``LabeledTree.labels`` and ``forest_profile``
+walk trees with explicit stacks and take any depth; ``LabeledTree``
+equality and hashing, made by the dataclass, still recurse.
 
 ``enumerate_forests`` and ``enumerate_trees`` stream their family in a fixed
 order.  Each call memoises the sub-families it shares (remainders and slot
@@ -117,7 +118,7 @@ class Forest:
 
     def tree_index_of(self, x: int) -> int:
         for i, t in enumerate(self.trees):
-            if x in set(t.labels()):
+            if x in t.labels():
                 return i
         raise KeyError(f"label {x} does not occur in the forest")
 
@@ -303,25 +304,25 @@ def parse_tree(text: str, k: int, validate: bool = True) -> LabeledTree:
 def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
     """All invariant violations as (offending label, message); empty when valid.
 
-    Depth first with an explicit stack of (parent label, node, slot) tasks.
-    The first node of a slot carries the slot, whose order is checked before
-    the walk enters it, after the walk of the slots before it.
+    Depth first with an explicit stack of (parent label, node) pairs.  A slot
+    of two or more trees also pushes (parent label, slot) just above its
+    first tree, so its order is checked after the walk of the slots before it.
     """
     violations: list[tuple[int | None, str]] = []
     seen: set[int] = set()
     for a, b in zip(f.trees, f.trees[1:]):
         if a.label >= b.label:
             violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
-    stack: list[tuple[int | None, LabeledTree, tuple[LabeledTree, ...]]] = [
-        (None, t, ()) for t in reversed(f.trees)
-    ]
+    stack: list = [(None, t) for t in reversed(f.trees)]
     while stack:
-        parent, t, slot = stack.pop()
-        for a, b in zip(slot, slot[1:]):
-            if a.label >= b.label:
-                violations.append(
-                    (b.label, f"slot under {parent} not increasing: {a.label} before {b.label}")
-                )
+        parent, t = stack.pop()
+        if type(t) is tuple:
+            for a, b in zip(t, t[1:]):
+                if a.label >= b.label:
+                    violations.append(
+                        (b.label, f"slot under {parent} not increasing: {a.label} before {b.label}")
+                    )
+            continue
         if parent is not None and t.label <= parent:
             violations.append((t.label, f"path not increasing: {t.label} below {parent}"))
         if t.label in seen:
@@ -334,9 +335,10 @@ def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
         if not any(t.slots):
             violations.append((t.label, f"internal node {t.label} has k empty slots (not pruned)"))
         for slot in reversed(t.slots):
-            stack += [(t.label, sub, ()) for sub in slot[:0:-1]]
-            if slot:
-                stack.append((t.label, slot[0], slot))
+            for s in reversed(slot):
+                stack.append((t.label, s))
+            if len(slot) > 1:
+                stack.append((t.label, slot))
     return violations
 
 

@@ -141,13 +141,15 @@ def phi_set(f: Forest, labels) -> Forest:
     the toggle is the identity are simply fixed.
     """
     remaining = set(labels)
-    unknown = remaining - set(f.labels())
+    if not remaining:
+        return f
+    tree_labels = [set(t.labels()) for t in f.trees]
+    unknown = remaining.difference(*tree_labels)
     if unknown:
         raise KeyError(f"labels {sorted(unknown)} do not occur in the forest")
     new_trees = []
-    for t in f.trees:
-        mine = sorted(remaining & set(t.labels()))
-        for x in mine:
+    for t, mine in zip(f.trees, tree_labels):
+        for x in sorted(remaining & mine):
             t = phi(t, x)
         new_trees.append(t)
     return Forest(f.k, tuple(new_trees))

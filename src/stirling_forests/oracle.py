@@ -5,8 +5,10 @@ Every check compares exact polynomials or exact counts; there is no
 tolerance anywhere.  Failures come back as reports carrying a replayable
 witness in canonical text form, never as exceptions.
 
-Each suite makes one pass over each family per (n, k) cell, and two folds
-do the census work:
+Each suite makes one pass over each family per (n, k) cell; a ``run_suite``
+call folds each cell's words once, for all its suites.  Two folds do the
+census work, each counting one signature per object and filling the
+histograms once per signature, from a representative object:
 
 * the word fold takes ap, lap and ``word_class`` once per word and fills the
   ap and lap histograms of Q, Qbar, Qhat and Qtilde: the ``poly.*`` routes,
@@ -14,9 +16,9 @@ do the census work:
   ``thm.k1.reduction``;
 * the forest fold builds one ``forest_profile`` per forest and fills the
   lleaf and lleaf - si histograms of F, Fbar and Fhat, the bar/hat gamma
-  censuses, the forest count and the ``thm.relation.*`` checks, and from the
-  one-tree forests the T lleaf histogram and the tilde gamma census: every
-  other ``thm.*`` report.
+  censuses, the forest count and, per forest, the ``thm.relation.*`` checks,
+  and from the one-tree forests the T lleaf histogram and the tilde gamma
+  census: every other ``thm.*`` report.
 
 ``distribution``, ``gamma_census_bar_hat`` and ``gamma_census_tilde`` are
 views of these folds; the objects folded pick the family: words, forests,
@@ -32,6 +34,7 @@ suites hand each forest's profile to the maps' private twins (``_theta``,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -58,7 +61,6 @@ from .polyx import (
 )
 from .stirling import (
     DEFAULT_MAX_OBJECTS,
-    Word,
     count_k_stirling,
     descent_polynomial,
     enumerate_k_stirling,
@@ -147,11 +149,11 @@ class _Census:
     count: int = 0
     bad: dict = field(default_factory=lambda: {name: [] for name in _RELATIONS})
 
-    def bump(self, key, value: int) -> None:
+    def bump(self, key, value: int, times: int = 1) -> None:
         counts = self.hist.setdefault(key, [])
         if len(counts) <= value:
             counts.extend([0] * (value + 1 - len(counts)))
-        counts[value] += 1
+        counts[value] += times
 
     def counts(self, key) -> list[int]:
         return list(self.hist.get(key, ()))
@@ -164,45 +166,57 @@ class _Census:
         return gamma_compose(GammaExpansion(center=center, gamma=tuple(self.counts(key))))
 
 
-def _fold_words(words: Iterable[Word], k: int) -> _Census:
+def _fold_words(n: int, k: int, max_objects: int, folds: dict) -> _Census:
+    """The word fold of cell (n, k), kept in ``folds`` for the caller's later suites."""
+    if (n, k) in folds:
+        return folds[n, k]
     census = _Census()
-    for w in words:
+    tally, reps = Counter(), {}
+    for w in enumerate_k_stirling(n, k, max_objects):
         cls = word_class(w, k)
         ap = stat_ap(w, k)
         lap = ap + (bool(w) and cls["in_bar"])  # = stat_lap(w, k)
+        sig = (ap, lap, cls["in_bar"], cls["in_tilde"])  # () is in Qbar with lap = ap
+        tally[sig] += 1
+        reps.setdefault(sig, (w, cls))
+    for sig, times in tally.items():
+        w, cls = reps[sig]
         for family in _WORD_FAMILIES:
             if FAMILY_TESTS[family](w, cls):
-                census.bump((family, "ap"), ap)
-                census.bump((family, "lap"), lap)
-    return census
+                census.bump((family, "ap"), sig[0], times)
+                census.bump((family, "lap"), sig[1], times)
+    return folds.setdefault((n, k), census)
 
 
 def _fold_forests(forests: Iterable[Forest], validate: bool = False) -> _Census:
     """The forest fold; ``validate`` for the ``thm.relation.leaf-split`` report."""
     census = _Census()
+    tally, reps = Counter(), {}
     for f in forests:
         p = forest_profile(f)
         st = p.stats
-        census.count += 1
-        for family in _FOREST_FAMILIES:
-            if FAMILY_TESTS[family](f, p):
-                census.bump((family, "lleaf"), st.lleaf)
-                census.bump((family, "lleaf-si"), st.lleaf - st.si)
-        if FAMILY_TESTS["T"](f, p) and not st.yleaf:
-            census.bump("tilde", st.lleaf)
+        sig = (st.lleaf, st.si, st.oleaf, st.yleaf, len(f.trees) == 1, p.in_bar, p.in_star)
+        tally[sig] += 1
+        reps.setdefault(sig, (f, p))
         if st.oleaf + st.yleaf + st.si != st.lleaf or validate and validate_forest(f):
             census.bad["thm.relation.leaf-split"].append(serialize_forest(f))
-        if not p.in_star:
-            continue
         n = len(p.classes)
-        if p.in_bar:
-            census.bump("gamma_bar", st.oleaf)
-            if len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
-                census.bad["thm.relation.bar-star"].append(serialize_forest(f))
-        else:
-            census.bump("gamma_hat", st.oleaf)
-            if st.oint + st.si != n - 2 * st.oleaf:
-                census.bad["thm.relation.hat-star"].append(serialize_forest(f))
+        if p.in_star and p.in_bar and len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
+            census.bad["thm.relation.bar-star"].append(serialize_forest(f))
+        if p.in_star and not p.in_bar and st.oint + st.si != n - 2 * st.oleaf:
+            census.bad["thm.relation.hat-star"].append(serialize_forest(f))
+    for sig, times in tally.items():
+        f, p = reps[sig]
+        st = p.stats
+        census.count += times
+        for family in _FOREST_FAMILIES:
+            if FAMILY_TESTS[family](f, p):
+                census.bump((family, "lleaf"), st.lleaf, times)
+                census.bump((family, "lleaf-si"), st.lleaf - st.si, times)
+        if FAMILY_TESTS["T"](f, p) and not st.yleaf:
+            census.bump("tilde", st.lleaf, times)
+        if p.in_star:
+            census.bump("gamma_bar" if p.in_bar else "gamma_hat", st.oleaf, times)
     return census
 
 
@@ -226,7 +240,7 @@ def distribution(
     if family in _WORD_FAMILIES:
         if statistic not in ("ap", "lap"):
             raise ValueError(f"statistic {statistic!r} undefined on words")
-        census = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
+        census = _fold_words(n, k, max_objects, {})
     elif family == "T":
         if statistic != "lleaf":
             raise ValueError(f"statistic {statistic!r} undefined on trees")
@@ -286,12 +300,13 @@ def run_suite(
     if n_max < 0 or k_max < 1:
         raise ValueError("need n_max >= 0 and k_max >= 1")
     reports: list[IdentityReport] = []
+    folds: dict = {}  # the word fold of each (n, k) cell, for this call only
     for suite in suites:
         cap = _SUITE_N_CAP[suite]
         runner = _SUITE_RUNNERS[suite]
         for k in range(1, k_max + 1):
             for n in range(0, min(n_max, cap(k)) + 1):
-                reports.extend(runner(n, k, max_objects))
+                reports.extend(runner(n, k, max_objects, folds))
     reports.sort(key=lambda r: (r.identity, r.n, r.k))
     return reports
 
@@ -308,8 +323,8 @@ def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
                           violations[0] if violations else None)
 
 
-def _suite_polynomials(n, k, max_objects):
-    words = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
+def _suite_polynomials(n, k, max_objects, folds):
+    words = _fold_words(n, k, max_objects, folds)
     A_egf = _egf_last(k, n)
     A_exc = exc_cyc_polynomial(n, k)
     A_ap = words.poly(("Q", "ap"))
@@ -325,7 +340,7 @@ def _suite_polynomials(n, k, max_objects):
                          descent_polynomial(n).reversal(max(n - 1, 0)))
 
 
-def _suite_bijections(n, k, max_objects):
+def _suite_bijections(n, k, max_objects, folds):
     bad_xi, bad_chi, bad_zeta, bad_class = [], [], [], []
     xi_images, zeta_images = set(), set()
     # the enumerated words are k-Stirling: the unchecked passes take them
@@ -378,7 +393,7 @@ def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
                           bijective and not bad, witness)
 
 
-def _suite_gfs(n, k, max_objects):
+def _suite_gfs(n, k, max_objects, folds):
     labels = list(range(1, n + 1))
     bad_inv, bad_comm, bad_type, bad_orbit = [], [], [], []
     orbit_total = IntPolynomial()
@@ -464,7 +479,7 @@ def _suite_gfs(n, k, max_objects):
                                 image[bar], target[bar], bad_shift[bar])
 
 
-def _suite_pipeline(n, k, max_objects):
+def _suite_pipeline(n, k, max_objects, folds):
     labels = range(1, n + 1)
     bad_shift, bad_class, bad_round, bad_obs, bad_ab_traj = [], [], [], [], []
     bad_pairs, bad_ba = [], []
@@ -544,10 +559,10 @@ def _suite_pipeline(n, k, max_objects):
                                 image[bar], target[bar], bad_main[bar])
 
 
-def _suite_theorems(n, k, max_objects):
+def _suite_theorems(n, k, max_objects, folds):
     if n < 1:
         return
-    words = _fold_words(enumerate_k_stirling(n, k, max_objects), k)
+    words = _fold_words(n, k, max_objects, folds)
     forests = _fold_forests(_forests(n, k, max_objects), validate=True)
     A = _egf_last(k, n)
     dec = symmetric_decompose(A, n - 1)

@@ -104,7 +104,8 @@ def stat_ap(word: Sequence[int], k: int) -> int:
     """Number of indices i with word[i] < word[i+1] = ... = word[i+k]."""
     count = 0
     for j in range(1, len(word) - k + 1):
-        if word[j - 1] < word[j] and all(word[j + t] == word[j] for t in range(1, k)):
+        a = word[j]
+        if word[j - 1] < a and word[j : j + k].count(a) == k:
             count += 1
     return count
 

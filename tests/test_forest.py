@@ -80,6 +80,39 @@ class TestParseSerialize:
             assert parse_forest(serialize_forest(f), k) == f
 
 
+def _t(label, *slots):
+    return LabeledTree(label, slots or None)
+
+
+_INVALID_FORESTS = [
+    (Forest(2, (_t(3), _t(1))), [(1, "roots not increasing: 3 before 1")]),
+    (Forest(2, (_t(1, (_t(3), _t(2)), ()),)),
+     [(2, "slot under 1 not increasing: 3 before 2")]),
+    (Forest(2, (_t(4, (_t(2),), ()),)), [(2, "path not increasing: 2 below 4")]),
+    (Forest(2, (_t(1, (_t(2),), ()), _t(2))), [(2, "duplicate label 2")]),
+    (Forest(2, (_t(1, (_t(2),)),)), [(1, "node 1 has 1 slots, expected 2")]),
+    (Forest(2, (_t(1, (), ()),)), [(1, "internal node 1 has k empty slots (not pruned)")]),
+    # a slot's order is checked after the walk of the slots before it, and
+    # before the walk of its own trees
+    (Forest(2, (_t(1, (_t(5, (_t(2),), ()),), (_t(7, (_t(3),), ()), _t(6))),)),
+     [(2, "path not increasing: 2 below 5"),
+      (6, "slot under 1 not increasing: 7 before 6"),
+      (3, "path not increasing: 3 below 7")]),
+    (Forest(3, (_t(1, (_t(4), _t(3), _t(2)), (), ()),)),
+     [(3, "slot under 1 not increasing: 4 before 3"),
+      (2, "slot under 1 not increasing: 3 before 2")]),
+    (Forest(2, (_t(3, (_t(5, (), ()), _t(4)), (_t(2), _t(2))), _t(1, (_t(9),)), _t(6))),
+     [(1, "roots not increasing: 3 before 1"),
+      (4, "slot under 3 not increasing: 5 before 4"),
+      (5, "internal node 5 has k empty slots (not pruned)"),
+      (2, "slot under 3 not increasing: 2 before 2"),
+      (2, "path not increasing: 2 below 3"),
+      (2, "path not increasing: 2 below 3"),
+      (2, "duplicate label 2"),
+      (1, "node 1 has 1 slots, expected 2")]),
+]
+
+
 class TestValidate:
     def test_valid(self):
         assert validate_forest(parse_forest("1[;2,3]", 2)) == []
@@ -99,6 +132,22 @@ class TestValidate:
     def test_path_not_increasing(self):
         f = parse_forest("2[1;]", 2, validate=False)
         assert any("path" in msg for _, msg in validate_forest(f))
+
+    @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
+    def test_exact_violations(self, f, expected):
+        # the whole list, messages and order
+        assert validate_forest(f) == expected
+
+    @pytest.mark.parametrize(
+        "text,k",
+        [("2[;3] 1", 2), ("1[;3,2]", 2), ("2[1;]", 2), ("1[2;1]", 2),
+         ("1[4[3;],2;]", 2), ("3[;5,4] 1[2;]", 2)],
+    )
+    def test_parse_raises_first_violation(self, text, k):
+        first = validate_forest(parse_forest(text, k, validate=False))[0]
+        with pytest.raises(ForestInvariantError) as err:
+            parse_forest(text, k)
+        assert (err.value.label, str(err.value)) == first
 
 
 class TestClassification:

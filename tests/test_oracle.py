@@ -17,7 +17,7 @@ from stirling_forests.polyx import (
     egf_one_over_k_eulerian,
     gamma_compose,
 )
-from stirling_forests.stirling import enumerate_k_stirling, stat_ap, stat_lap
+from stirling_forests.stirling import count_k_stirling, enumerate_k_stirling, stat_ap, stat_lap
 
 
 class TestDistribution:
@@ -129,6 +129,35 @@ class TestRunSuite:
             monkeypatch.setattr(oracle, name, counted(name))
         assert all(r.passed for r in run_suite(4, 2, suites=("gfs",)))
         assert calls == {"enumerate_trees": 10, "validate_forest": 0}
+
+    def test_census_suites_share_one_word_fold_per_cell(self, monkeypatch):
+        # theorems and polynomials fold each cell's words once per call; the
+        # theorem suite validates each forest once; each call folds its own
+        cells, validated = [], [0]
+        real_enumerate, real_validate = oracle.enumerate_k_stirling, oracle.validate_forest
+
+        def enumerate_words(n, k, *args):
+            cells.append((n, k))
+            return real_enumerate(n, k, *args)
+
+        def validate(f):
+            validated[0] += 1
+            return real_validate(f)
+
+        monkeypatch.setattr(oracle, "enumerate_k_stirling", enumerate_words)
+        monkeypatch.setattr(oracle, "validate_forest", validate)
+        both = run_suite(4, 3, suites=("theorems", "polynomials"))
+        expected = sorted((n, k) for n in range(5) for k in range(1, 4))
+        assert sorted(cells) == expected
+        assert validated[0] == sum(
+            count_k_stirling(n, k) for n in range(1, 5) for k in range(1, 4)
+        )
+        cells.clear()
+        alone = run_suite(4, 3, suites=("theorems",)) + run_suite(4, 3, suites=("polynomials",))
+        assert sorted(cells) == sorted(expected + [(n, k) for n, k in expected if n])
+        alone.sort(key=lambda r: (r.identity, r.n, r.k))
+        assert [r.as_dict() for r in both] == [r.as_dict() for r in alone]
+        assert all(r.passed for r in both)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):

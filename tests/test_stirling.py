@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stirling_forests.polyx import IntPolynomial
 from stirling_forests.stirling import (
@@ -107,6 +107,21 @@ class TestStatistics:
         for n in range(6):
             for w in enumerate_k_stirling(n, k):
                 assert stat_lap(w, k) == stat_ap((0,) + w, k)
+
+    @given(st.lists(st.integers(1, 4), max_size=12), st.integers(1, 4))
+    @example([], 1)
+    @example([], 3)
+    @example([2, 2], 3)
+    @example([1, 2, 2, 3], 1)
+    @example([3, 1, 1, 1, 2, 2, 2], 3)
+    def test_ap_matches_definition(self, word, k):
+        # the number of i with w[i] < w[i+1] = ... = w[i+k], written out
+        expected = 0
+        for i in range(len(word) - k):
+            if word[i] < word[i + 1] and len(set(word[i + 1 : i + k + 1])) == 1:
+                expected += 1
+        assert stat_ap(tuple(word), k) == expected
+        assert stat_ap(word, k) == expected
 
     @given(st.integers(1, 3), st.integers(1, 5), st.data())
     def test_lap_minus_ap_tracks_leading_plateau(self, k, n, data):
