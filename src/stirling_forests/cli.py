@@ -16,7 +16,6 @@ import sys
 
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
-    Forest,
     enumerate_forests,
     forest_profile,
     parse_forest,
@@ -37,13 +36,6 @@ from .stirling import (
     word_from_text,
     word_to_text,
 )
-
-_MAP_NAMES = (
-    "xi", "xi-inv", "chi", "chi-inv", "zeta", "zeta-inv",
-    "phi", "phi-set", "theta", "theta-prime",
-    "psi", "alpha", "beta", "gamma", "gamma-prime",
-)
-
 
 def _usage_error(message: str) -> "SystemExit":
     print(f"sf: error: {message}", file=sys.stderr)
@@ -70,18 +62,18 @@ def _parse_set(text: str | None) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _parse_marked(text: str, k: int, mark_set: str | None) -> MarkedForest:
+def _parse_marked(text: str, args) -> MarkedForest:
     """A forest with marks given inline (``<forest> | {1,3}``) or via --set."""
     if "|" not in text:
-        return marked_forest(parse_forest(text, k), _parse_set(mark_set))
-    if mark_set:
+        return marked_forest(parse_forest(text, args.k), _parse_set(args.mark_set))
+    if args.mark_set:
         raise ValueError("give marks either inline or via --set")
     forest_text, marks_text = text.split("|", 1)
     marks_text = marks_text.strip()
     if not (marks_text.startswith("{") and marks_text.endswith("}")):
         raise ValueError("marks must look like {1,3}")
     marks = _parse_set(marks_text[1:-1].strip())
-    return marked_forest(parse_forest(forest_text.strip(), k), marks)
+    return marked_forest(parse_forest(forest_text.strip(), args.k), marks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-objects", type=int, default=DEFAULT_MAX_OBJECTS)
 
     p = sub.add_parser("map", help="apply a bijection or transformation")
-    p.add_argument("--name", choices=_MAP_NAMES, required=True)
+    p.add_argument("--name", choices=tuple(_MAPS), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=int, help="acting label")
     p.add_argument("--set", dest="mark_set", help="comma-separated labels")
@@ -276,59 +268,52 @@ def _cmd_gamma(args) -> int:
     return 0
 
 
+def _at_x(step, text: str, args) -> str:
+    """A forest map that acts at the label --x."""
+    if args.x is None:
+        raise _usage_error(f"--name {args.name} requires --x")
+    return serialize_forest(step(parse_forest(text, args.k), args.x))
+
+
+def _chi_inv(text: str, args) -> str:
+    f = parse_forest(text, args.k)
+    if len(f.trees) != 1:
+        raise _usage_error("chi-inv expects a single tree")
+    return word_to_text(bimap.chi_inv(f.trees[0], args.k))
+
+
+def _gamma_prime(text: str, args) -> str:
+    mf = _parse_marked(text, args)
+    if mf.marks:
+        raise _usage_error("gamma-prime starts from an unmarked forest")
+    return pipeline.gamma_prime_map(mf.forest).text()
+
+
+# sf map: each name's function from the input text and the arguments to the
+# output text.  The entries look the maps up when called, so a wrapper later
+# put on a module's function (perfbench/tracer.py) still sees every call.
+_MAPS = {
+    "xi": lambda text, a: serialize_forest(bimap.xi(word_from_text(text), a.k)),
+    "xi-inv": lambda text, a: word_to_text(bimap.xi_inv(parse_forest(text, a.k))),
+    "chi": lambda text, a: serialize_tree(bimap.chi(word_from_text(text), a.k)),
+    "chi-inv": _chi_inv,
+    "zeta": lambda text, a: serialize_forest(bimap.zeta(word_from_text(text), a.k)),
+    "zeta-inv": lambda text, a: word_to_text(bimap.zeta_inv(parse_forest(text, a.k))),
+    "phi": lambda text, a: _at_x(lambda f, x: gfs.phi_set(f, [x]), text, a),
+    "phi-set": lambda text, a: serialize_forest(
+        gfs.phi_set(parse_forest(text, a.k), _parse_set(a.mark_set))),
+    "theta": lambda text, a: gfs.theta(_parse_marked(text, a)).text(),
+    "theta-prime": lambda text, a: gfs.theta_prime(_parse_marked(text, a)).text(),
+    "psi": lambda text, a: _at_x(pipeline.psi, text, a),
+    "alpha": lambda text, a: pipeline.alpha_step(_parse_marked(text, a)).text(),
+    "beta": lambda text, a: pipeline.beta_step(_parse_marked(text, a)).text(),
+    "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(_parse_marked(text, a))),
+    "gamma-prime": _gamma_prime,
+}
+
+
 def _cmd_map(args) -> int:
-    name = args.name
-    k = args.k
-    text = _read_input(args.input)
-    if name in ("xi", "zeta", "chi"):
-        w = word_from_text(text)
-        if name == "xi":
-            print(serialize_forest(bimap.xi(w, k)))
-        elif name == "zeta":
-            print(serialize_forest(bimap.zeta(w, k)))
-        else:
-            print(serialize_tree(bimap.chi(w, k)))
-        return 0
-    if name in ("xi-inv", "zeta-inv", "chi-inv"):
-        f = parse_forest(text, k)
-        if name == "chi-inv":
-            if len(f.trees) != 1:
-                raise _usage_error("chi-inv expects a single tree")
-            print(word_to_text(bimap.chi_inv(f.trees[0], k)))
-        else:
-            print(word_to_text(bimap.xi_inv(f) if name == "xi-inv" else bimap.zeta_inv(f)))
-        return 0
-    if name in ("phi", "psi"):
-        if args.x is None:
-            raise _usage_error(f"--name {name} requires --x")
-        f = parse_forest(text, k)
-        if name == "psi":
-            print(serialize_forest(pipeline.psi(f, args.x)))
-        else:
-            idx = f.tree_index_of(args.x)
-            new_tree = gfs.phi(f.trees[idx], args.x)
-            print(serialize_forest(Forest(k, f.trees[:idx] + (new_tree,) + f.trees[idx + 1 :])))
-        return 0
-    if name == "phi-set":
-        f = parse_forest(text, k)
-        print(serialize_forest(gfs.phi_set(f, _parse_set(args.mark_set))))
-        return 0
-    # the marked maps: theta, theta-prime, alpha, beta, gamma-prime, gamma
-    mf = _parse_marked(text, k, args.mark_set)
-    if name == "theta":
-        print(gfs.theta(mf).text())
-    elif name == "theta-prime":
-        print(gfs.theta_prime(mf).text())
-    elif name == "alpha":
-        print(pipeline.alpha_step(mf).text())
-    elif name == "beta":
-        print(pipeline.beta_step(mf).text())
-    elif name == "gamma-prime":
-        if mf.marks:
-            raise _usage_error("gamma-prime starts from an unmarked forest")
-        print(pipeline.gamma_prime_map(mf.forest).text())
-    else:  # gamma: forest plus marks in, forest out
-        print(serialize_forest(pipeline.gamma_map(mf)))
+    print(_MAPS[args.name](_read_input(args.input), args))
     return 0
 
 

@@ -78,10 +78,6 @@ class LabeledTree:
     label: int
     slots: tuple[tuple["LabeledTree", ...], ...] | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.slots is None
-
     def labels(self) -> Iterator[int]:
         """Labels in preorder; the stack holds one iterator per open node."""
         yield self.label
@@ -102,9 +98,6 @@ class LabeledTree:
         if self.slots is not None:
             for slot in self.slots:
                 yield from slot
-
-    def size(self) -> int:
-        return sum(1 for _ in self.labels())
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,11 @@ labels.
 
 A marked forest is a forest plus a label set S.  ``theta`` trades the
 old-internal part of S for young leaves via the toggles; ``theta_prime``
-reverses it by absorbing all young-leaf labels back into S.  Membership
-predicates for the domains they pair up live here too.
+reverses it by absorbing all young-leaf labels back into S.  ``DOMAINS``
+defines each marked-forest domain once, by the labels its marks may take:
+X and Y, which theta pairs up, and their bar/hat class versions (theta takes
+X-bar onto Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and
+the guards of theta, theta_prime and the pipeline maps read the same table.
 """
 
 from __future__ import annotations
@@ -201,46 +204,29 @@ def _tree_k(t: LabeledTree) -> int:
 # ---------------------------------------------------------------------------
 # marked-forest domains and the theta correspondences
 
-
-def in_x(mf: MarkedForest) -> bool:
-    """Forest without young leaves, marks among old internals and non-final
-    singletons."""
-    return _in_x(mf.marks, forest_profile(mf.forest))
-
-
-def _in_x(marks: frozenset[int], p: ForestProfile) -> bool:
-    return p.stats.yleaf == 0 and marks <= p.oint | p.si_star
-
-
-def in_y(mf: MarkedForest) -> bool:
-    """Marks among non-final singletons."""
-    return mf.marks <= forest_profile(mf.forest).si_star
-
-
-def in_x_bar(mf: MarkedForest) -> bool:
-    p = forest_profile(mf.forest)
-    return p.in_bar and _in_x_class(mf.marks, p)
+# The one table of marked-forest domains: from a forest's profile, the labels
+# its marks may take, or None when the forest lies outside the domain.  X and
+# Y are the domains theta pairs up; the bar/hat versions keep one class.
+DOMAINS = {
+    # young-leaf-free; old internals and non-final singletons
+    "X": lambda p: None if p.stats.yleaf else p.oint | p.si_star,
+    # any forest; non-final singletons
+    "Y": lambda p: p.si_star,
+    # starred; old internals (bar: not the last root's), non-final singletons
+    "Xbar": lambda p: p.oint_star | p.si_star if p.in_star and p.in_bar else None,
+    "Xhat": lambda p: p.oint | p.si_star if p.in_star and not p.in_bar else None,
+    # free of removable leaves; non-final singletons
+    "Ybar": lambda p: p.si_star if p.in_bar and not p.stats.rleaf else None,
+    "Yhat": lambda p: p.si_star if not p.in_bar and not p.stats.rleaf else None,
+}
 
 
-def in_x_hat(mf: MarkedForest) -> bool:
-    p = forest_profile(mf.forest)
-    return not p.in_bar and _in_x_class(mf.marks, p)
-
-
-def _in_x_class(marks: frozenset[int], p: ForestProfile) -> bool:
-    """Starred forest with marks among its class's old internals (bar:
-    excluding the last root's) and non-final singletons."""
-    return p.in_star and marks <= (p.oint_star if p.in_bar else p.oint) | p.si_star
-
-
-def in_y_bar(mf: MarkedForest) -> bool:
-    p = forest_profile(mf.forest)
-    return p.in_bar and p.stats.rleaf == 0 and mf.marks <= p.si_star
-
-
-def in_y_hat(mf: MarkedForest) -> bool:
-    p = forest_profile(mf.forest)
-    return not p.in_bar and p.stats.rleaf == 0 and mf.marks <= p.si_star
+def in_domain(mf: MarkedForest, name: str) -> bool:
+    """Whether mf lies in the marked-forest domain ``name`` of ``DOMAINS``."""
+    if name not in DOMAINS:
+        raise ValueError(f"unknown domain {name!r}")
+    pool = DOMAINS[name](forest_profile(mf.forest))
+    return pool is not None and mf.marks <= pool
 
 
 def theta(mf: MarkedForest) -> MarkedForest:
@@ -250,7 +236,8 @@ def theta(mf: MarkedForest) -> MarkedForest:
 
 def _theta(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
     """theta given the forest's profile."""
-    if not _in_x(mf.marks, p):
+    pool = DOMAINS["X"](p)
+    if pool is None or not mf.marks <= pool:
         raise ValueError("theta requires a young-leaf-free forest with marks "
                          "among old internals and non-final singletons")
     s1 = mf.marks & p.oint
@@ -265,6 +252,6 @@ def theta_prime(mf: MarkedForest) -> MarkedForest:
 
 def _theta_prime(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
     """theta_prime given the forest's profile."""
-    if not mf.marks <= p.si_star:
+    if not mf.marks <= DOMAINS["Y"](p):
         raise ValueError("theta_prime requires marks among non-final singletons")
     return MarkedForest(phi_set(mf.forest, p.yleaf), frozenset(mf.marks | p.yleaf))

@@ -29,7 +29,8 @@ The map suites analyse each object once.  Enumerated words are k-Stirling,
 so the bijection suite runs the unchecked passes (``bimap._xi_trees``,
 ``_zeta``, ``_chi_tree``) and takes ap once per word.  The gfs and pipeline
 suites hand each forest's profile to the maps' private twins (``_theta``,
-``_alpha``, ``_gamma_prime`` ...), and reuse it when a map returns its input.
+``_alpha``, ``_gamma_prime`` ...), and reuse it when a map returns its input;
+they mark each forest over the pools of ``gfs.DOMAINS``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .forest import (
     serialize_tree,
     validate_forest,
 )
-from .gfs import MarkedForest
+from .gfs import DOMAINS, MarkedForest
 from .polyx import (
     GammaExpansion,
     IntPolynomial,
@@ -198,9 +199,9 @@ def _fold_forests(forests: Iterable[Forest], validate: bool = False) -> _Census:
         sig = (st.lleaf, st.si, st.oleaf, st.yleaf, len(f.trees) == 1, p.in_bar, p.in_star)
         tally[sig] += 1
         reps.setdefault(sig, (f, p))
-        if st.oleaf + st.yleaf + st.si != st.lleaf or validate and validate_forest(f):
+        n = len(p.classes)  # every node is internal or a labeled leaf
+        if st.lleaf != n - st.lint or validate and validate_forest(f):
             census.bad["thm.relation.leaf-split"].append(serialize_forest(f))
-        n = len(p.classes)
         if p.in_star and p.in_bar and len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
             census.bad["thm.relation.bar-star"].append(serialize_forest(f))
         if p.in_star and not p.in_bar and st.oint + st.si != n - 2 * st.oleaf:
@@ -271,16 +272,19 @@ def gamma_census_tilde(
 
 
 def _marked(f: Forest, pool) -> Iterator[MarkedForest]:
-    """f marked by each subset of pool, in binary-counter order."""
+    """f marked by each subset of pool, in binary-counter order; nothing
+    when pool is None, a domain's pool for a forest outside it."""
+    if pool is None:
+        return
     pool = sorted(pool)
     for mask in range(1 << len(pool)):
         yield MarkedForest(f, frozenset(x for i, x in enumerate(pool) if mask >> i & 1))
 
 
-def _class_pool(p) -> frozenset[int]:
-    """Labels a starred forest may mark on its class's marked domain: old
-    internals (bar: not the last root's) and non-final singletons."""
-    return (p.oint_star if p.in_bar else p.oint) | p.si_star
+def _class_domain(name: str, p) -> frozenset[int] | None:
+    """The pool of the class version (bar or hat, by p's class) of the
+    marked domain ``name`` ("X" or "Y"), from ``gfs.DOMAINS``."""
+    return DOMAINS[name + ("bar" if p.in_bar else "hat")](p)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +444,9 @@ def _suite_gfs(n, k, max_objects, folds):
         # least two labels (a lone singleton has a leaf but no old leaf)
         yield _eq_report("gfs.orbit.census=lleaf-distribution", n, k,
                          orbit_total, trees.poly("lleaf"))
-    # theta round trip on the unrestricted marked domain; on the bar/hat
-    # marked domains (keyed by in_bar) also image equality onto the unmarked
-    # removable-leaf-free forests with singleton marks, plus the statistic
-    # shift and invariance facts
+    # theta round trip on X; on X-bar and X-hat (keyed by in_bar) also image
+    # equality onto Y-bar and Y-hat, plus the statistic shift and invariance
+    # facts
     bad_theta: list[str] = []
     bad_shift: dict[bool, list[str]] = {True: [], False: []}
     image: dict[bool, dict[MarkedForest, int]] = {True: {}, False: {}}
@@ -451,12 +454,9 @@ def _suite_gfs(n, k, max_objects, folds):
     for f in _forests(n, k, max_objects):
         p = forest_profile(f)
         base = p.stats
-        if base.rleaf == 0:
-            target[p.in_bar].extend(_marked(f, p.si_star))
-        if base.yleaf:
-            continue
-        pool = _class_pool(p) if p.in_star else None
-        for mf in _marked(f, p.oint | p.si_star):
+        target[p.in_bar].extend(_marked(f, _class_domain("Y", p)))
+        pool = _class_domain("X", p)
+        for mf in _marked(f, DOMAINS["X"](p)):
             out = gfs._theta(mf, p)
             # theta toggles only the old-internal marks; without any it is f
             outp = forest_profile(out.forest) if mf.marks & p.oint else p
@@ -528,25 +528,23 @@ def _suite_pipeline(n, k, max_objects, folds):
         if pipeline._gamma(mf, profiles[-1]) != f:
             bad_round.append(serialize_forest(f))
         # gamma on marked pairs, with beta-after-alpha inversion along the way
-        if not p.stats.rleaf:
-            for mf in _marked(f, p.si_star):
-                state, sp = mf, p
-                while state.marks:
-                    nxt = pipeline._alpha(state, sp)
-                    sp = forest_profile(nxt.forest)
-                    if pipeline._beta(nxt, sp)[0] != state:
-                        bad_ba.append(state.text())
-                    state = nxt
-                # the chain is gamma's: state.forest is gamma(mf), sp its profile
-                if pipeline._gamma_prime(state.forest, sp)[0] != mf:
-                    bad_pairs.append(mf.text())
-        if p.in_star:
-            for mf in _marked(f, _class_pool(p)):
-                g = pipeline._main(mf, p)
-                gs = forest_stats(g)
-                if gs.lleaf - gs.si != base_stat + len(mf.marks):
-                    bad_main[p.in_bar].append(mf.text())
-                image[p.in_bar][g] = image[p.in_bar].get(g, 0) + 1
+        for mf in _marked(f, _class_domain("Y", p)):
+            state, sp = mf, p
+            while state.marks:
+                nxt = pipeline._alpha(state, sp)
+                sp = forest_profile(nxt.forest)
+                if pipeline._beta(nxt, sp)[0] != state:
+                    bad_ba.append(state.text())
+                state = nxt
+            # the chain is gamma's: state.forest is gamma(mf), sp its profile
+            if pipeline._gamma_prime(state.forest, sp)[0] != mf:
+                bad_pairs.append(mf.text())
+        for mf in _marked(f, _class_domain("X", p)):
+            g = pipeline._main(mf, p)
+            gs = forest_stats(g)
+            if gs.lleaf - gs.si != base_stat + len(mf.marks):
+                bad_main[p.in_bar].append(mf.text())
+            image[p.in_bar][g] = image[p.in_bar].get(g, 0) + 1
     yield _count_report("pipe.psi.shift", n, k, bad_shift)
     yield _count_report("pipe.psi.bar-preserved", n, k, bad_class)
     yield _count_report("pipe.gamma.gamma-prime.roundtrip", n, k, bad_round)

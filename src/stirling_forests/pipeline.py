@@ -23,14 +23,16 @@ and bar-class membership is preserved throughout.
 ``alpha_step`` runs psi at the greatest mark (dropping it); ``beta_step``
 runs psi at the least removable leaf (recording its root label as a new
 mark).  ``gamma_map`` drains the marks with alpha; ``gamma_prime_map`` runs
-beta until no removable leaf remains; the two are mutually inverse.
-``main_bijection`` is gamma after theta.
+beta until no removable leaf remains and returns the settled marked forest;
+the two are mutually inverse.  ``main_bijection`` is gamma after theta.
+The guards take their domains from ``gfs.DOMAINS``: gamma's marks lie in Y,
+and main_bijection's input in X-bar or X-hat by its forest's class.
 """
 
 from __future__ import annotations
 
 from .forest import Forest, ForestProfile, LabeledTree, forest_profile
-from .gfs import MarkedForest, _in_x_class, _theta
+from .gfs import DOMAINS, MarkedForest, _theta
 
 
 def _singleton_index(f: Forest, x: int) -> int | None:
@@ -151,26 +153,25 @@ def gamma_map(mf: MarkedForest) -> Forest:
 
 def _gamma(mf: MarkedForest, p: ForestProfile) -> Forest:
     """gamma_map given the forest's profile; each later state is profiled once."""
-    if not mf.marks <= p.si_star:
+    if not mf.marks <= DOMAINS["Y"](p):
         raise ValueError("gamma requires marks among non-final singletons")
     for _ in range(len(mf.marks)):
         mf, p = _alpha(mf, p or forest_profile(mf.forest)), None
     return mf.forest
 
 
-def gamma_prime_map(f: Forest, with_trajectory: bool = False):
+def gamma_prime_map(f: Forest) -> MarkedForest:
     """Run beta until no removable leaf remains; inverse of gamma_map.
 
     Each step lowers lleaf - si by 1, so at most lleaf(f) - si(f) steps run.
-    With ``with_trajectory`` the visited states and (x, y) choices come back
-    too, for replay and audit.
     """
-    mf, trajectory, steps, _ = _gamma_prime(f, forest_profile(f))
-    return (mf, trajectory, steps) if with_trajectory else mf
+    return _gamma_prime(f, forest_profile(f))[0]
 
 
 def _gamma_prime(f: Forest, p: ForestProfile):
-    """gamma_prime_map's trajectory given f's profile, with each state's profile."""
+    """gamma_prime_map given f's profile, with its trajectory for replay and
+    audit: the visited marked forests, the (x, y) choice of each beta step
+    and each state's profile."""
     mf = MarkedForest(f, frozenset())
     trajectory, steps, profiles = [mf], [], [p]
     budget = p.stats.lleaf - p.stats.si
@@ -192,7 +193,8 @@ def main_bijection(mf: MarkedForest) -> Forest:
 
 def _main(mf: MarkedForest, p: ForestProfile) -> Forest:
     """main_bijection given the forest's profile."""
-    if not _in_x_class(mf.marks, p):
+    pool = DOMAINS["Xbar" if p.in_bar else "Xhat"](p)
+    if pool is None or not mf.marks <= pool:
         raise ValueError(
             "main bijection requires a starred forest with marks among "
             "old internals (bar: excluding the last root's) and non-final singletons"

@@ -171,10 +171,6 @@ def _check_center(h: IntPolynomial, n: int) -> None:
         raise ValueError("center degree must be nonnegative")
 
 
-def is_symmetric(h: IntPolynomial, n: int) -> bool:
-    return all(h.coeff(i) == h.coeff(n - i) for i in range(n + 1))
-
-
 def shape_properties(h: IntPolynomial, n: int) -> dict:
     """Symmetry, unimodality, alternating-increase, and gamma-positivity about n.
 

@@ -205,6 +205,24 @@ class TestMap:
             run_cli(capsys, "map", "--name", "phi", "--k", "2", "--input", "1")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--name", "psi", "--input", "1 2"], "--name psi requires --x"),
+        (["--name", "chi-inv", "--input", "1 2"], "chi-inv expects a single tree"),
+        (["--name", "gamma-prime", "--input", "1 2 | {1}"],
+         "gamma-prime starts from an unmarked forest"),
+    ])
+    def test_usage_error_texts(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "map", "--k", "2", *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"sf: error: {message}\n"
+
+    def test_phi_at_absent_label_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "map", "--name", "phi", "--k", "2", "--x", "9",
+                                 "--input", "1[;2] 3")
+        assert code == 2 and out == ""
+        assert err.startswith("sf map: error:") and "9" in err
+
 
 class TestEnumerateStats:
     def test_enumerate_perms(self, capsys):

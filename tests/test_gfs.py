@@ -1,10 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from stirling_forests.bimap import zeta
 from stirling_forests.forest import (
     Forest,
+    enumerate_forests,
     enumerate_trees,
+    forest_profile,
     forest_stats,
     node_classes,
     parse_forest,
@@ -14,12 +18,9 @@ from stirling_forests.forest import (
     validate_forest,
 )
 from stirling_forests.gfs import (
+    DOMAINS,
     MarkedForest,
-    in_x_bar,
-    in_x_hat,
-    in_y,
-    in_y_bar,
-    in_y_hat,
+    in_domain,
     marked_forest,
     orbit,
     orbit_representative,
@@ -28,6 +29,8 @@ from stirling_forests.gfs import (
     theta,
     theta_prime,
 )
+from stirling_forests.pipeline import gamma_map, main_bijection
+from stirling_forests.stirling import count_k_stirling
 
 FIG5_LEFT = "1[3,4[5,10;6[;9;],8;7];;2]"
 FIG5_RIGHT = "1[3,4,5,10;6[;9;],8;2,7]"
@@ -189,9 +192,9 @@ class TestTheta:
     def test_marked_text_form(self):
         mf = marked_forest(parse_forest("1 2 3", 2), {2, 1})
         assert mf.text() == "1 2 3 | {1,2}"
-        assert in_y(mf)
+        assert in_domain(mf, "Y")
         # the final singleton is not markable in the singleton domain
-        assert not in_y(marked_forest(parse_forest("1 2 3", 2), {3}))
+        assert not in_domain(marked_forest(parse_forest("1 2 3", 2), {3}), "Y")
 
     def test_marks_must_occur(self):
         with pytest.raises(KeyError):
@@ -199,9 +202,60 @@ class TestTheta:
 
     def test_domain_predicates(self):
         bar = marked_forest(parse_forest("1[2;] 3", 2), set())
-        assert in_x_bar(bar) and in_y_bar(bar)
+        assert in_domain(bar, "Xbar") and in_domain(bar, "Ybar")
         hat = marked_forest(parse_forest("1 2[3;]", 2), {1})
-        assert in_x_hat(hat) and in_y_hat(hat)
+        assert in_domain(hat, "Xhat") and in_domain(hat, "Yhat")
         # a removable leaf keeps a forest out of the starred/settled domains
         loose = marked_forest(parse_forest("1[;2] 3", 2), set())
-        assert not in_x_bar(loose) and not in_y_bar(loose)
+        assert not in_domain(loose, "Xbar") and not in_domain(loose, "Ybar")
+
+
+# Independent reference: the six marked-forest domains written out from
+# their definitions, not read from the library's domain table.
+def _reference_domains(mf):
+    p = forest_profile(mf.forest)
+    m = mf.marks
+    x_class = p.in_star and m <= (p.oint_star if p.in_bar else p.oint) | p.si_star
+    return {
+        "X": p.stats.yleaf == 0 and m <= p.oint | p.si_star,
+        "Y": m <= p.si_star,
+        "Xbar": p.in_bar and x_class,
+        "Xhat": not p.in_bar and x_class,
+        "Ybar": p.in_bar and p.stats.rleaf == 0 and m <= p.si_star,
+        "Yhat": not p.in_bar and p.stats.rleaf == 0 and m <= p.si_star,
+    }
+
+
+class TestDomains:
+    def test_in_domain_matches_definitions(self):
+        checked = 0
+        for k in (1, 2, 3):
+            for n in range(5):
+                for f in enumerate_forests(range(1, n + 1), k):
+                    for mask in range(1 << n):
+                        marks = frozenset(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
+                        mf = MarkedForest(f, marks)
+                        expected = _reference_domains(mf)
+                        assert set(expected) == set(DOMAINS)
+                        for name, inside in expected.items():
+                            assert in_domain(mf, name) == inside, (mf.text(), name)
+                        checked += 1
+        assert checked == sum(count_k_stirling(n, k) << n for k in (1, 2, 3) for n in range(5))
+
+    def test_unknown_domain(self):
+        with pytest.raises(ValueError, match="unknown domain 'Z'"):
+            in_domain(marked_forest(parse_forest("1 2", 2), set()), "Z")
+
+    # the guards' error texts, which the CLI prints
+    @pytest.mark.parametrize("apply,text,marks,message", [
+        (theta, "1[;2,3]", set(), "theta requires a young-leaf-free forest with marks "
+         "among old internals and non-final singletons"),
+        (theta_prime, "1 2 3", {3}, "theta_prime requires marks among non-final singletons"),
+        (gamma_map, "1 2 3", {3}, "gamma requires marks among non-final singletons"),
+        (main_bijection, "1[;2] 3", set(), "main bijection requires a starred forest with "
+         "marks among old internals (bar: excluding the last root's) and non-final singletons"),
+    ])
+    def test_guard_messages(self, apply, text, marks, message):
+        mf = marked_forest(parse_forest(text, 2), marks)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply(mf)

@@ -4,7 +4,7 @@ import stirling_forests.forest as forest_module
 import stirling_forests.stirling as stirling_module
 from stirling_forests import gfs, oracle, pipeline
 from stirling_forests.cli import main
-from stirling_forests.forest import enumerate_forests, forest_stats
+from stirling_forests.forest import enumerate_forests, forest_stats, parse_forest
 from stirling_forests.oracle import (
     distribution,
     gamma_census_bar_hat,
@@ -184,6 +184,23 @@ class TestRunSuite:
             monkeypatch.setattr(module, "forest_profile", profile)
         assert all(r.passed for r in run_suite(5, 3, suites=(suite,)))
         assert 0 < counted[0] <= calls
+
+    def test_leaf_split_catches_a_misfiled_node(self, monkeypatch):
+        # a profile that counts one internal node as an old leaf keeps
+        # lleaf = oleaf + yleaf + si, but not lleaf = nodes - internal nodes
+        bad = parse_forest("1[2[3;];] 4", 2)
+        real = forest_module.forest_profile
+
+        def profile(f):
+            p = real(f)
+            if f != bad:
+                return p
+            st = p.stats
+            return p._replace(stats=st._replace(oleaf=st.oleaf + 1, lleaf=st.lleaf + 1))
+
+        monkeypatch.setattr(oracle, "forest_profile", profile)
+        census = oracle._fold_forests(enumerate_forests([1, 2, 3, 4], 2), validate=True)
+        assert census.bad["thm.relation.leaf-split"] == ["1[2[3;];] 4"]
 
     def test_bijection_suite_validates_no_word(self, monkeypatch):
         # enumerated words are k-Stirling: the unchecked passes take them

@@ -137,9 +137,8 @@ class TestGammaMaps:
         assert gamma_prime_map(f) == MarkedForest(f, frozenset())
 
     def test_gamma_prime_trajectory_exposed(self):
-        out, states, steps = gamma_prime_map(
-            parse_forest("1[;4,7;2[;5;],3,6[;8;]]", 3), with_trajectory=True
-        )
+        f = parse_forest("1[;4,7;2[;5;],3,6[;8;]]", 3)
+        out, states, steps, _ = pipeline._gamma_prime(f, forest_profile(f))
         assert steps[0] == (3, 1)
         assert states[0].marks == frozenset()
         assert forest_stats(out.forest).rleaf == 0
@@ -226,7 +225,8 @@ class TestProfileTwins:
         for f in _small_forests():
             p = forest_profile(f)
             mf, states, steps, profiles = pipeline._gamma_prime(f, p)
-            assert (mf, states, steps) == gamma_prime_map(f, with_trajectory=True)
+            assert mf == gamma_prime_map(f) == states[-1]
+            assert states[0] == MarkedForest(f, frozenset()) and len(steps) == len(states) - 1
             assert profiles == [forest_profile(state.forest) for state in states]
 
     def test_representative(self):
