@@ -4,8 +4,9 @@ Subcommands: enumerate, stats, poly, gamma, map, verify.  Polynomials print
 as dense integer arrays lowest degree first (``[1,10,4]``), gamma vectors as
 ``{"center":2,"gamma":[1,5]}``, words and forests in their canonical text
 forms, marked forests as ``<forest> | {1,3}``.  Exit status: 0 on success,
-1 when ``verify`` finds a failing identity, 2 on usage or input errors and
-when a request exceeds an enumeration or census limit.
+1 when ``verify`` finds a failing identity, 2 for every refused input, which
+prints one line ``sf <command>: error: <message>``: a ``ValueError`` is input
+the caller can fix (a limit included), a ``RuntimeError`` a library fault.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .gfs import MarkedForest, marked_forest
 from .polyx import _egf_last, gamma_expand, symmetric_decompose
 from .stirling import (
     DEFAULT_MAX_OBJECTS,
-    LimitError,
     enumerate_k_stirling,
     exc_cyc_polynomial,
     is_k_stirling,
@@ -37,17 +37,8 @@ from .stirling import (
     word_to_text,
 )
 
-def _usage_error(message: str) -> "SystemExit":
-    print(f"sf: error: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _poly_text(p) -> str:
-    return _compact(list(p.coeffs))
 
 
 def _read_input(value: str) -> str:
@@ -149,7 +140,7 @@ def _cmd_enumerate(args) -> int:
         record, show, key = forest_profile, serialize_forest, "forest"
     test = _FILTERS[args.kind].get(args.filter)
     if args.filter and test is None:
-        raise _usage_error("--filter star applies to forests")
+        raise ValueError("--filter star applies to forests")
     emitted = 0
     for obj in objects:  # the first step runs the enumerator's checks
         if emitted == args.limit:
@@ -207,61 +198,54 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _a_polynomial(n: int, k: int, route: str, max_objects: int):
+def _part(which: str, route: str | None, n: int, k: int, max_objects: int):
+    """What ``sf poly`` prints: A by any route (egf by default), a and b with
+    A = a + x*b by decomposition or from the bar/hat censuses (ap), or c (ap)."""
+    route = route or ("ap" if which == "c" else "egf")
+    if which == "c":
+        if route != "ap":
+            raise ValueError("--which c supports only --route ap")
+        return oracle.distribution("Qtilde", "ap", n, k, max_objects)
+    if which != "A" and n < 1:
+        raise ValueError("the symmetric parts need --n >= 1")
+    if which == "a" and route == "ap":
+        return oracle.distribution("Qbar", "ap", n, k, max_objects)
+    if which == "b" and route == "ap":
+        hat = oracle.distribution("Qhat", "ap", n, k, max_objects)
+        if hat.coeff(0) != 0:
+            raise ValueError("hat-class census has a constant term")
+        return type(hat)(hat.coeffs[1:])
     if route == "egf":
-        return _egf_last(k, n)
-    if route == "exc-cyc":
-        return exc_cyc_polynomial(n, k)
-    return oracle.distribution("Q", "ap", n, k, max_objects)
+        eulerian = _egf_last(k, n)
+    elif route == "exc-cyc":
+        eulerian = exc_cyc_polynomial(n, k)
+    else:
+        eulerian = oracle.distribution("Q", "ap", n, k, max_objects)
+    if which == "A":
+        return eulerian
+    dec = symmetric_decompose(eulerian, n - 1)
+    return dec.a if which == "a" else dec.b
 
 
 def _cmd_poly(args) -> int:
-    n, k = args.n, args.k
-    if args.which == "c":
-        if args.route not in (None, "ap"):
-            raise _usage_error("--which c supports only --route ap")
-        print(_poly_text(oracle.distribution("Qtilde", "ap", n, k, args.max_objects)))
-        return 0
-    route = args.route or "egf"
-    if args.which == "A":
-        print(_poly_text(_a_polynomial(n, k, route, args.max_objects)))
-        return 0
-    if n < 1:
-        raise _usage_error("the symmetric parts need --n >= 1")
-    if route == "ap":
-        family = "Qbar" if args.which == "a" else "Qhat"
-        part = oracle.distribution(family, "ap", n, k, args.max_objects)
-        if args.which == "b":
-            if part.coeff(0) != 0:
-                raise _usage_error("hat-class census has a constant term")
-            part = type(part)(part.coeffs[1:])
-    else:
-        dec = symmetric_decompose(_a_polynomial(n, k, route, args.max_objects), n - 1)
-        part = dec.a if args.which == "a" else dec.b
-    print(_poly_text(part))
+    part = _part(args.which, args.route, args.n, args.k, args.max_objects)
+    print(_compact(list(part.coeffs)))
     return 0
 
 
 def _cmd_gamma(args) -> int:
-    n, k = args.n, args.k
-    if args.which == "c":
-        center = n
-        if args.by == "census":
-            vec = oracle.gamma_census_tilde(n, k, args.max_objects)
-        else:
-            c_poly = oracle.distribution("Qtilde", "ap", n, k, args.max_objects)
-            vec = list(gamma_expand(c_poly, n).gamma)
+    n, k, which = args.n, args.k, args.which
+    center = n - 1 if which == "a" else n
+    if args.by == "decomposition":
+        part = _part(which, None, n, k, args.max_objects)
+        vec = list(gamma_expand(part.shift(1) if which == "b" else part, center).gamma)
+    elif which == "c":
+        vec = oracle.gamma_census_tilde(n, k, args.max_objects)
+    elif n < 1:
+        raise ValueError("the symmetric parts need --n >= 1")
     else:
-        center = n - 1 if args.which == "a" else n
-        if n < 1:
-            raise _usage_error("the symmetric parts need --n >= 1")
-        if args.by == "census":
-            census = oracle.gamma_census_bar_hat(n, k, args.max_objects)
-            vec = census["gamma_bar"] if args.which == "a" else census["gamma_hat"]
-        else:
-            dec = symmetric_decompose(_egf_last(k, n), n - 1)
-            part = dec.a if args.which == "a" else dec.b.shift(1)
-            vec = list(gamma_expand(part, center).gamma)
+        census = oracle.gamma_census_bar_hat(n, k, args.max_objects)
+        vec = census["gamma_bar"] if which == "a" else census["gamma_hat"]
     while vec and vec[-1] == 0:  # censuses trim; keep both routes aligned
         vec = vec[:-1]
     print(_compact({"center": center, "gamma": list(vec)}))
@@ -271,21 +255,21 @@ def _cmd_gamma(args) -> int:
 def _at_x(step, text: str, args) -> str:
     """A forest map that acts at the label --x."""
     if args.x is None:
-        raise _usage_error(f"--name {args.name} requires --x")
+        raise ValueError(f"--name {args.name} requires --x")
     return serialize_forest(step(parse_forest(text, args.k), args.x))
 
 
 def _chi_inv(text: str, args) -> str:
     f = parse_forest(text, args.k)
     if len(f.trees) != 1:
-        raise _usage_error("chi-inv expects a single tree")
+        raise ValueError("chi-inv expects a single tree")
     return word_to_text(bimap.chi_inv(f.trees[0], args.k))
 
 
 def _gamma_prime(text: str, args) -> str:
     mf = _parse_marked(text, args)
     if mf.marks:
-        raise _usage_error("gamma-prime starts from an unmarked forest")
+        raise ValueError("gamma-prime starts from an unmarked forest")
     return pipeline.gamma_prime_map(mf.forest).text()
 
 
@@ -351,9 +335,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
-    except (ValueError, KeyError, LimitError) as exc:
+    except ValueError as exc:
         print(f"sf {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

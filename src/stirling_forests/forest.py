@@ -270,21 +270,20 @@ class _Parser:
         return Forest(self.k, tuple(trees))
 
 
-def parse_forest(text: str, k: int, validate: bool = True) -> Forest:
-    """Parse canonical forest text; validates all invariants by default."""
+def parse_forest(text: str, k: int) -> Forest:
+    """Parse canonical forest text and validate all its invariants."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     f = _Parser(text, k).parse_forest()
-    if validate:
-        violations = validate_forest(f)
-        if violations:
-            label, message = violations[0]
-            raise ForestInvariantError(label, message)
+    violations = validate_forest(f)
+    if violations:
+        label, message = violations[0]
+        raise ForestInvariantError(label, message)
     return f
 
 
-def parse_tree(text: str, k: int, validate: bool = True) -> LabeledTree:
-    f = parse_forest(text, k, validate=validate)
+def parse_tree(text: str, k: int) -> LabeledTree:
+    f = parse_forest(text, k)
     if len(f.trees) != 1:
         raise ValueError(f"expected a single tree, found {len(f.trees)}")
     return f.trees[0]

@@ -53,7 +53,7 @@ def marked_forest(forest: Forest, marks) -> MarkedForest:
     marks = frozenset(marks)
     unknown = marks - set(forest.labels())
     if unknown:
-        raise KeyError(f"marks {sorted(unknown)} do not occur in the forest")
+        raise ValueError(f"labels {sorted(unknown)} do not occur in the forest")
     return MarkedForest(forest, marks)
 
 
@@ -61,7 +61,7 @@ def phi(t: LabeledTree, x: int) -> LabeledTree:
     """Toggle old-internal/young-leaf status at label x (an involution)."""
     path = _path_to(t, x)
     if path is None:
-        raise KeyError(f"label {x} does not occur in the tree")
+        raise ValueError(f"labels [{x}] do not occur in the forest")
     if not path:
         return t
     u, j, p = path[0]
@@ -149,7 +149,7 @@ def phi_set(f: Forest, labels) -> Forest:
     tree_labels = [set(t.labels()) for t in f.trees]
     unknown = remaining.difference(*tree_labels)
     if unknown:
-        raise KeyError(f"labels {sorted(unknown)} do not occur in the forest")
+        raise ValueError(f"labels {sorted(unknown)} do not occur in the forest")
     new_trees = []
     for t, mine in zip(f.trees, tree_labels):
         for x in sorted(remaining & mine):

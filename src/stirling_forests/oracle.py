@@ -46,8 +46,6 @@ from .forest import (
     enumerate_forests,
     enumerate_trees,
     forest_profile,
-    forest_stats,
-    node_classes,
     serialize_forest,
     serialize_tree,
     validate_forest,
@@ -352,7 +350,8 @@ def _suite_bijections(n, k, max_objects, folds):
         cls = word_class(w, k)
         ap = stat_ap(w, k)
         fx = Forest(k, bimap._xi_trees(w, k))
-        if bimap.xi_inv(fx) != w or forest_stats(fx).lleaf != ap + (bool(w) and cls["in_bar"]):
+        if (bimap.xi_inv(fx) != w
+                or forest_profile(fx).stats.lleaf != ap + (bool(w) and cls["in_bar"])):
             bad_xi.append(word_to_text(w))
         xi_images.add(fx)
         fz = bimap._zeta(w, k)
@@ -364,7 +363,7 @@ def _suite_bijections(n, k, max_objects, folds):
         zeta_images.add(fz)
         if n and cls["in_tilde"]:
             t = bimap._chi_tree(w, k)
-            st = forest_stats(Forest(k, (t,)))
+            st = forest_profile(Forest(k, (t,))).stats
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
@@ -412,7 +411,7 @@ def _suite_gfs(n, k, max_objects, folds):
             tx = images[x]
             if gfs.phi(tx, x) != t:
                 bad_inv.append(f"{serialize_tree(t)} @ {x}")
-            after = before if tx is t else node_classes(Forest(k, (tx,)))
+            after = before if tx is t else forest_profile(Forest(k, (tx,))).classes
             for z in labels:
                 ok = before[z] == after[z] or z == x and _toggled(before[z], after[z])
                 if not ok:
@@ -426,7 +425,7 @@ def _suite_gfs(n, k, max_objects, folds):
         if rep == t:
             members = gfs.orbit(t)
             young_free = sum(
-                1 for s in members if forest_stats(Forest(k, (s,))).yleaf == 0
+                1 for s in members if forest_profile(Forest(k, (s,))).stats.yleaf == 0
             )
             st = p.stats
             if young_free != 1 or len(members) != 2**st.oint:
@@ -541,7 +540,7 @@ def _suite_pipeline(n, k, max_objects, folds):
                 bad_pairs.append(mf.text())
         for mf in _marked(f, _class_domain("X", p)):
             g = pipeline._main(mf, p)
-            gs = forest_stats(g)
+            gs = forest_profile(g).stats
             if gs.lleaf - gs.si != base_stat + len(mf.marks):
                 bad_main[p.in_bar].append(mf.text())
             image[p.in_bar][g] = image[p.in_bar].get(g, 0) + 1

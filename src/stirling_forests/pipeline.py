@@ -44,7 +44,7 @@ def psi(f: Forest, x: int, profile: ForestProfile | None = None) -> Forest:
     ``forest_profile(f)`` when the caller already has it."""
     p = forest_profile(f) if profile is None else profile
     if x not in p.classes:  # every label has a class
-        raise KeyError(f"label {x} does not occur in the forest")
+        raise ValueError(f"labels [{x}] do not occur in the forest")
     m = len(f.trees)
     i = _singleton_index(f, x)
     applicable = sum([i is not None and i < m - 1, x in p.removable_old, x in p.removable_young])

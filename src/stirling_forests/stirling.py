@@ -26,8 +26,9 @@ DEFAULT_MAX_OBJECTS = 10**7
 _PERM_GUARD = 10
 
 
-class LimitError(RuntimeError):
-    """An enumeration would exceed the configured object ceiling."""
+class LimitError(ValueError):
+    """A request past an enumeration ceiling or census guard: input the
+    caller can fix, so a ``ValueError``, never a library fault."""
 
 
 def count_k_stirling(n: int, k: int) -> int:

@@ -5,7 +5,10 @@ from math import comb
 
 import pytest
 
+from stirling_forests import oracle
 from stirling_forests.cli import main
+from stirling_forests.polyx import IntPolynomial, gamma_expand
+from stirling_forests.stirling import count_k_stirling
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +46,14 @@ class TestPoly:
         _, out, _ = run_cli(capsys, "poly", "--n", "3", "--k", "3", "--which", "c")
         assert out.strip() == "[0,9,9]"
 
+    def test_hat_census_constant_term_is_refused(self, capsys, monkeypatch):
+        # b = Qhat/x needs a census with no constant term
+        monkeypatch.setattr(oracle, "distribution", lambda *a: IntPolynomial((1, 1)))
+        code, out, err = run_cli(capsys, "poly", "--n", "3", "--k", "2",
+                                 "--which", "b", "--route", "ap")
+        assert (code, out) == (2, "")
+        assert err == "sf poly: error: hat-class census has a constant term\n"
+
 
 class TestGamma:
     def test_census_a(self, capsys):
@@ -67,6 +78,28 @@ class TestGamma:
                 assert record["center"] == center
                 seen.append(tuple(record["gamma"]))
             assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_decomposition_expands_poly_parts(self, capsys, k):
+        # gamma(a) about n - 1, gamma(x b) and gamma(c) about n; c needs
+        # n >= 2 and comes from a word census, so it is checked only where
+        # Q_n(k) is small
+        for n in range(1, 13):
+            for which, center in (("a", n - 1), ("b", n), ("c", n)):
+                if which == "c" and (n < 2 or count_k_stirling(n, k) > 20_000):
+                    continue
+                _, poly, _ = run_cli(capsys, "poly", "--n", str(n), "--k", str(k),
+                                     "--which", which)
+                part = IntPolynomial(json.loads(poly))
+                if which == "b":
+                    part = part.shift(1)
+                vec = list(gamma_expand(part, center).gamma)
+                while vec and vec[-1] == 0:
+                    vec.pop()
+                code, out, _ = run_cli(capsys, "gamma", "--n", str(n), "--k", str(k),
+                                       "--which", which, "--by", "decomposition")
+                assert code == 0
+                assert json.loads(out) == {"center": center, "gamma": vec}
 
     @pytest.mark.parametrize("which", ["a", "b"])
     def test_decomposition_at_n_120(self, capsys, eulerian_recurrence, which):
@@ -201,27 +234,50 @@ class TestMap:
         assert "error" in err
 
     def test_missing_x_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, "map", "--name", "phi", "--k", "2", "--input", "1")
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "map", "--name", "phi", "--k", "2", "--input", "1")
+        assert (code, out) == (2, "")
+        assert err == "sf map: error: --name phi requires --x\n"
 
+    # each refusal the command layer makes itself: exit 2, nothing on stdout
+    # and one stderr line; the constant-term refusal needs a patched census
+    # and is in TestPoly
     @pytest.mark.parametrize("argv,message", [
-        (["--name", "psi", "--input", "1 2"], "--name psi requires --x"),
-        (["--name", "chi-inv", "--input", "1 2"], "chi-inv expects a single tree"),
-        (["--name", "gamma-prime", "--input", "1 2 | {1}"],
+        (["map", "--k", "2", "--name", "psi", "--input", "1 2"], "--name psi requires --x"),
+        (["map", "--k", "2", "--name", "chi-inv", "--input", "1 2"],
+         "chi-inv expects a single tree"),
+        (["map", "--k", "2", "--name", "gamma-prime", "--input", "1 2 | {1}"],
          "gamma-prime starts from an unmarked forest"),
+        (["enumerate", "--n", "3", "--k", "2", "--kind", "perms", "--filter", "star"],
+         "--filter star applies to forests"),
+        (["poly", "--n", "3", "--k", "2", "--which", "c", "--route", "egf"],
+         "--which c supports only --route ap"),
+        (["poly", "--n", "0", "--k", "2", "--which", "b"], "the symmetric parts need --n >= 1"),
+        (["gamma", "--n", "0", "--k", "2", "--which", "a"], "the symmetric parts need --n >= 1"),
+        (["gamma", "--n", "0", "--k", "2", "--which", "b", "--by", "decomposition"],
+         "the symmetric parts need --n >= 1"),
     ])
     def test_usage_error_texts(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, "map", "--k", "2", *argv)
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == f"sf: error: {message}\n"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"sf {argv[0]}: error: {message}\n"
 
     def test_phi_at_absent_label_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "map", "--name", "phi", "--k", "2", "--x", "9",
                                  "--input", "1[;2] 3")
         assert code == 2 and out == ""
         assert err.startswith("sf map: error:") and "9" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", "phi", "--x", "9", "--input", "1[;2] 3"],
+        ["--name", "phi-set", "--set", "9", "--input", "1[;2] 3"],
+        ["--name", "psi", "--x", "9", "--input", "1[;2] 3"],
+        ["--name", "theta", "--input", "1[;2] 3 | {9}"],
+        ["--name", "alpha", "--set", "9", "--input", "1 2 3"],
+    ])
+    def test_absent_label_error_text(self, capsys, argv):
+        code, out, err = run_cli(capsys, "map", "--k", "2", *argv)
+        assert (code, out) == (2, "")
+        assert err == "sf map: error: labels [9] do not occur in the forest\n"
 
 
 class TestEnumerateStats:

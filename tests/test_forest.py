@@ -118,11 +118,11 @@ class TestValidate:
         assert validate_forest(parse_forest("1[;2,3]", 2)) == []
 
     def test_slot_not_increasing(self):
-        f = parse_forest("1[;3,2]", 2, validate=False)
+        f = forest_module._Parser("1[;3,2]", 2).parse_forest()
         assert any("not increasing" in msg for _, msg in validate_forest(f))
 
     def test_roots_not_increasing(self):
-        f = parse_forest("2[;3] 1", 2, validate=False)
+        f = forest_module._Parser("2[;3] 1", 2).parse_forest()
         assert any("roots not increasing" in msg for _, msg in validate_forest(f))
 
     def test_unpruned_rejected(self):
@@ -130,7 +130,7 @@ class TestValidate:
         assert any("pruned" in msg for _, msg in validate_forest(f))
 
     def test_path_not_increasing(self):
-        f = parse_forest("2[1;]", 2, validate=False)
+        f = forest_module._Parser("2[1;]", 2).parse_forest()
         assert any("path" in msg for _, msg in validate_forest(f))
 
     @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
@@ -144,7 +144,7 @@ class TestValidate:
          ("1[4[3;],2;]", 2), ("3[;5,4] 1[2;]", 2)],
     )
     def test_parse_raises_first_violation(self, text, k):
-        first = validate_forest(parse_forest(text, k, validate=False))[0]
+        first = validate_forest(forest_module._Parser(text, k).parse_forest())[0]
         with pytest.raises(ForestInvariantError) as err:
             parse_forest(text, k)
         assert (err.value.label, str(err.value)) == first

@@ -68,7 +68,7 @@ class TestPhi:
         assert phi(t, 3) == t
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^labels \[9\] do not occur in the forest$"):
             phi(parse_tree("1", 2), 9)
 
     @given(random_words(2))
@@ -106,7 +106,7 @@ class TestPhiSet:
         assert serialize_forest(phi_set(parse_forest("1[2[3;];]", 2), {2})) == "1[2,3;]"
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^labels \[5\] do not occur in the forest$"):
             phi_set(parse_forest("1 2", 2), {5})
 
 
@@ -197,7 +197,7 @@ class TestTheta:
         assert not in_domain(marked_forest(parse_forest("1 2 3", 2), {3}), "Y")
 
     def test_marks_must_occur(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^labels \[7\] do not occur in the forest$"):
             marked_forest(parse_forest("1 2", 2), {7})
 
     def test_domain_predicates(self):

@@ -50,7 +50,7 @@ class TestPsi:
         f = parse_forest("1[3;;7] 2 4[;;6] 5 8", 3)
         assert psi(f, 8) == f  # final singleton
         assert psi(f, 3) == f  # young leaf deep in the first tree
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^labels \[11\] do not occur in the forest$"):
             psi(f, 11)
 
     @pytest.mark.parametrize("k,n", [(1, 5), (2, 4), (3, 4)])

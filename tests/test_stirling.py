@@ -58,6 +58,11 @@ class TestEnumeration:
         with pytest.raises(LimitError):
             next(enumerate_k_stirling(8, 2, max_objects=10**6))
 
+    def test_limit_error_is_input_error(self):
+        # the caller can fix it; RuntimeError is kept for library faults
+        assert issubclass(LimitError, ValueError)
+        assert not issubclass(LimitError, RuntimeError)
+
     @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2, 3) for n in range(5)])
     def test_all_emitted_words_are_valid_and_distinct(self, n, k):
         words = list(enumerate_k_stirling(n, k))
