@@ -4,9 +4,10 @@ Subcommands: enumerate, stats, poly, gamma, map, verify.  Polynomials print
 as dense integer arrays lowest degree first (``[1,10,4]``), gamma vectors as
 ``{"center":2,"gamma":[1,5]}``, words and forests in their canonical text
 forms, marked forests as ``<forest> | {1,3}``.  Exit status: 0 on success,
-1 when ``verify`` finds a failing identity, 2 for every refused input, which
-prints one line ``sf <command>: error: <message>``: a ``ValueError`` is input
-the caller can fix (a limit included), a ``RuntimeError`` a library fault.
+1 when ``verify`` finds a failing identity, 2 for every refused input: a
+``ValueError``, input the caller can fix (the enumeration ceiling included),
+prints one line ``sf <command>: error: <message>``.  A ``RuntimeError`` is a
+library fault; ``main`` does not catch it, so it escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .forest import (
 from .gfs import MarkedForest, marked_forest
 from .polyx import _egf_last, gamma_expand, symmetric_decompose
 from .stirling import (
-    DEFAULT_MAX_OBJECTS,
     enumerate_k_stirling,
     exc_cyc_polynomial,
     is_k_stirling,
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("perms", "forests"), required=True)
     p.add_argument("--filter", choices=("bar", "hat", "tilde", "star"))
     p.add_argument("--limit", type=int, help="stop after this many objects")
-    p.add_argument("--max-objects", type=int, default=DEFAULT_MAX_OBJECTS)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("stats", help="statistics of one word or forest")
@@ -91,14 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--which", choices=("A", "a", "b", "c"), required=True)
     p.add_argument("--route", choices=("ap", "exc-cyc", "egf"))
-    p.add_argument("--max-objects", type=int, default=DEFAULT_MAX_OBJECTS)
 
     p = sub.add_parser("gamma", help="gamma coefficient vectors")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--which", choices=("a", "b", "c"), required=True)
     p.add_argument("--by", choices=("census", "decomposition"), default="census")
-    p.add_argument("--max-objects", type=int, default=DEFAULT_MAX_OBJECTS)
 
     p = sub.add_parser("map", help="apply a bijection or transformation")
     p.add_argument("--name", choices=tuple(_MAPS), required=True)
@@ -113,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=oracle.SUITES,
                    help="repeatable; defaults to all suites")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-objects", type=int, default=DEFAULT_MAX_OBJECTS)
     return top
 
 
@@ -133,10 +129,10 @@ def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
     if args.kind == "perms":
-        objects = enumerate_k_stirling(args.n, k, args.max_objects)
+        objects = enumerate_k_stirling(args.n, k)
         record, show, key = (lambda w: word_class(w, k)), word_to_text, "word"
     else:
-        objects = enumerate_forests(range(1, args.n + 1), k, args.max_objects)
+        objects = enumerate_forests(range(1, args.n + 1), k)
         record, show, key = forest_profile, serialize_forest, "forest"
     test = _FILTERS[args.kind].get(args.filter)
     if args.filter and test is None:
@@ -198,29 +194,29 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _part(which: str, route: str | None, n: int, k: int, max_objects: int):
+def _part(which: str, route: str | None, n: int, k: int):
     """What ``sf poly`` prints: A by any route (egf by default), a and b with
     A = a + x*b by decomposition or from the bar/hat censuses (ap), or c (ap)."""
     route = route or ("ap" if which == "c" else "egf")
     if which == "c":
         if route != "ap":
             raise ValueError("--which c supports only --route ap")
-        return oracle.distribution("Qtilde", "ap", n, k, max_objects)
+        return oracle.distribution("Qtilde", "ap", n, k)
     if which != "A" and n < 1:
         raise ValueError("the symmetric parts need --n >= 1")
     if which == "a" and route == "ap":
-        return oracle.distribution("Qbar", "ap", n, k, max_objects)
+        return oracle.distribution("Qbar", "ap", n, k)
     if which == "b" and route == "ap":
-        hat = oracle.distribution("Qhat", "ap", n, k, max_objects)
-        if hat.coeff(0) != 0:
-            raise ValueError("hat-class census has a constant term")
+        hat = oracle.distribution("Qhat", "ap", n, k)
+        if hat.coeff(0) != 0:  # a hat word's n^k block follows a smaller letter
+            raise RuntimeError("hat-class census has a constant term")
         return type(hat)(hat.coeffs[1:])
     if route == "egf":
         eulerian = _egf_last(k, n)
     elif route == "exc-cyc":
         eulerian = exc_cyc_polynomial(n, k)
     else:
-        eulerian = oracle.distribution("Q", "ap", n, k, max_objects)
+        eulerian = oracle.distribution("Q", "ap", n, k)
     if which == "A":
         return eulerian
     dec = symmetric_decompose(eulerian, n - 1)
@@ -228,7 +224,7 @@ def _part(which: str, route: str | None, n: int, k: int, max_objects: int):
 
 
 def _cmd_poly(args) -> int:
-    part = _part(args.which, args.route, args.n, args.k, args.max_objects)
+    part = _part(args.which, args.route, args.n, args.k)
     print(_compact(list(part.coeffs)))
     return 0
 
@@ -236,15 +232,17 @@ def _cmd_poly(args) -> int:
 def _cmd_gamma(args) -> int:
     n, k, which = args.n, args.k, args.which
     center = n - 1 if which == "a" else n
+    if which == "c" and n < 2:  # both routes refuse with one text
+        raise ValueError("the gamma vector of c needs --n >= 2")
+    if n < 1:
+        raise ValueError("the symmetric parts need --n >= 1")
     if args.by == "decomposition":
-        part = _part(which, None, n, k, args.max_objects)
+        part = _part(which, None, n, k)
         vec = list(gamma_expand(part.shift(1) if which == "b" else part, center).gamma)
     elif which == "c":
-        vec = oracle.gamma_census_tilde(n, k, args.max_objects)
-    elif n < 1:
-        raise ValueError("the symmetric parts need --n >= 1")
+        vec = oracle.gamma_census_tilde(n, k)
     else:
-        census = oracle.gamma_census_bar_hat(n, k, args.max_objects)
+        census = oracle.gamma_census_bar_hat(n, k)
         vec = census["gamma_bar"] if which == "a" else census["gamma_hat"]
     while vec and vec[-1] == 0:  # censuses trim; keep both routes aligned
         vec = vec[:-1]
@@ -303,7 +301,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = tuple(args.suite) if args.suite else oracle.SUITES
-    reports = oracle.run_suite(args.n_max, args.k_max, suites, args.max_objects)
+    reports = oracle.run_suite(args.n_max, args.k_max, suites)
     failures = [r for r in reports if not r.passed]
     if args.format == "json":
         for r in reports:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .stirling import DEFAULT_MAX_OBJECTS, LimitError, count_k_stirling
+from .stirling import check_ceiling
 
 
 class ForestSyntaxError(ValueError):
@@ -450,18 +450,14 @@ def in_bar(f: Forest) -> bool:
 # direct enumeration, independent of the word bijections
 
 
-def _checked_labels(
-    labels: Sequence[int], k: int, max_objects: int, counted: str
-) -> tuple[int, ...]:
+def _checked_labels(labels: Sequence[int], k: int) -> tuple[int, ...]:
     """The sorted labels, once k, their distinctness and the ceiling pass."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     labs = tuple(sorted(labels))
     if len(set(labs)) != len(labs):
         raise ValueError("labels must be distinct")
-    count = count_k_stirling(len(labs), k)
-    if count > max_objects:
-        raise LimitError(f"{counted} {count} exceeds ceiling {max_objects}")
+    check_ceiling(len(labs), k)  # as many forests, at most as many trees
     return labs
 
 
@@ -500,9 +496,7 @@ def _trees(block: tuple[int, ...], k: int, memo: dict) -> Iterator[LabeledTree]:
             yield LabeledTree(root, slots)
 
 
-def enumerate_forests(
-    labels: Sequence[int], k: int, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Iterator[Forest]:
+def enumerate_forests(labels: Sequence[int], k: int) -> Iterator[Forest]:
     """All forests on the given label set, each exactly once, deterministically.
 
     A forest on M is a set partition of M into blocks ordered by minima, one
@@ -510,15 +504,13 @@ def enumerate_forests(
     k-tuple of forests partitioning the remaining labels.  The family is
     streamed; the memo of its sub-families lives as long as this generator.
     """
-    labs = _checked_labels(labels, k, max_objects, "forest count")
+    labs = _checked_labels(labels, k)
     for trees in _forests(labs, k, {}):
         yield Forest(k, trees)
 
 
-def enumerate_trees(
-    labels: Sequence[int], k: int, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Iterator[LabeledTree]:
+def enumerate_trees(labels: Sequence[int], k: int) -> Iterator[LabeledTree]:
     """All single trees on the given label set (the one-block forests)."""
-    labs = _checked_labels(labels, k, max_objects, "tree count bound")
+    labs = _checked_labels(labels, k)
     if labs:
         yield from _trees(labs, k, {})

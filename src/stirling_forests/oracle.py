@@ -59,7 +59,6 @@ from .polyx import (
     symmetric_decompose,
 )
 from .stirling import (
-    DEFAULT_MAX_OBJECTS,
     count_k_stirling,
     descent_polynomial,
     enumerate_k_stirling,
@@ -84,22 +83,10 @@ FAMILY_TESTS = {
 }
 FAMILIES = tuple(FAMILY_TESTS)
 STATISTICS = ("ap", "lap", "lleaf", "lleaf-si")
-SUITES = ("polynomials", "bijections", "gfs", "pipeline", "theorems")
 
 _WORD_FAMILIES = tuple(f for f in FAMILIES if f.startswith("Q"))
 _FOREST_FAMILIES = tuple(f for f in FAMILIES if not f.startswith("Q"))
 _RELATIONS = ("thm.relation.leaf-split", "thm.relation.bar-star", "thm.relation.hat-star")
-
-# Exhaustive-suite ranges: censuses run to 7 for k <= 2 and 6 for k = 3
-# (about 2 * 10^6 objects); the action and pipeline suites, which touch each
-# object many times, stop at 5.
-_SUITE_N_CAP = {
-    "polynomials": lambda k: 7 if k <= 2 else 6,
-    "bijections": lambda k: 6,
-    "gfs": lambda k: 5,
-    "pipeline": lambda k: 5,
-    "theorems": lambda k: 7 if k <= 2 else 6,
-}
 
 
 @dataclass
@@ -165,13 +152,13 @@ class _Census:
         return gamma_compose(GammaExpansion(center=center, gamma=tuple(self.counts(key))))
 
 
-def _fold_words(n: int, k: int, max_objects: int, folds: dict) -> _Census:
+def _fold_words(n: int, k: int, folds: dict) -> _Census:
     """The word fold of cell (n, k), kept in ``folds`` for the caller's later suites."""
     if (n, k) in folds:
         return folds[n, k]
     census = _Census()
     tally, reps = Counter(), {}
-    for w in enumerate_k_stirling(n, k, max_objects):
+    for w in enumerate_k_stirling(n, k):
         cls = word_class(w, k)
         ap = stat_ap(w, k)
         lap = ap + (bool(w) and cls["in_bar"])  # = stat_lap(w, k)
@@ -219,18 +206,16 @@ def _fold_forests(forests: Iterable[Forest], validate: bool = False) -> _Census:
     return census
 
 
-def _forests(n: int, k: int, max_objects: int) -> Iterator[Forest]:
-    return enumerate_forests(range(1, n + 1), k, max_objects)
+def _forests(n: int, k: int) -> Iterator[Forest]:
+    return enumerate_forests(range(1, n + 1), k)
 
 
-def _trees(n: int, k: int, max_objects: int) -> Iterator[Forest]:
+def _trees(n: int, k: int) -> Iterator[Forest]:
     """The trees on 1..n, each wrapped as a one-tree forest."""
-    return (Forest(k, (t,)) for t in enumerate_trees(range(1, n + 1), k, max_objects))
+    return (Forest(k, (t,)) for t in enumerate_trees(range(1, n + 1), k))
 
 
-def distribution(
-    family: str, statistic: str, n: int, k: int, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> IntPolynomial:
+def distribution(family: str, statistic: str, n: int, k: int) -> IntPolynomial:
     """Exact generating polynomial of a statistic over an enumerable family."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -239,34 +224,30 @@ def distribution(
     if family in _WORD_FAMILIES:
         if statistic not in ("ap", "lap"):
             raise ValueError(f"statistic {statistic!r} undefined on words")
-        census = _fold_words(n, k, max_objects, {})
+        census = _fold_words(n, k, {})
     elif family == "T":
         if statistic != "lleaf":
             raise ValueError(f"statistic {statistic!r} undefined on trees")
-        census = _fold_forests(_trees(n, k, max_objects))
+        census = _fold_forests(_trees(n, k))
     else:
         if statistic not in ("lleaf", "lleaf-si"):
             raise ValueError(f"statistic {statistic!r} undefined on forests")
-        census = _fold_forests(_forests(n, k, max_objects))
+        census = _fold_forests(_forests(n, k))
     return census.poly((family, statistic))
 
 
-def gamma_census_bar_hat(
-    n: int, k: int, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> dict:
+def gamma_census_bar_hat(n: int, k: int) -> dict:
     """Histograms, by old-leaf count, of bar/hat forests free of young
     leaves and removable leaves (trailing zeros trimmed)."""
-    census = _fold_forests(_forests(n, k, max_objects))
+    census = _fold_forests(_forests(n, k))
     return {"gamma_bar": census.counts("gamma_bar"), "gamma_hat": census.counts("gamma_hat")}
 
 
-def gamma_census_tilde(
-    n: int, k: int, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> list[int]:
+def gamma_census_tilde(n: int, k: int) -> list[int]:
     """Histogram, by labeled-leaf count, of young-leaf-free trees on 1..n."""
     if n < 2:
         raise ValueError("the tree census needs n >= 2")
-    return _fold_forests(_trees(n, k, max_objects)).counts("tilde")
+    return _fold_forests(_trees(n, k)).counts("tilde")
 
 
 def _marked(f: Forest, pool) -> Iterator[MarkedForest]:
@@ -289,30 +270,6 @@ def _class_domain(name: str, p) -> frozenset[int] | None:
 # identity suite
 
 
-def run_suite(
-    n_max: int,
-    k_max: int,
-    suites=SUITES,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
-) -> list[IdentityReport]:
-    """One report per (identity, n, k) cell, sorted by identity, n, k."""
-    unknown = set(suites) - set(SUITES)
-    if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
-    if n_max < 0 or k_max < 1:
-        raise ValueError("need n_max >= 0 and k_max >= 1")
-    reports: list[IdentityReport] = []
-    folds: dict = {}  # the word fold of each (n, k) cell, for this call only
-    for suite in suites:
-        cap = _SUITE_N_CAP[suite]
-        runner = _SUITE_RUNNERS[suite]
-        for k in range(1, k_max + 1):
-            for n in range(0, min(n_max, cap(k)) + 1):
-                reports.extend(runner(n, k, max_objects, folds))
-    reports.sort(key=lambda r: (r.identity, r.n, r.k))
-    return reports
-
-
 def _eq_report(identity, n, k, left, right, witness=None) -> IdentityReport:
     passed = left == right
     return IdentityReport(
@@ -325,8 +282,8 @@ def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
                           violations[0] if violations else None)
 
 
-def _suite_polynomials(n, k, max_objects, folds):
-    words = _fold_words(n, k, max_objects, folds)
+def _suite_polynomials(n, k, folds):
+    words = _fold_words(n, k, folds)
     A_egf = _egf_last(k, n)
     A_exc = exc_cyc_polynomial(n, k)
     A_ap = words.poly(("Q", "ap"))
@@ -342,11 +299,11 @@ def _suite_polynomials(n, k, max_objects, folds):
                          descent_polynomial(n).reversal(max(n - 1, 0)))
 
 
-def _suite_bijections(n, k, max_objects, folds):
+def _suite_bijections(n, k, folds):
     bad_xi, bad_chi, bad_zeta, bad_class = [], [], [], []
     xi_images, zeta_images = set(), set()
     # the enumerated words are k-Stirling: the unchecked passes take them
-    for w in enumerate_k_stirling(n, k, max_objects):
+    for w in enumerate_k_stirling(n, k):
         cls = word_class(w, k)
         ap = stat_ap(w, k)
         fx = Forest(k, bimap._xi_trees(w, k))
@@ -371,7 +328,7 @@ def _suite_bijections(n, k, max_objects, folds):
                 or cls["in_bar"] != plateau_slots
             ):
                 bad_chi.append(word_to_text(w))
-    all_forests = set(_forests(n, k, max_objects))
+    all_forests = set(_forests(n, k))
     yield _count_report("bij.xi.roundtrip+lap", n, k, bad_xi)
     yield _count_report("bij.chi.roundtrip+ap", n, k, bad_chi)
     yield _count_report("bij.zeta.roundtrip+ap", n, k, bad_zeta)
@@ -396,12 +353,12 @@ def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
                           bijective and not bad, witness)
 
 
-def _suite_gfs(n, k, max_objects, folds):
+def _suite_gfs(n, k, folds):
     labels = list(range(1, n + 1))
     bad_inv, bad_comm, bad_type, bad_orbit = [], [], [], []
     orbit_total = IntPolynomial()
     trees = _Census()  # the T lleaf histogram, from the profiles taken here
-    for t in enumerate_trees(labels, k, max_objects):
+    for t in enumerate_trees(labels, k):
         f = Forest(k, (t,))
         p = forest_profile(f)
         trees.bump("lleaf", p.stats.lleaf)
@@ -450,7 +407,7 @@ def _suite_gfs(n, k, max_objects, folds):
     bad_shift: dict[bool, list[str]] = {True: [], False: []}
     image: dict[bool, dict[MarkedForest, int]] = {True: {}, False: {}}
     target: dict[bool, list[MarkedForest]] = {True: [], False: []}
-    for f in _forests(n, k, max_objects):
+    for f in _forests(n, k):
         p = forest_profile(f)
         base = p.stats
         target[p.in_bar].extend(_marked(f, _class_domain("Y", p)))
@@ -478,7 +435,7 @@ def _suite_gfs(n, k, max_objects, folds):
                                 image[bar], target[bar], bad_shift[bar])
 
 
-def _suite_pipeline(n, k, max_objects, folds):
+def _suite_pipeline(n, k, folds):
     labels = range(1, n + 1)
     bad_shift, bad_class, bad_round, bad_obs, bad_ab_traj = [], [], [], [], []
     bad_pairs, bad_ba = [], []
@@ -487,7 +444,7 @@ def _suite_pipeline(n, k, max_objects, folds):
     image: dict[bool, dict[Forest, int]] = {True: {}, False: {}}
     target: dict[bool, list[Forest]] = {True: [], False: []}
     bad_main: dict[bool, list[str]] = {True: [], False: []}
-    for f in _forests(n, k, max_objects):
+    for f in _forests(n, k):
         p = forest_profile(f)
         base_stat = p.stats.lleaf - p.stats.si
         target[p.in_bar].append(f)
@@ -556,11 +513,11 @@ def _suite_pipeline(n, k, max_objects, folds):
                                 image[bar], target[bar], bad_main[bar])
 
 
-def _suite_theorems(n, k, max_objects, folds):
+def _suite_theorems(n, k, folds):
     if n < 1:
         return
-    words = _fold_words(n, k, max_objects, folds)
-    forests = _fold_forests(_forests(n, k, max_objects), validate=True)
+    words = _fold_words(n, k, folds)
+    forests = _fold_forests(_forests(n, k), validate=True)
     A = _egf_last(k, n)
     dec = symmetric_decompose(A, n - 1)
     a_part, xb_part = dec.a, dec.b.shift(1)
@@ -588,10 +545,33 @@ def _suite_theorems(n, k, max_objects, folds):
         yield _count_report(name, n, k, forests.bad[name])
 
 
-_SUITE_RUNNERS = {
-    "polynomials": _suite_polynomials,
-    "bijections": _suite_bijections,
-    "gfs": _suite_gfs,
-    "pipeline": _suite_pipeline,
-    "theorems": _suite_theorems,
+# The suites in run order, each with its runner and its exhaustive range, the
+# largest n per k: censuses run to 7 for k <= 2 and 6 for k = 3 (about 2 * 10^6
+# objects); the action and pipeline suites, which touch each object many
+# times, stop at 5.
+_SUITE_TABLE = {
+    "polynomials": (_suite_polynomials, lambda k: 7 if k <= 2 else 6),
+    "bijections": (_suite_bijections, lambda k: 6),
+    "gfs": (_suite_gfs, lambda k: 5),
+    "pipeline": (_suite_pipeline, lambda k: 5),
+    "theorems": (_suite_theorems, lambda k: 7 if k <= 2 else 6),
 }
+SUITES = tuple(_SUITE_TABLE)
+
+
+def run_suite(n_max: int, k_max: int, suites=SUITES) -> list[IdentityReport]:
+    """One report per (identity, n, k) cell, sorted by identity, n, k."""
+    unknown = set(suites) - set(SUITES)
+    if unknown:
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if n_max < 0 or k_max < 1:
+        raise ValueError("need n_max >= 0 and k_max >= 1")
+    reports: list[IdentityReport] = []
+    folds: dict = {}  # the word fold of each (n, k) cell, for this call only
+    for suite in suites:
+        runner, cap = _SUITE_TABLE[suite]
+        for k in range(1, k_max + 1):
+            for n in range(0, min(n_max, cap(k)) + 1):
+                reports.extend(runner(n, k, folds))
+    reports.sort(key=lambda r: (r.identity, r.n, r.k))
+    return reports

@@ -289,7 +289,7 @@ def _egf_in_y(k: int, N: int) -> list[list[int]]:
     if k < 1:
         raise ValueError("k must be a positive integer")
     if N < 0:
-        raise ValueError("N must be nonnegative")
+        raise ValueError("n must be a nonnegative integer")
     H = [[1]]  # H_n in powers of y; H_n has degree n - 1 for n >= 1
     D = []  # D_j = H_{j+1} + y H_j, the bracket of the sum; degree j (D_0 = 1 + y)
     for n in range(N):

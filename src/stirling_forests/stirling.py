@@ -22,13 +22,15 @@ from .polyx import IntPolynomial
 
 Word = tuple[int, ...]
 
-DEFAULT_MAX_OBJECTS = 10**7
-_PERM_GUARD = 10
+# The one enumeration ceiling.  Every enumerated family is sized by the
+# product |Q_n(k)|: as many forests, at most as many trees, and the S_n
+# censuses' n! permutations are |Q_n(1)|, so they stop at n = 10.
+MAX_OBJECTS = 10**7
 
 
 class LimitError(ValueError):
-    """A request past an enumeration ceiling or census guard: input the
-    caller can fix, so a ``ValueError``, never a library fault."""
+    """A request past the enumeration ceiling: input the caller can fix, so a
+    ``ValueError``, never a library fault."""
 
 
 def count_k_stirling(n: int, k: int) -> int:
@@ -37,6 +39,22 @@ def count_k_stirling(n: int, k: int) -> int:
     for i in range(n):
         count *= i * k + 1
     return count
+
+
+def check_ceiling(n: int, k: int) -> None:
+    """Refuse a family sized |Q_n(k)| past ``MAX_OBJECTS``, before its first
+    object is built."""
+    count = count_k_stirling(n, k)
+    if count > MAX_OBJECTS:
+        raise LimitError(f"|Q_{n}({k})| = {count} exceeds the enumeration ceiling {MAX_OBJECTS}")
+
+
+def _check_order(n: int, k: int) -> None:
+    """Refuse k < 1, then n < 0, in the words of every other entry point."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
 
 
 def stirling_violation(word: Sequence[int], k: int) -> str | None:
@@ -74,20 +92,14 @@ def require_k_stirling(word: Sequence[int], k: int) -> Word:
     return tuple(word)
 
 
-def enumerate_k_stirling(
-    n: int, k: int, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Iterator[Word]:
+def enumerate_k_stirling(n: int, k: int) -> Iterator[Word]:
     """All words of Q_n(k), in gap-insertion order.
 
     Words of order n arise from each word of order n-1 by inserting the block
     n^k into each of the k(n-1)+1 gaps, left to right; order is deterministic.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if count_k_stirling(n, k) > max_objects:
-        raise LimitError(
-            f"|Q_{n}({k})| = {count_k_stirling(n, k)} exceeds ceiling {max_objects}"
-        )
+    _check_order(n, k)
+    check_ceiling(n, k)
     level: list[Word] = [()]
     for i in range(1, n):
         block = (i,) * k
@@ -177,10 +189,8 @@ def perm_exc_cyc(p: Sequence[int]) -> dict:
 
 def exc_cyc_polynomial(n: int, k: int) -> IntPolynomial:
     """Sum over all permutations of x^exc weighted by k^(n - cyc)."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n > _PERM_GUARD:
-        raise LimitError(f"n = {n} exceeds the S_n census guard {_PERM_GUARD}")
+    _check_order(n, k)
+    check_ceiling(n, 1)  # the n! = |Q_n(1)| permutations, whatever k is
     coeffs = [0] * (n + 1)
     for p in permutations(range(1, n + 1)):
         rec = perm_exc_cyc(p)
@@ -190,10 +200,8 @@ def exc_cyc_polynomial(n: int, k: int) -> IntPolynomial:
 
 def descent_polynomial(n: int) -> IntPolynomial:
     """Classical descent-count polynomial over all permutations of 1..n."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n > _PERM_GUARD:
-        raise LimitError(f"n = {n} exceeds the S_n census guard {_PERM_GUARD}")
+    _check_order(n, 1)
+    check_ceiling(n, 1)  # the n! = |Q_n(1)| permutations
     coeffs = [0] * max(n, 1)
     for p in permutations(range(1, n + 1)):
         des = sum(1 for i in range(n - 1) if p[i] > p[i + 1])

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from stirling_forests import oracle
+from stirling_forests import cli, oracle
 from stirling_forests.cli import main
 from stirling_forests.polyx import IntPolynomial, gamma_expand
 from stirling_forests.stirling import count_k_stirling
@@ -47,12 +47,11 @@ class TestPoly:
         assert out.strip() == "[0,9,9]"
 
     def test_hat_census_constant_term_is_refused(self, capsys, monkeypatch):
-        # b = Qhat/x needs a census with no constant term
+        # b = Qhat/x needs a census with no constant term; no input yields
+        # one, so it is a library fault and escapes main
         monkeypatch.setattr(oracle, "distribution", lambda *a: IntPolynomial((1, 1)))
-        code, out, err = run_cli(capsys, "poly", "--n", "3", "--k", "2",
-                                 "--which", "b", "--route", "ap")
-        assert (code, out) == (2, "")
-        assert err == "sf poly: error: hat-class census has a constant term\n"
+        with pytest.raises(RuntimeError, match="^hat-class census has a constant term$"):
+            main(["poly", "--n", "3", "--k", "2", "--which", "b", "--route", "ap"])
 
 
 class TestGamma:
@@ -413,11 +412,54 @@ class TestLimits:
     # with one error line, not a traceback
     @pytest.mark.parametrize("argv", [
         ["poly", "--n", "11", "--k", "2", "--which", "A", "--route", "exc-cyc"],
-        ["enumerate", "--n", "5", "--k", "2", "--kind", "perms", "--max-objects", "10"],
-        ["gamma", "--n", "5", "--k", "2", "--which", "a", "--max-objects", "10"],
+        ["enumerate", "--n", "8", "--k", "3", "--kind", "perms"],
+        ["gamma", "--n", "8", "--k", "3", "--which", "a"],
+        ["enumerate", "--n", "8", "--k", "3", "--kind", "forests", "--limit", "1"],
     ])
     def test_limit_error_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith(f"sf {argv[0]}: error: ") and err.count("\n") == 1
+
+
+class TestRefusals:
+    # a refused request prints the same line whichever route would serve it
+    @pytest.mark.parametrize("n,k,which,text", [
+        ("-1", "2", "A", "n must be a nonnegative integer"),
+        ("3", "0", "A", "k must be a positive integer"),
+        ("-1", "0", "A", "k must be a positive integer"),
+        ("3", "0", "a", "k must be a positive integer"),
+        ("0", "2", "b", "the symmetric parts need --n >= 1"),
+        ("11", "1", "A", "|Q_11(1)| = 39916800 exceeds the enumeration ceiling 10000000"),
+    ])
+    def test_poly_routes_agree(self, capsys, n, k, which, text):
+        for route in ([], ["--route", "ap"], ["--route", "exc-cyc"], ["--route", "egf"]):
+            if text.startswith("|Q_") and route[1:] in ([], ["egf"]):
+                continue  # the egf route enumerates nothing
+            code, out, err = run_cli(capsys, "poly", "--n", n, "--k", k, "--which", which, *route)
+            assert (code, out, err) == (2, "", f"sf poly: error: {text}\n"), route
+
+    @pytest.mark.parametrize("n,k,which,text", [
+        ("1", "2", "c", "the gamma vector of c needs --n >= 2"),
+        ("-1", "3", "c", "the gamma vector of c needs --n >= 2"),
+        ("3", "0", "c", "k must be a positive integer"),
+        ("3", "0", "a", "k must be a positive integer"),
+        ("0", "2", "b", "the symmetric parts need --n >= 1"),
+    ])
+    def test_gamma_routes_agree(self, capsys, n, k, which, text):
+        for by in ("census", "decomposition"):
+            code, out, err = run_cli(capsys, "gamma", "--n", n, "--k", k, "--which", which,
+                                     "--by", by)
+            assert (code, out, err) == (2, "", f"sf gamma: error: {text}\n"), by
+
+    def test_library_fault_escapes_main(self, capsys, monkeypatch):
+        # main turns only a ValueError into exit 2; a RuntimeError is a
+        # library fault and keeps its traceback
+        def fault(args):
+            raise RuntimeError("an invariant broke")
+
+        monkeypatch.setitem(cli._COMMANDS, "poly", fault)
+        with pytest.raises(RuntimeError, match="an invariant broke"):
+            main(["poly", "--n", "3", "--k", "2", "--which", "A"])
+        assert capsys.readouterr() == ("", "")

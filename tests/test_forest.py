@@ -295,8 +295,11 @@ class TestClassesAndEnumeration:
         assert trees == singles
 
     def test_guard(self):
-        with pytest.raises(LimitError):
-            next(enumerate_forests(range(1, 9), 2, max_objects=10**5))
+        # 24 344 320 forests on 8 labels at k = 3: refused before the first
+        with pytest.raises(LimitError, match="exceeds the enumeration ceiling"):
+            next(enumerate_forests(range(1, 9), 3))
+        with pytest.raises(LimitError, match="exceeds the enumeration ceiling"):
+            next(enumerate_trees(range(1, 9), 3))
 
     def test_general_label_sets(self):
         forests = list(enumerate_forests([2, 5, 9], 2))

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from stirling_forests.polyx import IntPolynomial
+from stirling_forests import forest, stirling
+from stirling_forests.polyx import IntPolynomial, egf_one_over_k_eulerian
 from stirling_forests.stirling import (
+    MAX_OBJECTS,
     LimitError,
     count_k_stirling,
     descent_polynomial,
@@ -55,8 +57,9 @@ class TestEnumeration:
         assert count_k_stirling(8, 2) == 2027025
 
     def test_resource_guard(self):
-        with pytest.raises(LimitError):
-            next(enumerate_k_stirling(8, 2, max_objects=10**6))
+        # |Q_8(3)| = 24 344 320: refused before the first word is built
+        with pytest.raises(LimitError, match="exceeds the enumeration ceiling 10000000"):
+            next(enumerate_k_stirling(8, 3))
 
     def test_limit_error_is_input_error(self):
         # the caller can fix it; RuntimeError is kept for library faults
@@ -188,3 +191,58 @@ class TestPermutationStatistics:
             exc_cyc_polynomial(11, 1)
         with pytest.raises(LimitError):
             descent_polynomial(11)
+
+
+class _Passed(Exception):
+    """Raised in place of the first object once the ceiling check passes."""
+
+
+class TestCeiling:
+    # the largest n each family accepts, from the product |Q_n(k)| alone
+    CUTOFFS = {1: 10, 2: 8, 3: 7, 4: 7}
+
+    def test_cutoffs_by_count(self):
+        assert MAX_OBJECTS == 10**7
+        for k, cut in self.CUTOFFS.items():
+            assert count_k_stirling(cut, k) <= MAX_OBJECTS < count_k_stirling(cut + 1, k)
+        # at k = 1 the words are the permutations: 10! <= 10^7 < 11!
+        assert count_k_stirling(10, 1) == 3628800
+
+    def test_every_entry_point_checks_the_one_ceiling(self, monkeypatch):
+        # each entry point hands its family size to the one check before it
+        # builds anything; stopping there costs nothing at any n
+        real = stirling.check_ceiling
+
+        def stop_after_check(n, k):
+            real(n, k)
+            raise _Passed
+
+        monkeypatch.setattr(stirling, "check_ceiling", stop_after_check)
+        monkeypatch.setattr(forest, "check_ceiling", stop_after_check)
+        entry_points = {
+            "words": lambda n, k: next(enumerate_k_stirling(n, k)),
+            "forests": lambda n, k: next(forest.enumerate_forests(range(1, n + 1), k)),
+            "trees": lambda n, k: next(forest.enumerate_trees(range(1, n + 1), k)),
+            "exc-cyc": exc_cyc_polynomial,
+            "descent": lambda n, k: descent_polynomial(n),
+        }
+        for name, call in entry_points.items():
+            for k, cut in self.CUTOFFS.items():
+                if name in ("exc-cyc", "descent"):
+                    cut = 10  # S_n, n! permutations whatever k is
+                with pytest.raises(_Passed):
+                    call(cut, k)
+                with pytest.raises(LimitError):
+                    call(cut + 1, k)
+
+    @pytest.mark.parametrize("n,k", [(-1, 0), (3, 0), (-1, 2)])
+    def test_order_texts(self, n, k):
+        # k is checked first, then n, in one wording at every entry point
+        text = "k must be a positive integer" if k < 1 else "n must be a nonnegative integer"
+        calls = [lambda: next(enumerate_k_stirling(n, k)), lambda: exc_cyc_polynomial(n, k),
+                 lambda: egf_one_over_k_eulerian(k, n)]
+        if k >= 1:
+            calls.append(lambda: descent_polynomial(n))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                call()
