@@ -48,9 +48,11 @@ def _read_input(value: str) -> str:
 
 
 def _parse_set(text: str | None) -> list[int]:
-    if not text:
-        return []
-    return [int(x) for x in text.split(",")]
+    """The labels of --set: decimal labels between commas."""
+    pieces = text.split(",") if text else []
+    if not all(p.strip().isdecimal() for p in pieces):
+        raise ValueError("--set must list labels between commas, as in 1,3")
+    return [int(p) for p in pieces]
 
 
 def _parse_marked(text: str, args) -> MarkedForest:
@@ -59,12 +61,7 @@ def _parse_marked(text: str, args) -> MarkedForest:
         return marked_forest(parse_forest(text, args.k), _parse_set(args.mark_set))
     if args.mark_set:
         raise ValueError("give marks either inline or via --set")
-    forest_text, marks_text = text.split("|", 1)
-    marks_text = marks_text.strip()
-    if not (marks_text.startswith("{") and marks_text.endswith("}")):
-        raise ValueError("marks must look like {1,3}")
-    marks = _parse_set(marks_text[1:-1].strip())
-    return marked_forest(parse_forest(forest_text.strip(), args.k), marks)
+    return gfs.parse_marked(text, args.k)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,12 +31,14 @@ Canonical text grammar (bit-exact round-trip):
     Slot   := empty | Tree ("," Tree)*
 
 so the k=3 tree with root 4, slot 1 holding trees 5[;6;] and 8, slot 3
-holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  Parsing skips redundant
-whitespace; serialization emits single spaces between trees only.
+holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  LABEL is a run of decimal
+digits (``str.isdecimal``), and blanks may sit between tokens; serialization
+emits single spaces between trees only.
 
-The parser, the serializer, ``validate_forest`` (a stack of (parent, node)
-pairs and slot-order checks), ``LabeledTree.labels`` and ``forest_profile``
-walk trees with explicit stacks and take any depth; ``LabeledTree``
+The reader ``_read_forest`` (one ``re`` scan for tokens, and a stack of open
+nodes), the serializer, ``validate_forest`` (a stack of (parent, node) pairs
+and slot-order checks), ``LabeledTree.labels`` and ``forest_profile`` walk
+trees with explicit stacks and take any depth; ``LabeledTree``
 equality and hashing, made by the dataclass, still recurse.
 
 ``enumerate_forests`` and ``enumerate_trees`` stream their family in a fixed
@@ -48,6 +50,7 @@ keeps no state between calls.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Iterator, NamedTuple, Sequence
@@ -191,94 +194,71 @@ def serialize_forest(f: Forest) -> str:
     return " ".join(serialize_tree(t) for t in f.trees)
 
 
-class _Parser:
-    def __init__(self, text: str, k: int):
-        self.text = text
-        self.k = k
-        self.pos = 0
+# a label, one other non-blank symbol, or the empty match at the end of text
+_TOKEN = re.compile(r"(\d+)|\S|\Z")
 
-    def error(self, message: str) -> ForestSyntaxError:
-        return ForestSyntaxError(self.pos, message)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _read_forest(text: str, k: int) -> Forest:
+    """The forest of canonical text, not yet validated.
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_label(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a label")
-        label = int(self.text[start : self.pos])
+    The tokens are labels and single symbols, blanks dropped.  The stack holds
+    the open nodes, each with its label, its finished slots and the trees of
+    the slot being read.
+    """
+    tokens = _TOKEN.finditer(text)
+    m = next(tokens)
+    roots: list[LabeledTree] = []
+    stack: list[tuple[int, list[tuple[LabeledTree, ...]], list[LabeledTree]]] = []
+    while m[0] or stack:
+        if m[1] is None:  # a tree starts here
+            raise ForestSyntaxError(m.start(), "expected a label")
+        label = int(m[1])
         if label <= 0:
-            raise self.error("labels must be positive")
-        return label
-
-    def parse_tree(self) -> LabeledTree:
-        """One tree.  The stack holds the open nodes, each with its label,
-        its finished slots and the trees of the slot being read."""
-        stack: list[tuple[int, list[tuple[LabeledTree, ...]], list[LabeledTree]]] = []
+            raise ForestSyntaxError(m.end(), "labels must be positive")
+        m = next(tokens)
+        if m[0] == "[":
+            stack.append((label, [], []))
+            m = next(tokens)
+            tree = None
+        else:
+            tree = LabeledTree(label)
         while True:
-            label = self.parse_label()  # a tree starts here
-            self.skip_ws()
-            if self.peek() == "[":
-                self.pos += 1
-                stack.append((label, [], []))
+            if tree is None:  # a slot starts here
+                if m[0] not in (";", "]"):
+                    break
+            elif not stack:  # a root ends here
+                roots.append(tree)
+                break
+            else:  # a tree in a slot ends here
+                stack[-1][2].append(tree)
+                if m[0] == ",":
+                    m = next(tokens)
+                    break
+            label, slots, trees = stack[-1]  # the open slot ends here
+            slots.append(tuple(trees))
+            trees.clear()
+            if m[0] == ";":
                 tree = None
+            elif m[0] == "]":
+                if len(slots) != k:
+                    message = f"expected exactly {k} slots, found {len(slots)}"
+                    raise ForestSyntaxError(m.end(), message)
+                stack.pop()
+                tree = LabeledTree(label, tuple(slots))
             else:
-                tree = LabeledTree(label)
-            while True:
-                if tree is None:  # a slot starts here
-                    self.skip_ws()
-                    if self.peek() not in (";", "]"):
-                        break
-                else:  # a tree ends here
-                    if not stack:
-                        return tree
-                    stack[-1][2].append(tree)
-                    self.skip_ws()
-                    if self.peek() == ",":
-                        self.pos += 1
-                        self.skip_ws()
-                        break
-                label, slots, trees = stack[-1]  # the open slot ends here
-                slots.append(tuple(trees))
-                trees.clear()
-                ch = self.peek()
-                if ch == ";":
-                    self.pos += 1
-                    tree = None
-                elif ch == "]":
-                    self.pos += 1
-                    if len(slots) != self.k:
-                        raise self.error(f"expected exactly {self.k} slots, found {len(slots)}")
-                    stack.pop()
-                    tree = LabeledTree(label, tuple(slots))
-                else:
-                    raise self.error("expected ';' or ']'")
-
-    def parse_forest(self) -> Forest:
-        trees = []
-        self.skip_ws()
-        while self.pos < len(self.text):
-            trees.append(self.parse_tree())
-            self.skip_ws()
-        return Forest(self.k, tuple(trees))
+                raise ForestSyntaxError(m.start(), "expected ';' or ']'")
+            m = next(tokens)
+    return Forest(k, tuple(roots))
 
 
 def parse_forest(text: str, k: int) -> Forest:
     """Parse canonical forest text and validate all its invariants."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    f = _Parser(text, k).parse_forest()
+    f = _read_forest(text, k)
     violations = validate_forest(f)
     if violations:
-        label, message = violations[0]
-        raise ForestInvariantError(label, message)
+        raise ForestInvariantError(*violations[0])
     return f
 
 

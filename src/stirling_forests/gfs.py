@@ -34,6 +34,7 @@ from .forest import (
     ForestProfile,
     LabeledTree,
     forest_profile,
+    parse_forest,
     serialize_forest,
     serialize_tree,
 )
@@ -47,6 +48,19 @@ class MarkedForest:
     def text(self) -> str:
         inner = ",".join(str(x) for x in sorted(self.marks))
         return f"{serialize_forest(self.forest)} | {{{inner}}}"
+
+
+def parse_marked(text: str, k: int) -> MarkedForest:
+    """The marked forest in the form ``MarkedForest.text`` writes:
+    ``<forest> | {1,3}``, blanks allowed around the marks."""
+    forest_text, _, marks_text = text.partition("|")
+    marks_text = marks_text.strip()
+    inner = marks_text[1:-1].strip()
+    pieces = inner.split(",") if inner else []
+    if not (marks_text.startswith("{") and marks_text.endswith("}")
+            and all(p.strip().isdecimal() for p in pieces)):
+        raise ValueError("marks must look like {1,3}")
+    return marked_forest(parse_forest(forest_text, k), map(int, pieces))
 
 
 def marked_forest(forest: Forest, marks) -> MarkedForest:

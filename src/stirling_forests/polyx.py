@@ -218,10 +218,7 @@ def symmetric_decompose(h: IntPolynomial, n: int) -> SymmetricDecomposition:
 
 
 def _binomial_row(m: int) -> list[int]:
-    row = [1]
-    for _ in range(m):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
+    return [math.comb(m, j) for j in range(m + 1)]
 
 
 def gamma_expand(h: IntPolynomial, n: int) -> GammaExpansion:

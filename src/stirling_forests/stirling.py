@@ -95,22 +95,25 @@ def require_k_stirling(word: Sequence[int], k: int) -> Word:
 def enumerate_k_stirling(n: int, k: int) -> Iterator[Word]:
     """All words of Q_n(k), in gap-insertion order.
 
-    Words of order n arise from each word of order n-1 by inserting the block
-    n^k into each of the k(n-1)+1 gaps, left to right; order is deterministic.
+    Words of order i arise from each word of order i-1 by inserting the block
+    i^k into each of its k(i-1)+1 gaps, left to right; order is deterministic.
+    The words are streamed depth first: the stack holds the words still to
+    extend, O(n^2 k) of them, never a whole level.
     """
     _check_order(n, k)
     check_ceiling(n, k)
-    level: list[Word] = [()]
-    for i in range(1, n):
-        block = (i,) * k
-        level = [w[:g] + block + w[g:] for w in level for g in range(len(w) + 1)]
-    if n == 0:
-        yield ()
-        return
-    block = (n,) * k
-    for w in level:
-        for g in range(len(w) + 1):
-            yield w[:g] + block + w[g:]
+    stack: list[Word] = [()]
+    while stack:
+        w = stack.pop()
+        if len(w) == n * k:  # n = 0: the empty word
+            yield w
+            continue
+        block = (len(w) // k + 1,) * k
+        words = [w[:g] + block + w[g:] for g in range(len(w) + 1)]
+        if len(w) == (n - 1) * k:
+            yield from words
+        else:
+            stack.extend(reversed(words))
 
 
 def stat_ap(word: Sequence[int], k: int) -> int:

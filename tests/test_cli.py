@@ -179,6 +179,18 @@ class TestMap:
         assert code == 2 and out == ""
         assert "give marks either inline or via --set" in err
 
+    @pytest.mark.parametrize("argv,text", [
+        (["--name", "theta", "--input", "1 2 | {a}"], "marks must look like {1,3}"),
+        (["--name", "alpha", "--input", "1 2 3 | {1,,2}"], "marks must look like {1,3}"),
+        (["--name", "theta", "--set", "1,,2", "--input", "1 2 3"],
+         "--set must list labels between commas, as in 1,3"),
+        (["--name", "phi-set", "--set", "a", "--input", "1 2 3"],
+         "--set must list labels between commas, as in 1,3"),
+    ])
+    def test_malformed_marks_refused(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, "map", "--k", "2", *argv)
+        assert (code, out, err) == (2, "", f"sf map: error: {text}\n")
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1122\n"))
         code, out, _ = run_cli(capsys, "map", "--name", "zeta", "--k", "2",

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import stirling_forests.forest as forest_module
 from stirling_forests.forest import (
@@ -80,6 +81,57 @@ class TestParseSerialize:
             assert parse_forest(serialize_forest(f), k) == f
 
 
+# (text, k, position, message): every kind of syntax error, at its position
+_MALFORMED = [
+    ("1[", 2, 2, "expected a label"),
+    ("1[2;   ", 2, 7, "expected a label"),  # trailing blanks: the end of text
+    ("1[2;];", 2, 5, "expected a label"),
+    ("1[,2;]", 2, 2, "expected a label"),
+    ("1[2,;]", 2, 4, "expected a label"),
+    ("1\u00a0\u3000x", 2, 3, "expected a label"),  # Unicode blanks are blanks
+    ("1[\u00b2;]", 2, 2, "expected a label"),  # a digit that is not decimal
+    ("1\u00b2", 2, 1, "expected a label"),
+    ("0", 2, 1, "labels must be positive"),
+    ("1[;00]", 2, 5, "labels must be positive"),
+    ("1[2]", 2, 4, "expected exactly 2 slots, found 1"),
+    ("1[2;3;4]", 2, 8, "expected exactly 2 slots, found 3"),
+    ("1[2 3]", 2, 4, "expected ';' or ']'"),
+    ("1[2;3", 2, 5, "expected ';' or ']'"),
+    ("1[2;3 \t ", 2, 8, "expected ';' or ']'"),
+    ("1[2\u00b2;]", 2, 3, "expected ';' or ']'"),
+]
+
+# the grammar's symbols, decimal and other digits, and blanks
+_SYMBOLS = ["0", "1", "2", "3", "12", "[", "]", ";", ",", " ",
+            "\u00b2", "\u0663", "\uff11", "\u00a0", "\u3000", "\t"]
+
+
+class TestReader:
+    @pytest.mark.parametrize("text,k,position,message", _MALFORMED)
+    def test_syntax_error_position_and_message(self, text, k, position, message):
+        with pytest.raises(ForestSyntaxError) as err:
+            parse_forest(text, k)
+        assert err.value.position == position
+        assert str(err.value) == f"at position {position}: {message}"
+
+    @pytest.mark.parametrize("text,canonical", [
+        ("\u0661[;\u0662]\u3000 3\u00a0", "1[;2] 3"),  # decimal digits, Unicode blanks
+        ("", ""),
+        ("  \u2003\n", ""),
+    ])
+    def test_canonical_text(self, text, canonical):
+        assert serialize_forest(parse_forest(text, 2)) == canonical
+
+    @given(st.lists(st.sampled_from(_SYMBOLS), max_size=16).map("".join),
+           st.integers(1, 3))
+    def test_parses_or_refuses(self, text, k):
+        try:
+            f = parse_forest(text, k)
+        except (ForestSyntaxError, ForestInvariantError):
+            return
+        assert parse_forest(serialize_forest(f), k) == f
+
+
 def _t(label, *slots):
     return LabeledTree(label, slots or None)
 
@@ -118,11 +170,11 @@ class TestValidate:
         assert validate_forest(parse_forest("1[;2,3]", 2)) == []
 
     def test_slot_not_increasing(self):
-        f = forest_module._Parser("1[;3,2]", 2).parse_forest()
+        f = forest_module._read_forest("1[;3,2]", 2)
         assert any("not increasing" in msg for _, msg in validate_forest(f))
 
     def test_roots_not_increasing(self):
-        f = forest_module._Parser("2[;3] 1", 2).parse_forest()
+        f = forest_module._read_forest("2[;3] 1", 2)
         assert any("roots not increasing" in msg for _, msg in validate_forest(f))
 
     def test_unpruned_rejected(self):
@@ -130,7 +182,7 @@ class TestValidate:
         assert any("pruned" in msg for _, msg in validate_forest(f))
 
     def test_path_not_increasing(self):
-        f = forest_module._Parser("2[1;]", 2).parse_forest()
+        f = forest_module._read_forest("2[1;]", 2)
         assert any("path" in msg for _, msg in validate_forest(f))
 
     @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
@@ -144,7 +196,7 @@ class TestValidate:
          ("1[4[3;],2;]", 2), ("3[;5,4] 1[2;]", 2)],
     )
     def test_parse_raises_first_violation(self, text, k):
-        first = validate_forest(forest_module._Parser(text, k).parse_forest())[0]
+        first = validate_forest(forest_module._read_forest(text, k))[0]
         with pytest.raises(ForestInvariantError) as err:
             parse_forest(text, k)
         assert (err.value.label, str(err.value)) == first

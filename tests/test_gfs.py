@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from stirling_forests.gfs import (
     marked_forest,
     orbit,
     orbit_representative,
+    parse_marked,
     phi,
     phi_set,
     theta,
@@ -195,6 +197,26 @@ class TestTheta:
         assert in_domain(mf, "Y")
         # the final singleton is not markable in the singleton domain
         assert not in_domain(marked_forest(parse_forest("1 2 3", 2), {3}), "Y")
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in range(5)])
+    def test_marked_text_round_trip(self, k, n):
+        # every marked forest: each forest with each subset of its labels
+        for f in enumerate_forests(range(1, n + 1), k):
+            for size in range(n + 1):
+                for marks in combinations(range(1, n + 1), size):
+                    mf = marked_forest(f, marks)
+                    assert parse_marked(mf.text(), k) == mf
+
+    def test_marked_text_blanks(self):
+        mf = parse_marked("1[;2]  3 |  { 3 , 1 }  ", 2)
+        assert mf.text() == "1[;2] 3 | {1,3}"
+
+    @pytest.mark.parametrize("text", ["1 2 | {a}", "1 2 | {1,,2}", "1 2 | {1,}", "1 2 | 1",
+                                      "1 2 | {1", "1 2 | {-1}", "1 2 | {\u00b2}",
+                                      "1 2 | {1} | {2}", "1 2"])
+    def test_malformed_marks_refused(self, text):
+        with pytest.raises(ValueError, match=r"^marks must look like \{1,3\}$"):
+            parse_marked(text, 2)
 
     def test_marks_must_occur(self):
         with pytest.raises(ValueError, match=r"^labels \[7\] do not occur in the forest$"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -55,6 +57,23 @@ class TestEnumeration:
         assert count_k_stirling(3, 2) == 15
         assert sum(1 for _ in enumerate_k_stirling(3, 2)) == 15
         assert count_k_stirling(8, 2) == 2027025
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2, 3) for n in range(7)])
+    def test_order_matches_level_by_level_insertion(self, n, k):
+        level = [()]
+        for i in range(1, n + 1):
+            level = [w[:g] + (i,) * k + w[g:] for w in level for g in range(len(w) + 1)]
+        assert list(enumerate_k_stirling(n, k)) == level
+
+    def test_first_word_streams(self):
+        # |Q_10(1)| = 10!: the first word is built without a whole level
+        tracemalloc.start()
+        try:
+            assert next(enumerate_k_stirling(10, 1)) == tuple(range(10, 0, -1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_resource_guard(self):
         # |Q_8(3)| = 24 344 320: refused before the first word is built
