@@ -26,6 +26,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .forest import Forest, LabeledTree
+from .polyx import check_order
 from .stirling import Word, require_k_stirling
 
 
@@ -98,6 +99,7 @@ def chi(word: Sequence[int], k: int) -> LabeledTree:
 
 
 def chi_inv(t: LabeledTree, k: int) -> Word:
+    check_order(k)
     w = _xi_word((t,), k)
     return tuple(w[-1:] + w[:-1])
 

@@ -3,11 +3,13 @@
 Subcommands: enumerate, stats, poly, gamma, map, verify.  Polynomials print
 as dense integer arrays lowest degree first (``[1,10,4]``), gamma vectors as
 ``{"center":2,"gamma":[1,5]}``, words and forests in their canonical text
-forms, marked forests as ``<forest> | {1,3}``.  Exit status: 0 on success,
-1 when ``verify`` finds a failing identity, 2 for every refused input: a
-``ValueError``, input the caller can fix (the enumeration ceiling included),
-prints one line ``sf <command>: error: <message>``.  A ``RuntimeError`` is a
-library fault; ``main`` does not catch it, so it escapes with its traceback.
+forms, marked forests as ``<forest> | {1,3}``; ``sf map`` takes marks only
+inline, and ``--x`` lists its acting labels between commas (one for ``psi``).
+Exit status: 0 on success, 1 when ``verify`` finds a failing identity, 2 for
+every refused input: a ``ValueError``, input the caller can fix (the
+enumeration ceiling included), prints one line ``sf <command>: error:
+<message>``.  A ``RuntimeError`` is a library fault; ``main`` does not catch
+it, so it escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from .forest import (
     serialize_forest,
     serialize_tree,
 )
-from .gfs import MarkedForest, marked_forest
-from .polyx import _egf_last, gamma_expand, symmetric_decompose
+from .polyx import _egf_last, check_order, gamma_expand, symmetric_decompose
 from .stirling import (
     enumerate_k_stirling,
     exc_cyc_polynomial,
     is_k_stirling,
+    read_label,
     stat_ap,
     stat_lap,
     word_class,
@@ -42,26 +44,12 @@ def _compact(obj) -> str:
 
 
 def _read_input(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read().strip()
-    return value
+    return sys.stdin.read().strip() if value == "-" else value
 
 
-def _parse_set(text: str | None) -> list[int]:
-    """The labels of --set: decimal labels between commas."""
-    pieces = text.split(",") if text else []
-    if not all(p.strip().isdecimal() for p in pieces):
-        raise ValueError("--set must list labels between commas, as in 1,3")
-    return [int(p) for p in pieces]
-
-
-def _parse_marked(text: str, args) -> MarkedForest:
-    """A forest with marks given inline (``<forest> | {1,3}``) or via --set."""
-    if "|" not in text:
-        return marked_forest(parse_forest(text, args.k), _parse_set(args.mark_set))
-    if args.mark_set:
-        raise ValueError("give marks either inline or via --set")
-    return gfs.parse_marked(text, args.k)
+def _parse_marked(text: str, args) -> gfs.MarkedForest:
+    """A marked forest; a bare forest carries no marks."""
+    return gfs.parse_marked(text if "|" in text else text + "|{}", args.k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="apply a bijection or transformation")
     p.add_argument("--name", choices=tuple(_MAPS), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", type=int, help="acting label")
-    p.add_argument("--set", dest="mark_set", help="comma-separated labels")
+    p.add_argument("--x", help="acting labels between commas (psi: one label)")
     p.add_argument("--input", required=True, help="object text, or - for stdin")
 
     p = sub.add_parser("verify", help="run the identity suite")
@@ -121,8 +108,7 @@ _FILTERS = {
 
 def _cmd_enumerate(args) -> int:
     k = args.k
-    if args.n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    check_order(k, args.n)
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
     if args.kind == "perms":
@@ -147,8 +133,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _looks_like_word(text: str, k: int) -> bool:
-    if any(c in text for c in "[ ;,"):
-        return False
     try:
         return is_k_stirling(word_from_text(text), k)
     except ValueError:
@@ -248,10 +232,16 @@ def _cmd_gamma(args) -> int:
 
 
 def _at_x(step, text: str, args) -> str:
-    """A forest map that acts at the label --x."""
+    """A forest map that acts at the labels --x lists between commas."""
     if args.x is None:
         raise ValueError(f"--name {args.name} requires --x")
-    return serialize_forest(step(parse_forest(text, args.k), args.x))
+    try:
+        labels = [read_label(p.strip()) for p in args.x.split(",")] if args.x else []
+    except ValueError as exc:
+        raise ValueError(f"in --x: {exc}") from None
+    if args.name == "psi" and len(labels) != 1:
+        raise ValueError("--name psi takes exactly one label in --x")
+    return serialize_forest(step(parse_forest(text, args.k), labels))
 
 
 def _chi_inv(text: str, args) -> str:
@@ -278,12 +268,10 @@ _MAPS = {
     "chi-inv": _chi_inv,
     "zeta": lambda text, a: serialize_forest(bimap.zeta(word_from_text(text), a.k)),
     "zeta-inv": lambda text, a: word_to_text(bimap.zeta_inv(parse_forest(text, a.k))),
-    "phi": lambda text, a: _at_x(lambda f, x: gfs.phi_set(f, [x]), text, a),
-    "phi-set": lambda text, a: serialize_forest(
-        gfs.phi_set(parse_forest(text, a.k), _parse_set(a.mark_set))),
+    "phi": lambda text, a: _at_x(gfs.phi_set, text, a),
     "theta": lambda text, a: gfs.theta(_parse_marked(text, a)).text(),
     "theta-prime": lambda text, a: gfs.theta_prime(_parse_marked(text, a)).text(),
-    "psi": lambda text, a: _at_x(pipeline.psi, text, a),
+    "psi": lambda text, a: _at_x(lambda f, xs: pipeline.psi(f, xs[0]), text, a),
     "alpha": lambda text, a: pipeline.alpha_step(_parse_marked(text, a)).text(),
     "beta": lambda text, a: pipeline.beta_step(_parse_marked(text, a)).text(),
     "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(_parse_marked(text, a))),

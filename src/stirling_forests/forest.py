@@ -32,8 +32,8 @@ Canonical text grammar (bit-exact round-trip):
 
 so the k=3 tree with root 4, slot 1 holding trees 5[;6;] and 8, slot 3
 holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  LABEL is a run of decimal
-digits (``str.isdecimal``), and blanks may sit between tokens; serialization
-emits single spaces between trees only.
+digits read by ``stirling.read_label``, the one label rule, and blanks may
+sit between tokens; serialization emits single spaces between trees only.
 
 The reader ``_read_forest`` (one ``re`` scan for tokens, and a stack of open
 nodes), the serializer, ``validate_forest`` (a stack of (parent, node) pairs
@@ -55,7 +55,8 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .stirling import check_ceiling
+from .polyx import check_order
+from .stirling import check_ceiling, read_label
 
 
 class ForestSyntaxError(ValueError):
@@ -212,9 +213,10 @@ def _read_forest(text: str, k: int) -> Forest:
     while m[0] or stack:
         if m[1] is None:  # a tree starts here
             raise ForestSyntaxError(m.start(), "expected a label")
-        label = int(m[1])
-        if label <= 0:
-            raise ForestSyntaxError(m.end(), "labels must be positive")
+        try:
+            label = read_label(m[1])
+        except ValueError as exc:  # refused at the label's end
+            raise ForestSyntaxError(m.end(), str(exc)) from None
         m = next(tokens)
         if m[0] == "[":
             stack.append((label, [], []))
@@ -253,8 +255,7 @@ def _read_forest(text: str, k: int) -> Forest:
 
 def parse_forest(text: str, k: int) -> Forest:
     """Parse canonical forest text and validate all its invariants."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_order(k)
     f = _read_forest(text, k)
     violations = validate_forest(f)
     if violations:
@@ -431,13 +432,11 @@ def in_bar(f: Forest) -> bool:
 
 
 def _checked_labels(labels: Sequence[int], k: int) -> tuple[int, ...]:
-    """The sorted labels, once k, their distinctness and the ceiling pass."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    """The sorted labels, once k, the ceiling and their distinctness pass."""
     labs = tuple(sorted(labels))
+    check_ceiling(len(labs), k)  # k first; as many forests, at most as many trees
     if len(set(labs)) != len(labs):
         raise ValueError("labels must be distinct")
-    check_ceiling(len(labs), k)  # as many forests, at most as many trees
     return labs
 
 

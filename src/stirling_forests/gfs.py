@@ -16,13 +16,15 @@ once; orbits of the induced action each contain exactly one tree free of
 young leaves, reachable in a single simultaneous toggle of all young-leaf
 labels.
 
-A marked forest is a forest plus a label set S.  ``theta`` trades the
-old-internal part of S for young leaves via the toggles; ``theta_prime``
-reverses it by absorbing all young-leaf labels back into S.  ``DOMAINS``
-defines each marked-forest domain once, by the labels its marks may take:
-X and Y, which theta pairs up, and their bar/hat class versions (theta takes
-X-bar onto Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and
-the guards of theta, theta_prime and the pipeline maps read the same table.
+A marked forest is a forest plus a label set S, in text ``<forest> | {1,3}``;
+``parse_marked`` reads each mark by ``stirling.read_label``, the one label
+rule of the word and forest readers.  ``theta`` trades the old-internal part
+of S for young leaves via the toggles; ``theta_prime`` reverses it by
+absorbing all young-leaf labels back into S.  ``DOMAINS`` defines each
+marked-forest domain once, by the labels its marks may take: X and Y, which
+theta pairs up, and their bar/hat class versions (theta takes X-bar onto
+Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and the guards
+of theta, theta_prime and the pipeline maps read the same table.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .forest import (
     serialize_forest,
     serialize_tree,
 )
+from .stirling import read_label
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,11 @@ def parse_marked(text: str, k: int) -> MarkedForest:
     forest_text, _, marks_text = text.partition("|")
     marks_text = marks_text.strip()
     inner = marks_text[1:-1].strip()
-    pieces = inner.split(",") if inner else []
+    pieces = [p.strip() for p in inner.split(",")] if inner else []
     if not (marks_text.startswith("{") and marks_text.endswith("}")
-            and all(p.strip().isdecimal() for p in pieces)):
+            and all(p.isdecimal() for p in pieces)):
         raise ValueError("marks must look like {1,3}")
-    return marked_forest(parse_forest(forest_text, k), map(int, pieces))
+    return marked_forest(parse_forest(forest_text, k), map(read_label, pieces))
 
 
 def marked_forest(forest: Forest, marks) -> MarkedForest:

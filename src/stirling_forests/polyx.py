@@ -40,6 +40,14 @@ class SymmetryError(ValueError):
         )
 
 
+def check_order(k: int, n: int = 0) -> None:
+    """Refuse k < 1, then n < 0, in the words of every entry point."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+
+
 class IntPolynomial:
     """Dense integer-coefficient polynomial, lowest degree first.
 
@@ -283,10 +291,7 @@ def _egf_last(k: int, n: int) -> IntPolynomial:
 
 def _egf_in_y(k: int, N: int) -> list[list[int]]:
     """H_0..H_N of ``egf_one_over_k_eulerian``, in powers of y = x - 1."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if N < 0:
-        raise ValueError("n must be a nonnegative integer")
+    check_order(k, N)
     H = [[1]]  # H_n in powers of y; H_n has degree n - 1 for n >= 1
     D = []  # D_j = H_{j+1} + y H_j, the bracket of the sum; degree j (D_0 = 1 + y)
     for n in range(N):

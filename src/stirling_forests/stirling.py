@@ -8,17 +8,21 @@ Q_n(k) lives on the labels 1..n, but every statistic and bijection works
 over an arbitrary finite label set.
 
 Text form: labels concatenated with no separator when all are single digit
-("1221"), dot-separated otherwise ("10.9.9.10").
+("1221"), dot-separated otherwise ("10.9.9.10").  The one label rule lives
+here, in ``read_label`` (a run of at most ``MAX_LABEL_DIGITS`` decimal digits
+naming a positive integer), and every label reader calls it: word_from_text,
+``forest._read_forest``, ``gfs.parse_marked`` and ``sf map --x``.
 
 Ordinary permutations of 1..n appear in one-line notation as sequences.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .polyx import IntPolynomial
+from .polyx import IntPolynomial, check_order
 
 Word = tuple[int, ...]
 
@@ -26,6 +30,7 @@ Word = tuple[int, ...]
 # product |Q_n(k)|: as many forests, at most as many trees, and the S_n
 # censuses' n! permutations are |Q_n(1)|, so they stop at n = 10.
 MAX_OBJECTS = 10**7
+MAX_LABEL_DIGITS = 4300  # the longest label text: Python's default digit cap
 
 
 class LimitError(ValueError):
@@ -35,26 +40,16 @@ class LimitError(ValueError):
 
 def count_k_stirling(n: int, k: int) -> int:
     """|Q_n(k)| = product of (ik + 1) for i = 0..n-1."""
-    count = 1
-    for i in range(n):
-        count *= i * k + 1
-    return count
+    check_order(k, n)
+    return math.prod(i * k + 1 for i in range(n))
 
 
 def check_ceiling(n: int, k: int) -> None:
-    """Refuse a family sized |Q_n(k)| past ``MAX_OBJECTS``, before its first
-    object is built."""
+    """Refuse k < 1, then n < 0, then a family sized |Q_n(k)| past
+    ``MAX_OBJECTS``, before its first object is built."""
     count = count_k_stirling(n, k)
     if count > MAX_OBJECTS:
         raise LimitError(f"|Q_{n}({k})| = {count} exceeds the enumeration ceiling {MAX_OBJECTS}")
-
-
-def _check_order(n: int, k: int) -> None:
-    """Refuse k < 1, then n < 0, in the words of every other entry point."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
 
 
 def stirling_violation(word: Sequence[int], k: int) -> str | None:
@@ -63,6 +58,7 @@ def stirling_violation(word: Sequence[int], k: int) -> str | None:
     After the multiplicity check one scan keeps a stack of the letters seen
     fewer than k times; a letter below the top lies between two copies of it.
     """
+    check_order(k)
     counts: dict[int, int] = {}
     for a in word:
         counts[a] = counts.get(a, 0) + 1
@@ -100,7 +96,6 @@ def enumerate_k_stirling(n: int, k: int) -> Iterator[Word]:
     The words are streamed depth first: the stack holds the words still to
     extend, O(n^2 k) of them, never a whole level.
     """
-    _check_order(n, k)
     check_ceiling(n, k)
     stack: list[Word] = [()]
     while stack:
@@ -118,6 +113,7 @@ def enumerate_k_stirling(n: int, k: int) -> Iterator[Word]:
 
 def stat_ap(word: Sequence[int], k: int) -> int:
     """Number of indices i with word[i] < word[i+1] = ... = word[i+k]."""
+    check_order(k)
     count = 0
     for j in range(1, len(word) - k + 1):
         a = word[j]
@@ -134,6 +130,7 @@ def stat_lap(word: Sequence[int], k: int) -> int:
 
 def starts_with_plateau(word: Sequence[int], k: int) -> bool:
     """True when the first k letters are equal (empty word counts as True)."""
+    check_order(k)
     return all(word[t] == word[0] for t in range(1, min(k, len(word))))
 
 
@@ -150,26 +147,31 @@ def word_class(word: Sequence[int], k: int) -> dict:
 
 
 def word_to_text(word: Sequence[int]) -> str:
-    if any(a >= 10 for a in word):
-        return ".".join(str(a) for a in word)
-    return "".join(str(a) for a in word)
+    return ("." if any(a >= 10 for a in word) else "").join(map(str, word))
+
+
+def read_label(text: str) -> int:
+    """The label a text names, by the one rule of every label reader."""
+    if not text.isdecimal():
+        raise ValueError("labels must be runs of decimal digits")
+    if len(text) > MAX_LABEL_DIGITS:
+        raise ValueError(f"labels must have at most {MAX_LABEL_DIGITS} digits")
+    label = int(text)
+    if label <= 0:
+        raise ValueError("labels must be positive")
+    return label
 
 
 def word_from_text(text: str) -> Word:
+    """The word of its text; a bad letter is refused by its index, from 0."""
     text = text.strip()
-    if not text:
-        return ()
-    if "." in text:
-        parts = text.split(".")
-    else:
-        parts = list(text)
-    try:
-        word = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"malformed word text: {text!r}") from None
-    if any(a <= 0 for a in word):
-        raise ValueError(f"labels must be positive: {text!r}")
-    return word
+    word = []
+    for i, part in enumerate(text.split(".") if "." in text else text):
+        try:
+            word.append(read_label(part))
+        except ValueError as exc:
+            raise ValueError(f"at word index {i}: {exc}") from None
+    return tuple(word)
 
 
 def perm_exc_cyc(p: Sequence[int]) -> dict:
@@ -192,7 +194,7 @@ def perm_exc_cyc(p: Sequence[int]) -> dict:
 
 def exc_cyc_polynomial(n: int, k: int) -> IntPolynomial:
     """Sum over all permutations of x^exc weighted by k^(n - cyc)."""
-    _check_order(n, k)
+    check_order(k, n)
     check_ceiling(n, 1)  # the n! = |Q_n(1)| permutations, whatever k is
     coeffs = [0] * (n + 1)
     for p in permutations(range(1, n + 1)):
@@ -203,7 +205,6 @@ def exc_cyc_polynomial(n: int, k: int) -> IntPolynomial:
 
 def descent_polynomial(n: int) -> IntPolynomial:
     """Classical descent-count polynomial over all permutations of 1..n."""
-    _check_order(n, 1)
     check_ceiling(n, 1)  # the n! = |Q_n(1)| permutations
     coeffs = [0] * max(n, 1)
     for p in permutations(range(1, n + 1)):

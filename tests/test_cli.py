@@ -1,14 +1,16 @@
 import io
 import json
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
 
 from stirling_forests import cli, oracle
 from stirling_forests.cli import main
+from stirling_forests.forest import enumerate_forests, serialize_forest
+from stirling_forests.gfs import phi_set
 from stirling_forests.polyx import IntPolynomial, gamma_expand
-from stirling_forests.stirling import count_k_stirling
+from stirling_forests.stirling import count_k_stirling, word_to_text
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +141,32 @@ class TestMap:
                              "--input", forest.strip())
         assert back.strip() == word
 
+    def test_phi_x_is_phi_set(self, capsys, monkeypatch):
+        # --x lists phi's labels between commas: on every forest with n <= 4
+        # at k <= 3 and every label subset, sf map gives gfs.phi_set's forest
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        calls = 0
+        for k in (1, 2, 3):
+            for n in range(5):
+                for f in enumerate_forests(range(1, n + 1), k):
+                    text = serialize_forest(f)
+                    for r in range(n + 1):
+                        for labels in combinations(range(1, n + 1), r):
+                            code, out, _ = run_cli(capsys, "map", "--name", "phi", "--k", str(k),
+                                                   "--x", ",".join(map(str, labels)),
+                                                   "--input", text)
+                            assert (code, out) == (0, serialize_forest(phi_set(f, labels)) + "\n")
+                            calls += 1
+        assert calls == 443 + 1815 + 4723
+
+    @pytest.mark.parametrize("x", ["1,2", "", "2, 2"])
+    def test_psi_takes_one_label(self, capsys, x):
+        code, out, err = run_cli(capsys, "map", "--name", "psi", "--k", "2", "--x", x,
+                                 "--input", "1 2 3")
+        assert (code, out) == (2, "")
+        assert err == "sf map: error: --name psi takes exactly one label in --x\n"
+
     def test_zeta_chi_phi(self, capsys):
         _, out, _ = run_cli(capsys, "map", "--name", "zeta", "--k", "3",
                             "--input", "888244666422555113337771")
@@ -152,14 +180,13 @@ class TestMap:
 
     def test_marked_maps(self, capsys):
         _, out, _ = run_cli(capsys, "map", "--name", "theta", "--k", "2",
-                            "--set", "2", "--input", "1[2[3;];]")
+                            "--input", "1[2[3;];] | {2}")
         assert out.strip() == "1[2,3;] | {}"
         _, out, _ = run_cli(capsys, "map", "--name", "theta-prime", "--k", "2",
                             "--input", "1[2,3;] | {}")
         assert out.strip() == "1[2[3;];] | {2}"
         _, out, _ = run_cli(capsys, "map", "--name", "gamma", "--k", "3",
-                            "--set", "1,3",
-                            "--input", "1 2[;5;] 3 4[;;7] 6 8[;9,10;]")
+                            "--input", "1 2[;5;] 3 4[;;7] 6 8[;9,10;] | {1,3}")
         assert out.strip() == "1[;9,10;2[;5;],3[;;4[;;7],6],8]"
         _, out, _ = run_cli(capsys, "map", "--name", "gamma-prime", "--k", "2",
                             "--input", "1[;2] 3")
@@ -171,21 +198,13 @@ class TestMap:
                             "--input", "1[;2] 3 | {}")
         assert out.strip() == "1 2 3 | {1}"
 
-    @pytest.mark.parametrize("name", ["theta", "theta-prime", "alpha", "beta",
-                                      "gamma-prime", "gamma"])
-    def test_marks_inline_and_set_refused(self, capsys, name):
-        code, out, err = run_cli(capsys, "map", "--name", name, "--k", "2",
-                                 "--input", "1 2 3 | {1}", "--set", "2")
-        assert code == 2 and out == ""
-        assert "give marks either inline or via --set" in err
-
     @pytest.mark.parametrize("argv,text", [
         (["--name", "theta", "--input", "1 2 | {a}"], "marks must look like {1,3}"),
         (["--name", "alpha", "--input", "1 2 3 | {1,,2}"], "marks must look like {1,3}"),
-        (["--name", "theta", "--set", "1,,2", "--input", "1 2 3"],
-         "--set must list labels between commas, as in 1,3"),
-        (["--name", "phi-set", "--set", "a", "--input", "1 2 3"],
-         "--set must list labels between commas, as in 1,3"),
+        (["--name", "phi", "--x", "1,,2", "--input", "1 2 3"],
+         "in --x: labels must be runs of decimal digits"),
+        (["--name", "phi", "--x", "a", "--input", "1 2 3"],
+         "in --x: labels must be runs of decimal digits"),
     ])
     def test_malformed_marks_refused(self, capsys, argv, text):
         code, out, err = run_cli(capsys, "map", "--k", "2", *argv)
@@ -280,10 +299,10 @@ class TestMap:
 
     @pytest.mark.parametrize("argv", [
         ["--name", "phi", "--x", "9", "--input", "1[;2] 3"],
-        ["--name", "phi-set", "--set", "9", "--input", "1[;2] 3"],
+        ["--name", "phi", "--x", "2,9", "--input", "1[;2] 3"],
         ["--name", "psi", "--x", "9", "--input", "1[;2] 3"],
         ["--name", "theta", "--input", "1[;2] 3 | {9}"],
-        ["--name", "alpha", "--set", "9", "--input", "1 2 3"],
+        ["--name", "alpha", "--input", "1 2 3 | {9}"],
     ])
     def test_absent_label_error_text(self, capsys, argv):
         code, out, err = run_cli(capsys, "map", "--k", "2", *argv)
@@ -435,7 +454,75 @@ class TestLimits:
         assert err.startswith(f"sf {argv[0]}: error: ") and err.count("\n") == 1
 
 
+# spellings of a label, each with the label it names, or None when refused
+_LONG = "1" * 4300
+_SPELLINGS = [("7", 7), ("007", 7), ("0", None), ("+1", None), ("1_0", None),
+              ("\u00b2", None), ("\u0661", 1), (_LONG, int(_LONG)), (_LONG + "1", None)]
+_SPELLING_IDS = ["7", "007", "0", "+1", "1_0", "superscript-2", "arabic-indic-1",
+                 "4300-digits", "4301-digits"]
+
+
+class TestLabelRule:
+    # one rule reads a label in word text, forest text, inline marks and
+    # --x, so each spelling is accepted by all four readers or refused by all
+    @pytest.mark.parametrize("spelling,label", _SPELLINGS, ids=_SPELLING_IDS)
+    def test_every_reader_decides_alike(self, capsys, spelling, label):
+        v = 1 if label is None else label
+        readers = [  # (argv, whether its output shows the label v)
+            (["stats", "--k", "2", "--type", "word", "--input", f"{spelling}.{spelling}"],
+             lambda out: json.loads(out)["word"] == word_to_text((v, v))),
+            (["stats", "--k", "2", "--type", "forest", "--input", spelling],
+             lambda out: json.loads(out)["forest"] == str(v)),
+            (["map", "--name", "theta-prime", "--k", "2",
+              "--input", f"{v} {v + 1} | {{{spelling}}}"],
+             lambda out: out == f"{v} {v + 1} | {{{v}}}\n"),
+            (["map", "--name", "phi", "--k", "2", "--x", spelling, "--input", str(v)],
+             lambda out: out == f"{v}\n"),
+        ]
+        for argv, shows_label in readers:
+            code, out, err = run_cli(capsys, *argv)
+            if label is None:
+                assert (code, out) == (2, ""), argv[:3]
+                assert err.startswith(f"sf {argv[0]}: error: ") and err.count("\n") == 1
+                assert "set_int_max_str_digits" not in err and len(err) < 100
+            else:
+                assert code == 0 and shows_label(out), argv[:3]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["stats", "--k", "2", "--type", "word", "--input", "1_0.2.2.1_0"],
+         "at word index 0: labels must be runs of decimal digits"),
+        (["stats", "--k", "2", "--type", "word", "--input", "+1.+1"],
+         "at word index 0: labels must be runs of decimal digits"),
+        (["stats", "--k", "2", "--type", "word", "--input", f"1.1.{_LONG}1.{_LONG}1"],
+         "at word index 2: labels must have at most 4300 digits"),
+        (["stats", "--k", "2", "--type", "forest", "--input", f"1[;{_LONG}1]"],
+         "at position 4304: labels must have at most 4300 digits"),
+        (["map", "--name", "theta", "--k", "2", "--input", f"1 2 | {{{_LONG}1}}"],
+         "labels must have at most 4300 digits"),
+        (["map", "--name", "phi", "--k", "2", "--x", "1_5", "--input", "1[;15]"],
+         "in --x: labels must be runs of decimal digits"),
+        (["map", "--name", "psi", "--k", "2", "--x", "0", "--input", "1 2"],
+         "in --x: labels must be positive"),
+    ])
+    def test_refusal_texts(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"sf {argv[0]}: error: {message}\n")
+
+
 class TestRefusals:
+    # k < 1 is refused first, in one wording, by every command and map
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--type", "word", "--input", "11"],
+        ["stats", "--input", "11"],
+        ["enumerate", "--n", "-1", "--kind", "perms"],
+        ["enumerate", "--n", "-1", "--kind", "forests"],
+        *(["map", "--name", name, "--x", "1", "--input", "1"] for name in cli._MAPS),
+    ])
+    def test_k_refused_first(self, capsys, argv, k):
+        code, out, err = run_cli(capsys, *argv, "--k", k)
+        assert (code, out, err) == (2, "", f"sf {argv[0]}: error: k must be a positive integer\n")
+
     # a refused request prints the same line whichever route would serve it
     @pytest.mark.parametrize("n,k,which,text", [
         ("-1", "2", "A", "n must be a nonnegative integer"),

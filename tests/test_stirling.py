@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
-from stirling_forests import forest, stirling
+from stirling_forests import bimap, forest, gfs, oracle, stirling
 from stirling_forests.polyx import IntPolynomial, egf_one_over_k_eulerian
 from stirling_forests.stirling import (
     MAX_OBJECTS,
@@ -176,6 +176,26 @@ class TestTextForm:
         with pytest.raises(ValueError):
             word_from_text("0.1")
 
+    # a refused letter is named by its index, and the text is not echoed
+    @pytest.mark.parametrize("text,message", [
+        ("1a2", "at word index 1: labels must be runs of decimal digits"),
+        ("0.1", "at word index 0: labels must be positive"),
+        ("1.1. 2.2", "at word index 2: labels must be runs of decimal digits"),
+        ("1..1", "at word index 1: labels must be runs of decimal digits"),
+        ("1.1." + "2" * 4301, "at word index 2: labels must have at most 4300 digits"),
+    ], ids=["letter", "zero", "blank", "empty", "4301-digits"])
+    def test_refusal_names_the_letter(self, text, message):
+        with pytest.raises(ValueError) as err:
+            word_from_text(text)
+        assert str(err.value) == message
+
+    def test_read_label(self):
+        assert [stirling.read_label(t) for t in ("7", "007", "\u0661", "9" * 4300)] == [
+            7, 7, 1, int("9" * 4300)]
+        for text in ("", "0", "000", "+1", "-1", "1_0", " 1", "\u00b2", "\u0660", "9" * 4301):
+            with pytest.raises(ValueError):
+                stirling.read_label(text)
+
 
 class TestPermutationStatistics:
     @pytest.mark.parametrize(
@@ -265,3 +285,39 @@ class TestCeiling:
         for call in calls:
             with pytest.raises(ValueError, match=f"^{text}$"):
                 call()
+
+
+class TestKRefused:
+    # every public function that takes k refuses k < 1 first, in one wording
+    TAKES_K = {
+        "count_k_stirling": lambda k: count_k_stirling(-1, k),
+        "check_ceiling": lambda k: stirling.check_ceiling(-1, k),
+        "stirling_violation": lambda k: stirling_violation((1, 1), k),
+        "is_k_stirling": lambda k: is_k_stirling((1, 1), k),
+        "require_k_stirling": lambda k: stirling.require_k_stirling((1, 1), k),
+        "enumerate_k_stirling": lambda k: next(enumerate_k_stirling(-1, k)),
+        "stat_ap": lambda k: stat_ap((1, 1), k),
+        "stat_lap": lambda k: stat_lap((1, 1), k),
+        "starts_with_plateau": lambda k: starts_with_plateau((1, 1), k),
+        "word_class": lambda k: word_class((1, 1), k),
+        "exc_cyc_polynomial": lambda k: exc_cyc_polynomial(-1, k),
+        "egf_one_over_k_eulerian": lambda k: egf_one_over_k_eulerian(k, -1),
+        "xi": lambda k: bimap.xi((1, 1), k),
+        "chi": lambda k: bimap.chi((1, 1), k),
+        "chi_inv": lambda k: bimap.chi_inv(forest.LabeledTree(1), k),
+        "zeta": lambda k: bimap.zeta((1, 1), k),
+        "parse_forest": lambda k: forest.parse_forest("1", k),
+        "parse_tree": lambda k: forest.parse_tree("1", k),
+        "enumerate_forests": lambda k: next(forest.enumerate_forests([1, 1], k)),
+        "enumerate_trees": lambda k: next(forest.enumerate_trees([1, 1], k)),
+        "parse_marked": lambda k: gfs.parse_marked("1 | {}", k),
+        "distribution": lambda k: oracle.distribution("Q", "ap", -1, k),
+        "gamma_census_bar_hat": lambda k: oracle.gamma_census_bar_hat(-1, k),
+        "gamma_census_tilde": lambda k: oracle.gamma_census_tilde(2, k),
+    }
+
+    @pytest.mark.parametrize("name", TAKES_K)
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_refused(self, name, k):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            self.TAKES_K[name](k)
