@@ -4,7 +4,7 @@ Subcommands: enumerate, stats, poly, gamma, map, verify.  Polynomials print
 as dense integer arrays lowest degree first (``[1,10,4]``), gamma vectors as
 ``{"center":2,"gamma":[1,5]}``, words and forests in their canonical text
 forms, marked forests as ``<forest> | {1,3}``; ``sf map`` takes marks only
-inline, and ``--x`` lists its acting labels between commas (one for ``psi``).
+inline; only ``phi`` and ``psi`` take ``--x``, its labels between commas.
 Exit status: 0 on success, 1 when ``verify`` finds a failing identity, 2 for
 every refused input: a ``ValueError``, input the caller can fix (the
 enumeration ceiling included), prints one line ``sf <command>: error:
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="apply a bijection or transformation")
     p.add_argument("--name", choices=tuple(_MAPS), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", help="acting labels between commas (psi: one label)")
+    p.add_argument("--x", help="acting labels between commas (phi; psi: one label)")
     p.add_argument("--input", required=True, help="object text, or - for stdin")
 
     p = sub.add_parser("verify", help="run the identity suite")
@@ -233,8 +233,6 @@ def _cmd_gamma(args) -> int:
 
 def _at_x(step, text: str, args) -> str:
     """A forest map that acts at the labels --x lists between commas."""
-    if args.x is None:
-        raise ValueError(f"--name {args.name} requires --x")
     try:
         labels = [read_label(p.strip()) for p in args.x.split(",")] if args.x else []
     except ValueError as exc:
@@ -280,6 +278,9 @@ _MAPS = {
 
 
 def _cmd_map(args) -> int:
+    check_order(args.k)
+    if (args.x is None) == (args.name in ("phi", "psi")):  # the maps that act at labels
+        raise ValueError(f"--name {args.name} {'requires' if args.x is None else 'takes no'} --x")
     print(_MAPS[args.name](_read_input(args.input), args))
     return 0
 

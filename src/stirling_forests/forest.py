@@ -97,12 +97,6 @@ class LabeledTree:
             else:
                 stack.pop()
 
-    def grand_children(self) -> Iterator["LabeledTree"]:
-        """Subtree roots across all slots, left to right."""
-        if self.slots is not None:
-            for slot in self.slots:
-                yield from slot
-
 
 @dataclass(frozen=True)
 class Forest:

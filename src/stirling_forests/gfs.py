@@ -12,7 +12,8 @@ status, fixing everything else:
 * any other x (roots, old leaves, young internal nodes): identity.
 
 The toggles at distinct labels commute, so every subset of labels acts at
-once; orbits of the induced action each contain exactly one tree free of
+once, in one bottom-up pass per tree (``phi_set``; ``phi`` is its one-label
+case).  Orbits of the induced action each contain exactly one tree free of
 young leaves, reachable in a single simultaneous toggle of all young-leaf
 labels.
 
@@ -75,51 +76,54 @@ def marked_forest(forest: Forest, marks) -> MarkedForest:
 
 
 def phi(t: LabeledTree, x: int) -> LabeledTree:
-    """Toggle old-internal/young-leaf status at label x (an involution)."""
-    path = _path_to(t, x)
-    if path is None:
+    """Toggle old-internal/young-leaf status at label x: ``phi_set`` at one label."""
+    image, met = _toggle(t, (x,), x)
+    if not met:
         raise ValueError(f"labels [{x}] do not occur in the forest")
-    if not path:
-        return t
-    u, j, p = path[0]
-    gx = u.slots[j][p]
-    top = max(s.label for s in u.grand_children())
-    if x == top and gx.slots is not None:
-        new = _raise_children(u, gx)
-    elif x != top and gx.slots is None:
-        new = _lower_greater(u, x)
-    else:
-        return t
-    # rebuild the spine above x's grand parent, bottom-up
-    for u, j, p in path[1:]:
-        slot = u.slots[j]
-        new_slot = slot[:p] + (new,) + slot[p + 1 :]
-        new = LabeledTree(u.label, u.slots[:j] + (new_slot,) + u.slots[j + 1 :])
-    return new
+    return image
 
 
-def _path_to(t: LabeledTree, x: int) -> list[tuple[LabeledTree, int, int]] | None:
-    """Steps (u, j, p) on the path between t and the node labeled x, bottom
-    up: u.slots[j][p] is the node below u on the path, so the first step is
-    x's grand parent.  [] when t is x, None when x is absent.
+def _toggle(t: LabeledTree, labels, top: int) -> tuple[LabeledTree, int]:
+    """t with the toggle at every label of ``labels`` applied, and how many
+    of those labels occur in t; ``top`` is the greatest of them.
 
-    One depth-first walk; each pending node carries its path as a linked
-    chain of steps, read back once x is found.
+    A toggle moves subtrees only between its node and its grand parent and
+    alters no other node's leaf/internal status, so each node, once rebuilt
+    from its rebuilt subtrees, takes the toggles at its grand children: the
+    old one raises its children if internal, then the young leaves lower,
+    greatest first.  Subtrees rooted at top or above are not entered, and
+    untouched subtrees, or a whole unchanged t, come back as themselves.
     """
-    todo = [(t, None)]
+    met = t.label in labels
+    images = {}  # id of an entered node -> its image, where that differs
+    todo = [(t, None)] if t.label < top and t.slots is not None else []
     while todo:
-        node, chain = todo.pop()
-        if node.label == x:
-            path = []
-            while chain is not None:
-                chain, u, j, p = chain
-                path.append((u, j, p))
-            return path
-        if node.slots is not None:
-            for j, slot in enumerate(node.slots):
-                for p, child in enumerate(slot):
-                    todo.append((child, (chain, node, j, p)))
-    return None
+        u, entered = todo.pop()
+        if entered is None:  # open u: the subtrees it enters close first
+            entered = [s for slot in u.slots for s in slot if s.label < top and s.slots is not None]
+            if entered:
+                todo.append((u, entered))
+                todo += [(s, None) for s in entered]
+                continue
+        slots = u.slots
+        for s in entered:
+            if id(s) in images:
+                slots = tuple(tuple([images.get(id(s), s) for s in slot]) for slot in slots)
+                break
+        node = u if slots is u.slots else LabeledTree(u.label, slots)
+        acting = [s for slot in slots for s in slot if s.label in labels]
+        if acting:
+            met += len(acting)
+            old = max([slot[-1].label for slot in slots if slot])
+            for s in acting:
+                if s.label == old and s.slots is not None:
+                    node = _raise_children(node, s)
+            young = [s.label for s in acting if s.slots is None and s.label != old]
+            if young:
+                node = _lower_greater(node, sorted(young, reverse=True))
+        if node is not u:
+            images[id(u)] = node
+    return images.get(id(t), t), met
 
 
 def _raise_children(u: LabeledTree, gx: LabeledTree) -> LabeledTree:
@@ -128,51 +132,51 @@ def _raise_children(u: LabeledTree, gx: LabeledTree) -> LabeledTree:
         raise RuntimeError("only an internal grand child can raise its children")
     new_slots = []
     for slot, extra in zip(u.slots, gx.slots):
-        merged = tuple(LabeledTree(gx.label) if s is gx else s for s in slot) + extra
-        if any(a.label >= b.label for a, b in zip(merged, merged[1:])):
-            raise RuntimeError(
-                "appending a greatest grand child's subtrees must keep slots increasing"
-            )
-        new_slots.append(merged)
+        # both parts increase, so the joint is the one place to check
+        if slot and extra and slot[-1].label >= extra[0].label:
+            raise RuntimeError("only the greatest grand child can raise its children")
+        if slot and slot[-1] is gx:
+            slot = slot[:-1] + (LabeledTree(gx.label),)
+        new_slots.append(slot + extra)
     return LabeledTree(u.label, tuple(new_slots))
 
 
-def _lower_greater(u: LabeledTree, x: int) -> LabeledTree:
-    """Young-leaf case: subtrees of u with roots above x drop under x."""
+def _lower_greater(u: LabeledTree, ys: list[int]) -> LabeledTree:
+    """Young-leaf case: each young leaf y in ys, greatest first, pulls down u's subtrees above y."""
     if u.slots is None:
         raise RuntimeError("only an internal node can lower its grand children")
-    pulled = tuple(tuple(s for s in slot if s.label > x) for slot in u.slots)
-    if not any(pulled):
-        raise RuntimeError("a young leaf always has a greater sibling to pull down")
-    if any(a.label >= b.label for slot in pulled for a, b in zip(slot, slot[1:])):
-        raise RuntimeError("pulled subtrees must arrive in increasing root order")
-    new_x = LabeledTree(x, pulled)
-    new_slots = tuple(
-        tuple(new_x if s.label == x else s for s in slot if s.label <= x)
-        for slot in u.slots
-    )
-    return LabeledTree(u.label, new_slots)
+    slots = [list(slot) for slot in u.slots]  # what stays with u
+    for y in ys:
+        pulled = []
+        for slot in slots:  # the subtrees above y end each slot
+            i = len(slot)
+            while i and slot[i - 1].label > y:
+                i -= 1
+            pulled.append(tuple(slot[i:]))
+            del slot[i:]
+        if not any(pulled):
+            raise RuntimeError("a young leaf always has a greater sibling to pull down")
+        if any(a.label >= b.label for p in pulled for a, b in zip(p, p[1:])):
+            raise RuntimeError("pulled subtrees must arrive in increasing root order")
+        for slot in slots:
+            if slot and slot[-1].label == y:
+                slot[-1] = LabeledTree(y, tuple(pulled))
+                break
+    return LabeledTree(u.label, tuple(map(tuple, slots)))
 
 
 def phi_set(f: Forest, labels) -> Forest:
-    """Apply the toggle at every label of S, componentwise.
-
-    Toggles commute, so the application order is irrelevant; labels at which
-    the toggle is the identity are simply fixed.
-    """
-    remaining = set(labels)
-    if not remaining:
+    """Apply the toggle at every label of S, componentwise, in one ``_toggle``
+    pass per tree; labels at which the toggle is the identity stay fixed."""
+    labels = frozenset(labels)
+    if not labels:
         return f
-    tree_labels = [set(t.labels()) for t in f.trees]
-    unknown = remaining.difference(*tree_labels)
-    if unknown:
+    top = max(labels)
+    images = [_toggle(t, labels, top) for t in f.trees]
+    if sum(met for _, met in images) < len(labels):
+        unknown = labels.difference(f.labels())
         raise ValueError(f"labels {sorted(unknown)} do not occur in the forest")
-    new_trees = []
-    for t, mine in zip(f.trees, tree_labels):
-        for x in sorted(remaining & mine):
-            t = phi(t, x)
-        new_trees.append(t)
-    return Forest(f.k, tuple(new_trees))
+    return Forest(f.k, tuple(t for t, _ in images))
 
 
 def orbit(t: LabeledTree) -> list[LabeledTree]:

@@ -523,6 +523,15 @@ class TestRefusals:
         code, out, err = run_cli(capsys, *argv, "--k", k)
         assert (code, out, err) == (2, "", f"sf {argv[0]}: error: k must be a positive integer\n")
 
+    # only phi and psi act at labels; every other map refuses --x, even one
+    # naming an absent label, rather than ignore it
+    @pytest.mark.parametrize("name", [n for n in cli._MAPS if n not in ("phi", "psi")])
+    @pytest.mark.parametrize("x", ["3", "9"])
+    def test_x_refused_where_nothing_acts(self, capsys, name, x):
+        code, out, err = run_cli(capsys, "map", "--name", name, "--k", "2", "--x", x,
+                                 "--input", "1122")
+        assert (code, out, err) == (2, "", f"sf map: error: --name {name} takes no --x\n")
+
     # a refused request prints the same line whichever route would serve it
     @pytest.mark.parametrize("n,k,which,text", [
         ("-1", "2", "A", "n must be a nonnegative integer"),

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -295,7 +297,7 @@ class TestRemovable:
             expected = set()
             if f.trees and f.trees[-1].slots is not None:
                 last = f.trees[-1]
-                grand = list(last.grand_children())
+                grand = list(chain.from_iterable(last.slots))
                 top = max(s.label for s in grand)
                 for s in grand:
                     if s.slots is None and s.label != top:

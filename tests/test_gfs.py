@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from stirling_forests.bimap import zeta
+from stirling_forests.bimap import xi, zeta
 from stirling_forests.forest import (
     Forest,
     enumerate_forests,
@@ -73,6 +73,13 @@ class TestPhi:
         with pytest.raises(ValueError, match=r"^labels \[9\] do not occur in the forest$"):
             phi(parse_tree("1", 2), 9)
 
+    def test_identity_returns_the_tree(self):
+        # the root 1, the old leaf 10 and the young internal node 6: the same
+        # object comes back, which orbit and the oracle's profile reuse rely on
+        t = parse_tree(FIG5_LEFT, 3)
+        for x in (1, 10, 6):
+            assert phi(t, x) is t
+
     @given(random_words(2))
     def test_involution_and_commutation(self, word):
         for tree in zeta(word, 2).trees:
@@ -110,6 +117,22 @@ class TestPhiSet:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match=r"^labels \[5\] do not occur in the forest$"):
             phi_set(parse_forest("1 2", 2), {5})
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_pass_equals_one_toggle_at_a_time(self, k):
+        # several toggles at one node in one pass, against single-label phi
+        # folded over S in increasing and in decreasing order
+        for n in range(5):
+            for f in enumerate_forests(range(1, n + 1), k):
+                for size in range(n + 1):
+                    for labels in combinations(range(1, n + 1), size):
+                        image = serialize_forest(phi_set(f, labels))
+                        for order in (labels, labels[::-1]):
+                            trees = list(f.trees)
+                            for x in order:
+                                i = f.tree_index_of(x)
+                                trees[i] = phi(trees[i], x)
+                            assert serialize_forest(Forest(k, tuple(trees))) == image
 
 
 class TestOrbit:
@@ -190,6 +213,21 @@ class TestTheta:
             theta(MarkedForest(f, frozenset()))
         with pytest.raises(ValueError):
             theta_prime(MarkedForest(f, frozenset({3})))  # 3 is not a singleton
+
+    @pytest.mark.parametrize("word,young", [
+        # the star: 4 998 young leaves under the root's one slot
+        ((1, *(i for i in range(2, 5001) for _ in range(2)), 1), 4998),
+        # the nested forest, 5 000 deep
+        ((*range(1, 5000), 5000, 5000, *range(4999, 0, -1)), 0),
+    ], ids=["star", "nested"])
+    def test_order_5000_round_trip(self, word, young):
+        f = xi(word, 2)
+        mid = theta_prime(MarkedForest(f, frozenset()))
+        back = theta(mid)
+        assert len(mid.marks) == young
+        # compared as text: == and hash on trees this deep still recurse
+        assert serialize_forest(back.forest) == serialize_forest(f)
+        assert back.marks == frozenset()
 
     def test_marked_text_form(self):
         mf = marked_forest(parse_forest("1 2 3", 2), {2, 1})
