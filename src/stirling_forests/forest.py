@@ -21,8 +21,8 @@ and is below every subtree root label in that root's first k-1 slots: the
 condition for ``gfs.phi`` at s to empty those slots, which the test suite
 checks against ``phi``.  ``forest_profile`` finds classes, counters, label
 sets, removable leaves and bar/star membership in one explicit-stack
-traversal; ``node_classes``, ``forest_stats``, ``removable_labels`` and
-``label_sets`` are views of it.
+traversal; ``node_classes``, ``forest_stats``, ``removable_labels``,
+``label_sets`` and ``in_bar`` are views of it.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -120,6 +120,10 @@ class NodeClass(enum.Enum):
     YOUNG_LEAF = "YoungLeaf"
     OLD_INTERNAL = "OldInternal"
     YOUNG_INTERNAL = "YoungInternal"
+
+
+# the members as plain names: reading an attribute of an Enum class is slow
+_ROOT, _OLD_LEAF, _YOUNG_LEAF, _OLD_INTERNAL, _YOUNG_INTERNAL = NodeClass
 
 
 class ForestStats(NamedTuple):
@@ -312,65 +316,72 @@ def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
 def forest_profile(f: Forest) -> ForestProfile:
     """Every per-forest statistic, from one explicit-stack traversal.
 
-    A node's grand children are classified when the node is popped.  The
-    root's grand children then settle the tree's removable old leaf and, in
-    the last tree, the removable young leaves and the starred sets.
+    A node's grand children are classified when the node is popped; its old
+    grand child is the greatest slot end, as slots increase.  Each label set
+    is collected in a list and frozen once.  The root, popped first, leaves
+    its old grand child and its count of leaf grand children, which settle
+    the tree's removable old leaf; in the last tree they also give the
+    removable young leaves and the starred sets.
     """
     k, trees = f.k, f.trees
-    m = len(trees)
     classes: dict[int, NodeClass] = {}
-    oint, oleaf, yleaf, removable_old, removable_young = set(), set(), set(), set(), set()
-    si = {t.label for t in trees if t.slots is None}
-    si_star = {t.label for t in trees[:-1] if t.slots is None}
-    oint_star = oint  # a final singleton discounts nothing from oint
+    oint, oleaf, yleaf, singletons, removable_old, removable_young = [], [], [], [], [], []
     lint = 0
+    last = len(trees) - 1
     for i, t in enumerate(trees):
-        classes[t.label] = NodeClass.ROOT
+        classes[t.label] = _ROOT
         if t.slots is None:
+            singletons.append(t.label)
             continue
+        leaves = len(oleaf) + len(yleaf)
         stack = [t]
         while stack:
             u = stack.pop()
             lint += 1
-            top = max([s.label for slot in u.slots for s in slot])
+            top = max([slot[-1].label for slot in u.slots if slot])
             for slot in u.slots:
                 for s in slot:
                     x = s.label
                     if s.slots is None:
                         if x == top:
-                            classes[x] = NodeClass.OLD_LEAF
-                            oleaf.add(x)
+                            classes[x] = _OLD_LEAF
+                            oleaf.append(x)
                         else:
-                            classes[x] = NodeClass.YOUNG_LEAF
-                            yleaf.add(x)
+                            classes[x] = _YOUNG_LEAF
+                            yleaf.append(x)
                     else:
                         stack.append(s)
                         if x == top:
-                            classes[x] = NodeClass.OLD_INTERNAL
-                            oint.add(x)
+                            classes[x] = _OLD_INTERNAL
+                            oint.append(x)
                         else:
-                            classes[x] = NodeClass.YOUNG_INTERNAL
-            if u is t:
+                            classes[x] = _YOUNG_INTERNAL
+            if u is t:  # the root's grand children: its old one and how many are leaves
                 root_top = top
+                leaves = len(oleaf) + len(yleaf) - leaves
         earlier = t.slots[: k - 1]
+        first = [slot[0].label for slot in earlier if slot]  # the least label of each slot
         if (
-            not any(earlier)
-            and (i == m - 1 or root_top < trees[i + 1].label)
-            and [s.label for s in chain.from_iterable(t.slots) if s.slots is None] == [root_top]
+            not first
+            and leaves == 1
+            and classes[root_top] is _OLD_LEAF
+            and (i == last or root_top < trees[i + 1].label)
         ):
-            removable_old.add(root_top)
-        if i == m - 1:
-            bound = min([s.label for slot in earlier for s in slot], default=root_top)
-            removable_young = {s.label for s in t.slots[-1] if s.slots is None and s.label < bound}
-            oint_star = oint - {root_top}
+            removable_old.append(root_top)
+        if i == last:
+            bound = min(first, default=root_top)
+            removable_young = [s.label for s in t.slots[-1] if s.slots is None and s.label < bound]
+    oint, oleaf, yleaf, si, removable_old, removable_young = map(
+        frozenset, (oint, oleaf, yleaf, singletons, removable_old, removable_young))
     rleaf = len(removable_old) + len(removable_young)
     stats = ForestStats(len(oleaf) + len(yleaf) + len(si), len(si), len(oleaf), len(yleaf),
                         len(oint), lint, rleaf)
-    return ForestProfile(
-        classes, stats, frozenset(oint), frozenset(oleaf), frozenset(yleaf), frozenset(si),
-        frozenset(oint_star), frozenset(si_star), frozenset(removable_old),
-        frozenset(removable_young), in_bar(f), not yleaf and not rleaf,
-    )
+    if trees and trees[-1].slots is not None:  # first and root_top are the last tree's
+        bar, oint_star, si_star = not first, oint - {root_top}, si
+    else:  # no trees, or a final singleton
+        bar, oint_star, si_star = True, oint, frozenset(singletons[:-1])
+    return ForestProfile(classes, stats, oint, oleaf, yleaf, si, oint_star, si_star,
+                         removable_old, removable_young, bar, not yleaf and not rleaf)
 
 
 def node_classes(f: Forest) -> dict[int, NodeClass]:
@@ -415,10 +426,7 @@ def label_sets(f: Forest) -> dict:
 def in_bar(f: Forest) -> bool:
     """Last tree a singleton or its root's first k-1 slots empty; the empty
     forest counts as bar (its hat class is empty)."""
-    if not f.trees:
-        return True
-    last = f.trees[-1]
-    return last.slots is None or not any(last.slots[: f.k - 1])
+    return forest_profile(f).in_bar
 
 
 # ---------------------------------------------------------------------------

@@ -93,59 +93,81 @@ def _toggle(t: LabeledTree, labels, top: int) -> tuple[LabeledTree, int]:
     old one raises its children if internal, then the young leaves lower,
     greatest first.  Subtrees rooted at top or above are not entered, and
     untouched subtrees, or a whole unchanged t, come back as themselves.
+
+    A node its grand parent raises is not rebuilt: it closes into its slots
+    as lists in decreasing order, and the raise appends to them, so a chain
+    of raises moves each subtree once.
     """
     met = t.label in labels
     images = {}  # id of an entered node -> its image, where that differs
-    todo = [(t, None)] if t.label < top and t.slots is not None else []
+    rising = {}  # label of a closed node its grand parent raises -> its slot lists
+    todo = [(t, None, None)] if t.label < top and t.slots is not None else []
     while todo:
-        u, entered = todo.pop()
+        u, entered, parent = todo.pop()
         if entered is None:  # open u: the subtrees it enters close first
             entered = [s for slot in u.slots for s in slot if s.label < top and s.slots is not None]
             if entered:
-                todo.append((u, entered))
-                todo += [(s, None) for s in entered]
+                todo.append((u, entered, parent))
+                todo += [(s, None, u) for s in entered]
                 continue
         slots = u.slots
         for s in entered:
             if id(s) in images:
                 slots = tuple(tuple([images.get(id(s), s) for s in slot]) for slot in slots)
                 break
-        node = u if slots is u.slots else LabeledTree(u.label, slots)
+        lists = None  # u's slots as decreasing lists, once a raise has moved subtrees
         acting = [s for slot in slots for s in slot if s.label in labels]
         if acting:
             met += len(acting)
             old = max([slot[-1].label for slot in slots if slot])
             for s in acting:
                 if s.label == old and s.slots is not None:
-                    node = _raise_children(node, s)
+                    lists = _raise_children(slots, s, rising.pop(old, None))
             young = [s.label for s in acting if s.slots is None and s.label != old]
             if young:
-                node = _lower_greater(node, sorted(young, reverse=True))
-        if node is not u:
-            images[id(u)] = node
+                if lists is not None:
+                    slots, lists = [slot[::-1] for slot in lists], None
+                slots = _lower_greater(slots, sorted(young, reverse=True))
+        if (u.label in labels and parent is not None
+                and u.label == max([slot[-1].label for slot in parent.slots if slot])):
+            rising[u.label] = lists if lists is not None else _decreasing(slots)
+        elif lists is not None:
+            for slot in lists:
+                slot.reverse()
+            images[id(u)] = LabeledTree(u.label, tuple(map(tuple, lists)))
+        elif slots is not u.slots:
+            images[id(u)] = LabeledTree(u.label, slots)
     return images.get(id(t), t), met
 
 
-def _raise_children(u: LabeledTree, gx: LabeledTree) -> LabeledTree:
-    """Old-internal case: gx's slot contents join u's slots; gx becomes a leaf."""
-    if gx.slots is None or u.slots is None:
+def _decreasing(slots) -> list[list[LabeledTree]]:
+    """Each slot as a list in decreasing order."""
+    return [list(reversed(slot)) for slot in slots]
+
+
+def _raise_children(slots, gx: LabeledTree, lists) -> list[list[LabeledTree]]:
+    """Old-internal case: gx's slot contents join the slots of its grand
+    parent, and gx becomes a leaf.  ``lists`` holds gx's slots as decreasing
+    lists, or None; the joined slots come back in the same form."""
+    if gx.slots is None:
         raise RuntimeError("only an internal grand child can raise its children")
-    new_slots = []
-    for slot, extra in zip(u.slots, gx.slots):
+    if lists is None:
+        lists = _decreasing(gx.slots)
+    for slot, extra in zip(slots, lists):
         # both parts increase, so the joint is the one place to check
-        if slot and extra and slot[-1].label >= extra[0].label:
+        if slot and extra and slot[-1].label >= extra[-1].label:
             raise RuntimeError("only the greatest grand child can raise its children")
         if slot and slot[-1] is gx:
-            slot = slot[:-1] + (LabeledTree(gx.label),)
-        new_slots.append(slot + extra)
-    return LabeledTree(u.label, tuple(new_slots))
+            extra.append(LabeledTree(gx.label))
+            slot = slot[:-1]
+        extra.extend(reversed(slot))
+    return lists
 
 
-def _lower_greater(u: LabeledTree, ys: list[int]) -> LabeledTree:
-    """Young-leaf case: each young leaf y in ys, greatest first, pulls down u's subtrees above y."""
-    if u.slots is None:
-        raise RuntimeError("only an internal node can lower its grand children")
-    slots = [list(slot) for slot in u.slots]  # what stays with u
+def _lower_greater(slots, ys: list[int]) -> tuple[tuple[LabeledTree, ...], ...]:
+    """Young-leaf case: each young leaf y in ys, greatest first, pulls down
+    the node's subtrees above y; the node keeps the returned slots."""
+    slots = [list(slot) for slot in slots]  # what stays with the node
     for y in ys:
         pulled = []
         for slot in slots:  # the subtrees above y end each slot
@@ -162,7 +184,7 @@ def _lower_greater(u: LabeledTree, ys: list[int]) -> LabeledTree:
             if slot and slot[-1].label == y:
                 slot[-1] = LabeledTree(y, tuple(pulled))
                 break
-    return LabeledTree(u.label, tuple(map(tuple, slots)))
+    return tuple(map(tuple, slots))
 
 
 def phi_set(f: Forest, labels) -> Forest:

@@ -30,7 +30,11 @@ so the bijection suite runs the unchecked passes (``bimap._xi_trees``,
 ``_zeta``, ``_chi_tree``) and takes ap once per word.  The gfs and pipeline
 suites hand each forest's profile to the maps' private twins (``_theta``,
 ``_alpha``, ``_gamma_prime`` ...), and reuse it when a map returns its input;
-they mark each forest over the pools of ``gfs.DOMAINS``.
+they mark each forest over the pools of ``gfs.DOMAINS``.  The gfs suite
+also toggles each (tree, label) once: where ``phi(t, x)`` is t itself,
+``phi(phi(t, x), x)`` is t and ``phi(phi(t, x), y)`` is ``phi(t, y)``, so
+the involution and commutation checks compare the same values without
+toggling them again.
 """
 
 from __future__ import annotations
@@ -363,10 +367,12 @@ def _suite_gfs(n, k, folds):
         p = forest_profile(f)
         trees.bump("lleaf", p.stats.lleaf)
         before = p.classes
+        # where phi(t, x) is t, phi(phi(t, x), y) is images[y]: each toggle
+        # image is computed once
         images = {x: gfs.phi(t, x) for x in labels}
         for x in labels:
             tx = images[x]
-            if gfs.phi(tx, x) != t:
+            if tx is not t and gfs.phi(tx, x) != t:
                 bad_inv.append(f"{serialize_tree(t)} @ {x}")
             after = before if tx is t else forest_profile(Forest(k, (tx,))).classes
             for z in labels:
@@ -376,7 +382,10 @@ def _suite_gfs(n, k, folds):
             for y in labels:
                 if y >= x:
                     break
-                if gfs.phi(images[x], y) != gfs.phi(images[y], x):
+                ty = images[y]
+                xy = ty if tx is t else gfs.phi(tx, y)
+                yx = tx if ty is t else gfs.phi(ty, x)
+                if xy != yx:
                     bad_comm.append(f"{serialize_tree(t)} @ {x},{y}")
         rep = gfs._representative(f, p)
         if rep == t:

@@ -199,4 +199,6 @@ def _main(mf: MarkedForest, p: ForestProfile) -> Forest:
             "main bijection requires a starred forest with marks among "
             "old internals (bar: excluding the last root's) and non-final singletons"
         )
-    return gamma_map(_theta(mf, p))
+    out = _theta(mf, p)
+    # without old-internal marks theta keeps the forest, and so its profile
+    return _gamma(out, p if out.forest is mf.forest else forest_profile(out.forest))

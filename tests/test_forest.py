@@ -1,9 +1,11 @@
+import random
 from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 import stirling_forests.forest as forest_module
+from stirling_forests.bimap import xi, zeta
 from stirling_forests.forest import (
     Forest,
     ForestInvariantError,
@@ -305,6 +307,103 @@ class TestRemovable:
                         if all(not slot for slot in toggled.slots[: k - 1]):
                             expected.add(s.label)
             assert removable_labels(f)["young"] == expected
+
+
+def _reference_profile(f):
+    """Every ``ForestProfile`` field from the definitions, naively: one
+    recursion records each node's grand parent and grand children, and a
+    node is old when it is the greatest grand child of its grand parent."""
+    k, roots = f.k, f.trees
+    grand_parent, grand_children = {}, {}  # None for a root, and for a leaf
+
+    def visit(t, parent):
+        grand_parent[t.label] = parent
+        grand_children[t.label] = None
+        if t.slots is not None:
+            grand_children[t.label] = [s.label for slot in t.slots for s in slot]
+            for s in chain.from_iterable(t.slots):
+                visit(s, t.label)
+
+    for t in roots:
+        visit(t, None)
+    classes = {}
+    for x, parent in grand_parent.items():
+        if parent is None:
+            classes[x] = NodeClass.ROOT
+            continue
+        old = x == max(grand_children[parent])
+        if grand_children[x] is None:
+            classes[x] = NodeClass.OLD_LEAF if old else NodeClass.YOUNG_LEAF
+        else:
+            classes[x] = NodeClass.OLD_INTERNAL if old else NodeClass.YOUNG_INTERNAL
+
+    def of_class(c):
+        return {x for x in classes if classes[x] is c}
+
+    leaves = {x for x in classes if grand_children[x] is None}
+    si = {t.label for t in roots if t.slots is None}
+    removable_old, removable_young = set(), set()
+    for i, t in enumerate(roots):
+        if t.slots is None or any(t.slots[: k - 1]):
+            continue
+        under = [x for x in grand_children[t.label] if x in leaves]
+        if (len(under) == 1 and classes[under[0]] is NodeClass.OLD_LEAF
+                and (i == len(roots) - 1 or under[0] < roots[i + 1].label)):
+            removable_old.add(under[0])
+    oint_star = of_class(NodeClass.OLD_INTERNAL)
+    last = roots[-1] if roots else None
+    if last is not None and last.slots is not None:
+        earlier = [s.label for slot in last.slots[: k - 1] for s in slot]
+        removable_young = {
+            s.label for s in last.slots[-1]
+            if classes[s.label] is NodeClass.YOUNG_LEAF and all(s.label < y for y in earlier)
+        }
+        oint_star = oint_star - {max(grand_children[last.label])}
+    rleaf = len(removable_old) + len(removable_young)
+    yleaf = of_class(NodeClass.YOUNG_LEAF)
+    return {
+        "classes": classes,
+        "stats": (len(leaves), len(si), len(of_class(NodeClass.OLD_LEAF)), len(yleaf),
+                  len(of_class(NodeClass.OLD_INTERNAL)), len(classes) - len(leaves), rleaf),
+        "oint": of_class(NodeClass.OLD_INTERNAL),
+        "oleaf": of_class(NodeClass.OLD_LEAF),
+        "yleaf": yleaf,
+        "si": si,
+        "oint_star": oint_star,
+        "si_star": si - {last.label} if last is not None else si,
+        "removable_old": removable_old,
+        "removable_young": removable_young,
+        "in_bar": last is None or last.slots is None or not any(last.slots[: k - 1]),
+        "in_star": not yleaf and not rleaf,
+    }
+
+
+def _seeded_word(n, k, seed):
+    """A k-Stirling word on 1..n by gap insertion; half the blocks go right
+    after the first copy of the previous letter, which nests them."""
+    rnd = random.Random(seed)
+    word, prev = [1] * k, 0
+    for a in range(2, n + 1):
+        gap = prev + 1 if rnd.random() < 0.5 else rnd.randint(0, len(word))
+        word[gap:gap] = [a] * k
+        prev = gap
+    return tuple(word)
+
+
+class TestProfileReference:
+    """``forest_profile`` against a naive classifier written from the
+    definitions, field by field."""
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in range(6)])
+    def test_every_small_forest(self, k, n):
+        for f in enumerate_forests(range(1, n + 1), k):
+            assert forest_profile(f)._asdict() == _reference_profile(f), serialize_forest(f)
+
+    @pytest.mark.parametrize("k,seed", [(k, seed) for k in (1, 2, 3, 4) for seed in (1, 2)])
+    def test_seeded_order_200_images(self, k, seed):
+        word = _seeded_word(200, k, seed)
+        for f in (xi(word, k), zeta(word, k)):
+            assert forest_profile(f)._asdict() == _reference_profile(f)
 
 
 class TestClassesAndEnumeration:

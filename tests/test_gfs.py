@@ -229,6 +229,17 @@ class TestTheta:
         assert serialize_forest(back.forest) == serialize_forest(f)
         assert back.marks == frozenset()
 
+    def test_order_4000_chain_of_raises(self):
+        # the nested forest marked at every old internal: theta raises level
+        # by level into the star 1[;2,3,...,4000], one chain of 3 998 raises
+        n = 4000
+        f = xi((*range(1, n), n, n, *range(n - 1, 0, -1)), 2)
+        mf = MarkedForest(f, forest_profile(f).oint)
+        star = theta(mf)
+        assert serialize_forest(star.forest) == "1[;" + ",".join(map(str, range(2, n + 1))) + "]"
+        assert star.marks == frozenset()
+        assert theta_prime(star).text() == mf.text()
+
     def test_marked_text_form(self):
         mf = marked_forest(parse_forest("1 2 3", 2), {2, 1})
         assert mf.text() == "1 2 3 | {1,2}"

@@ -170,8 +170,10 @@ class TestRunSuite:
 
     # Each suite analyses an object once: forest_profile calls at n <= 5,
     # k <= 3, bounded by the counts measured when the profiles were first
-    # threaded through the maps (pipeline 75 663 and gfs 45 883 before).
-    @pytest.mark.parametrize("suite,calls", [("pipeline", 20_566), ("gfs", 19_194)])
+    # threaded through the maps (pipeline 75 663 and gfs 45 883 before), and
+    # since main_bijection hands its profile on where theta keeps the forest
+    # (pipeline 20 566 before).
+    @pytest.mark.parametrize("suite,calls", [("pipeline", 17_792), ("gfs", 19_194)])
     def test_map_suites_profile_each_object_once(self, monkeypatch, suite, calls):
         counted = [0]
         real = forest_module.forest_profile
@@ -184,6 +186,21 @@ class TestRunSuite:
             monkeypatch.setattr(module, "forest_profile", profile)
         assert all(r.passed for r in run_suite(5, 3, suites=(suite,)))
         assert 0 < counted[0] <= calls
+
+    # The gfs suite computes each toggle image once: where phi(t, x) is t,
+    # phi(phi(t, x), y) is phi(t, y).  gfs.phi calls at n <= 5, k <= 3
+    # (87 981 when every composite was toggled afresh).
+    def test_gfs_suite_toggles_each_image_once(self, monkeypatch):
+        counted = [0]
+        real = gfs.phi
+
+        def phi(t, x):
+            counted[0] += 1
+            return real(t, x)
+
+        monkeypatch.setattr(gfs, "phi", phi)
+        assert all(r.passed for r in run_suite(5, 3, suites=("gfs",)))
+        assert 0 < counted[0] <= 46_282
 
     def test_leaf_split_catches_a_misfiled_node(self, monkeypatch):
         # a profile that counts one internal node as an old leaf keeps
