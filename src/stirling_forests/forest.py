@@ -35,8 +35,14 @@ holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  LABEL is a run of decimal
 digits read by ``stirling.read_label``, the one label rule, and blanks may
 sit between tokens; serialization emits single spaces between trees only.
 
+``validate_forest`` lists every violation, in the order of a depth-first
+walk, and never raises.  It is a view of ``_census_walk``, which also counts
+the classes, bar and star of the forest for the oracle's theorem census;
+``forest_profile`` stays a walk of its own, for the maps.  The tests check
+the walk's counts against ``forest_profile``.
+
 The reader ``_read_forest`` (one ``re`` scan for tokens, and a stack of open
-nodes), the serializer, ``validate_forest`` (a stack of (parent, node) pairs
+nodes), the serializer, ``_census_walk`` (a stack of (parent, node) pairs
 and slot-order checks), ``LabeledTree.labels`` and ``forest_profile`` walk
 trees with explicit stacks and take any depth; ``LabeledTree``
 equality and hashing, made by the dataclass, still recurse.
@@ -272,45 +278,118 @@ def parse_tree(text: str, k: int) -> LabeledTree:
 # validation and classification
 
 
-def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
-    """All invariant violations as (offending label, message); empty when valid.
+class _CensusRecord(NamedTuple):
+    """What the theorem census reads of one forest, from ``_census_walk``.
+    The first seven fields are the census signature, so ``record[:7]`` is it;
+    ``nodes`` counts distinct labels, ``lint`` internal nodes, and the starred
+    counts are the sizes of ``forest_profile``'s starred sets."""
+
+    lleaf: int
+    si: int
+    oleaf: int
+    yleaf: int
+    one_tree: bool
+    in_bar: bool
+    in_star: bool
+    nodes: int
+    lint: int
+    oint: int
+    oint_star: int
+    si_star: int
+    violations: list[tuple[int | None, str]]
+
+
+def _census_walk(f: Forest) -> _CensusRecord:
+    """``validate_forest`` and the counts of ``forest_profile`` in one walk.
 
     Depth first with an explicit stack of (parent label, node) pairs.  A slot
     of two or more trees also pushes (parent label, slot) just above its
     first tree, so its order is checked after the walk of the slots before it.
+    A popped internal node also counts its children by class, its old grand
+    child being the greatest slot end, as ``forest_profile`` reads it.  The
+    root, popped first, leaves its old grand child and the classes of its
+    grand children, which settle the tree's removable old leaf.  A removable
+    young leaf is young, so the walk need not find those to settle in_star.
     """
+    k, trees = f.k, f.trees
     violations: list[tuple[int | None, str]] = []
     seen: set[int] = set()
-    for a, b in zip(f.trees, f.trees[1:]):
+    for a, b in zip(trees, trees[1:]):
         if a.label >= b.label:
             violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
-    stack: list = [(None, t) for t in reversed(f.trees)]
-    while stack:
-        parent, t = stack.pop()
-        if type(t) is tuple:
-            for a, b in zip(t, t[1:]):
-                if a.label >= b.label:
-                    violations.append(
-                        (b.label, f"slot under {parent} not increasing: {a.label} before {b.label}")
-                    )
-            continue
-        if parent is not None and t.label <= parent:
-            violations.append((t.label, f"path not increasing: {t.label} below {parent}"))
-        if t.label in seen:
-            violations.append((t.label, f"duplicate label {t.label}"))
-        seen.add(t.label)
+    oleaf = yleaf = oint = lint = si = removable = 0
+    last = len(trees) - 1
+    for i, t in enumerate(trees):
         if t.slots is None:
+            x = t.label
+            if x in seen:
+                violations.append((x, f"duplicate label {x}"))
+            seen.add(x)
+            si += 1
             continue
-        if len(t.slots) != f.k:
-            violations.append((t.label, f"node {t.label} has {len(t.slots)} slots, expected {f.k}"))
-        if not any(t.slots):
-            violations.append((t.label, f"internal node {t.label} has k empty slots (not pruned)"))
-        for slot in reversed(t.slots):
-            for s in reversed(slot):
-                stack.append((t.label, s))
-            if len(slot) > 1:
-                stack.append((t.label, slot))
-    return violations
+        before = oleaf, yleaf, oint
+        stack: list = [(None, t)]
+        while stack:
+            parent, u = stack.pop()
+            if type(u) is tuple:
+                for a, b in zip(u, u[1:]):
+                    if a.label >= b.label:
+                        violations.append(
+                            (b.label, f"slot under {parent} not increasing: {a.label} before {b.label}")
+                        )
+                continue
+            x = u.label
+            if parent is not None and x <= parent:
+                violations.append((x, f"path not increasing: {x} below {parent}"))
+            if x in seen:
+                violations.append((x, f"duplicate label {x}"))
+            seen.add(x)
+            slots = u.slots
+            if slots is None:
+                continue
+            lint += 1
+            if len(slots) != k:
+                violations.append((x, f"node {x} has {len(slots)} slots, expected {k}"))
+            top = None
+            for slot in slots:
+                if slot and (top is None or slot[-1].label > top):
+                    top = slot[-1].label
+            if top is None:
+                violations.append((x, f"internal node {x} has k empty slots (not pruned)"))
+            for slot in reversed(slots):
+                for s in reversed(slot):
+                    stack.append((x, s))
+                    if s.slots is None:
+                        if s.label == top:
+                            oleaf += 1
+                        else:
+                            yleaf += 1
+                    elif s.label == top:
+                        oint += 1
+                if len(slot) > 1:
+                    stack.append((x, slot))
+            if u is t:  # the root's old grand child, and its old leaf, young leaf
+                # and old internal grand children
+                root_top = top
+                under_root = oleaf - before[0], yleaf - before[1], oint - before[2]
+        # the tree's removable old leaf: the root's first k-1 slots are empty,
+        # its one leaf grand child is its old one, and is below the next root
+        bar = not any(t.slots[: k - 1])
+        if bar and under_root[:2] == (1, 0) and (i == last or root_top < trees[i + 1].label):
+            removable += 1
+    if not trees or trees[-1].slots is None:  # no trees, or a final singleton
+        bar, oint_star, si_star = True, oint, si - bool(trees)
+    else:  # bar is the last tree's; the last root's old grand child is not starred
+        oint_star, si_star = oint - bool(under_root[2]), si
+    return _CensusRecord(oleaf + yleaf + si, si, oleaf, yleaf, len(trees) == 1, bar,
+                         not yleaf and not removable, len(seen), lint, oint, oint_star,
+                         si_star, violations)
+
+
+def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
+    """All invariant violations as (offending label, message), in the order
+    of a depth-first walk; empty when valid.  A view of ``_census_walk``."""
+    return _census_walk(f).violations
 
 
 def forest_profile(f: Forest) -> ForestProfile:

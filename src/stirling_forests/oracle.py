@@ -14,16 +14,18 @@ histograms once per signature, from a representative object:
   ap and lap histograms of Q, Qbar, Qhat and Qtilde: the ``poly.*`` routes,
   the classwise splits A = a + x*b, ``thm.tilde.trees=words`` and
   ``thm.k1.reduction``;
-* the forest fold builds one ``forest_profile`` per forest and fills the
-  lleaf and lleaf - si histograms of F, Fbar and Fhat, the bar/hat gamma
-  censuses, the forest count and, per forest, the ``thm.relation.*`` checks,
-  and from the one-tree forests the T lleaf histogram and the tilde gamma
-  census: every other ``thm.*`` report.
+* the forest fold walks each forest once with ``forest._census_walk``,
+  which validates it and counts its classes, and builds no
+  ``forest_profile``.  From the walk's record it fills the lleaf and
+  lleaf - si histograms of F, Fbar and Fhat, the bar/hat gamma censuses,
+  the forest count and, per forest, the ``thm.relation.*`` checks (an
+  invalid forest fails ``thm.relation.leaf-split``), and from the one-tree
+  forests the T lleaf histogram and the tilde gamma census: every other
+  ``thm.*`` report.
 
 ``distribution``, ``gamma_census_bar_hat`` and ``gamma_census_tilde`` are
 views of these folds; the objects folded pick the family: words, forests,
-or trees wrapped as one-tree forests.  Only the theorem suite's fold runs
-``validate_forest``, for ``thm.relation.leaf-split``.
+or trees wrapped as one-tree forests.
 
 The map suites analyse each object once.  Enumerated words are k-Stirling,
 so the bijection suite runs the unchecked passes (``bimap._xi_trees``,
@@ -47,6 +49,7 @@ from . import bimap, gfs, pipeline
 from .forest import (
     Forest,
     NodeClass,
+    _census_walk,
     enumerate_forests,
     enumerate_trees,
     forest_profile,
@@ -73,8 +76,9 @@ from .stirling import (
 )
 
 # The one table of families: membership of an object given its class record
-# (``word_class`` for a word, ``forest_profile`` for a forest).  A family
-# named Q* holds words, T one-tree forests, the others forests.
+# (``word_class`` for a word; ``forest_profile`` or the census walk's record
+# for a forest).  A family named Q* holds words, T one-tree forests, the
+# others forests.
 FAMILY_TESTS = {
     "Q": lambda w, cls: True,
     "Qbar": lambda w, cls: cls["in_bar"],
@@ -178,35 +182,32 @@ def _fold_words(n: int, k: int, folds: dict) -> _Census:
     return folds.setdefault((n, k), census)
 
 
-def _fold_forests(forests: Iterable[Forest], validate: bool = False) -> _Census:
-    """The forest fold; ``validate`` for the ``thm.relation.leaf-split`` report."""
+def _fold_forests(forests: Iterable[Forest]) -> _Census:
+    """The forest fold: one ``_census_walk`` per forest, which also validates it."""
     census = _Census()
     tally, reps = Counter(), {}
     for f in forests:
-        p = forest_profile(f)
-        st = p.stats
-        sig = (st.lleaf, st.si, st.oleaf, st.yleaf, len(f.trees) == 1, p.in_bar, p.in_star)
+        w = _census_walk(f)
+        sig = w[:7]  # lleaf, si, oleaf, yleaf, one tree, in_bar, in_star
         tally[sig] += 1
-        reps.setdefault(sig, (f, p))
-        n = len(p.classes)  # every node is internal or a labeled leaf
-        if st.lleaf != n - st.lint or validate and validate_forest(f):
+        reps.setdefault(sig, (f, w))
+        if w.lleaf != w.nodes - w.lint or w.violations:
             census.bad["thm.relation.leaf-split"].append(serialize_forest(f))
-        if p.in_star and p.in_bar and len(p.oint_star) + len(p.si_star) != n - 1 - 2 * st.oleaf:
+        if w.in_star and w.in_bar and w.oint_star + w.si_star != w.nodes - 1 - 2 * w.oleaf:
             census.bad["thm.relation.bar-star"].append(serialize_forest(f))
-        if p.in_star and not p.in_bar and st.oint + st.si != n - 2 * st.oleaf:
+        if w.in_star and not w.in_bar and w.oint + w.si != w.nodes - 2 * w.oleaf:
             census.bad["thm.relation.hat-star"].append(serialize_forest(f))
     for sig, times in tally.items():
-        f, p = reps[sig]
-        st = p.stats
+        f, w = reps[sig]
         census.count += times
         for family in _FOREST_FAMILIES:
-            if FAMILY_TESTS[family](f, p):
-                census.bump((family, "lleaf"), st.lleaf, times)
-                census.bump((family, "lleaf-si"), st.lleaf - st.si, times)
-        if FAMILY_TESTS["T"](f, p) and not st.yleaf:
-            census.bump("tilde", st.lleaf, times)
-        if p.in_star:
-            census.bump("gamma_bar" if p.in_bar else "gamma_hat", st.oleaf, times)
+            if FAMILY_TESTS[family](f, w):
+                census.bump((family, "lleaf"), w.lleaf, times)
+                census.bump((family, "lleaf-si"), w.lleaf - w.si, times)
+        if FAMILY_TESTS["T"](f, w) and not w.yleaf:
+            census.bump("tilde", w.lleaf, times)
+        if w.in_star:
+            census.bump("gamma_bar" if w.in_bar else "gamma_hat", w.oleaf, times)
     return census
 
 
@@ -461,8 +462,7 @@ def _suite_pipeline(n, k, folds):
         for x in labels:
             g = pipeline.psi(f, x, p)
             gp, g_bad = (p, f_bad) if g is f else (forest_profile(g), validate_forest(g))
-            idx = pipeline._singleton_index(f, x)
-            if idx is not None and idx < len(f.trees) - 1:
+            if x in p.si_star:  # a non-final singleton
                 expect = base_stat + 1
             elif x in p.removable_old:
                 expect = base_stat - 1
@@ -526,7 +526,7 @@ def _suite_theorems(n, k, folds):
     if n < 1:
         return
     words = _fold_words(n, k, folds)
-    forests = _fold_forests(_forests(n, k), validate=True)
+    forests = _fold_forests(_forests(n, k))
     A = _egf_last(k, n)
     dec = symmetric_decompose(A, n - 1)
     a_part, xb_part = dec.a, dec.b.shift(1)

@@ -45,12 +45,12 @@ def psi(f: Forest, x: int, profile: ForestProfile | None = None) -> Forest:
     p = forest_profile(f) if profile is None else profile
     if x not in p.classes:  # every label has a class
         raise ValueError(f"labels [{x}] do not occur in the forest")
-    m = len(f.trees)
-    i = _singleton_index(f, x)
-    applicable = sum([i is not None and i < m - 1, x in p.removable_old, x in p.removable_young])
+    nonfinal = x in p.si_star  # x labels a non-final singleton
+    applicable = sum([nonfinal, x in p.removable_old, x in p.removable_young])
     if applicable > 1:
         raise RuntimeError("psi cases must be mutually exclusive")
-    if i is not None and i < m - 1:
+    if nonfinal:
+        m, i = len(f.trees), _singleton_index(f, x)
         j = next(jj for jj in range(i + 1, m) if f.trees[jj].slots is None or jj == m - 1)
         if f.trees[j].slots is None:
             return _absorb_right(f, i, j)
@@ -125,7 +125,7 @@ def _alpha(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
     if not mf.marks:
         raise ValueError("alpha requires a nonempty mark set")
     x = max(mf.marks)
-    if _singleton_index(mf.forest, x) is None:
+    if x not in p.si:
         raise ValueError(f"mark {x} does not label a singleton")
     return MarkedForest(psi(mf.forest, x, p), mf.marks - {x})
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from itertools import accumulate, combinations
@@ -423,6 +424,20 @@ class TestVerify:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert lines and all(rec["pass"] for rec in lines)
         assert {"identity", "n", "k", "pass", "left", "right"} <= set(lines[0])
+
+    # The NDJSON bytes, pinned: the sha256 of the whole output of the census
+    # suites to n = 5 and of the default suites to n = 4, both at k <= 3, as
+    # printed before the census forest fold and the validator shared a walk.
+    @pytest.mark.parametrize("argv,digest", [
+        (["--n-max", "5", "--k-max", "3", "--suite", "theorems", "--suite", "polynomials"],
+         "a18837ae4322b3d53dc90e6050b0d954edcb5cffb353d2e487abb3218ab28a27"),
+        (["--n-max", "4", "--k-max", "3"],
+         "e08baca1fe3a9b0feef23a04ac38326e0e9ad7e0436756055fa380d045b866d6"),
+    ])
+    def test_json_bytes_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n_max,k_max", [("2", "0"), ("-3", "2")])
     def test_empty_range_is_usage_error(self, capsys, n_max, k_max):

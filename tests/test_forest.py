@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -129,9 +130,17 @@ class TestReader:
     @given(st.lists(st.sampled_from(_SYMBOLS), max_size=16).map("".join),
            st.integers(1, 3))
     def test_parses_or_refuses(self, text, k):
+        # whatever the reader builds, the validator lists its faults and
+        # never raises; parse_forest refuses the first of them
         try:
-            f = parse_forest(text, k)
-        except (ForestSyntaxError, ForestInvariantError):
+            f = forest_module._read_forest(text, k)
+        except ForestSyntaxError:
+            return
+        violations = validate_forest(f)
+        assert isinstance(violations, list)
+        if violations:
+            with pytest.raises(ForestInvariantError):
+                parse_forest(text, k)
             return
         assert parse_forest(serialize_forest(f), k) == f
 
@@ -388,6 +397,136 @@ def _seeded_word(n, k, seed):
         word[gap:gap] = [a] * k
         prev = gap
     return tuple(word)
+
+
+def _reference_violations(f):
+    """The validator as it stood before it shared a walk with the census
+    counts: a stack of (parent label, node) pairs and slot-order markers."""
+    violations = []
+    seen = set()
+    for a, b in zip(f.trees, f.trees[1:]):
+        if a.label >= b.label:
+            violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
+    stack = [(None, t) for t in reversed(f.trees)]
+    while stack:
+        parent, t = stack.pop()
+        if type(t) is tuple:
+            for a, b in zip(t, t[1:]):
+                if a.label >= b.label:
+                    violations.append(
+                        (b.label, f"slot under {parent} not increasing: {a.label} before {b.label}")
+                    )
+            continue
+        if parent is not None and t.label <= parent:
+            violations.append((t.label, f"path not increasing: {t.label} below {parent}"))
+        if t.label in seen:
+            violations.append((t.label, f"duplicate label {t.label}"))
+        seen.add(t.label)
+        if t.slots is None:
+            continue
+        if len(t.slots) != f.k:
+            violations.append((t.label, f"node {t.label} has {len(t.slots)} slots, expected {f.k}"))
+        if not any(t.slots):
+            violations.append((t.label, f"internal node {t.label} has k empty slots (not pruned)"))
+        for slot in reversed(t.slots):
+            for s in reversed(slot):
+                stack.append((t.label, s))
+            if len(slot) > 1:
+                stack.append((t.label, slot))
+    return violations
+
+
+def _profile_counts(f):
+    """The census walk's record, less its violations, read off forest_profile."""
+    p = forest_profile(f)
+    st = p.stats
+    return (st.lleaf, st.si, st.oleaf, st.yleaf, len(f.trees) == 1, p.in_bar, p.in_star,
+            len(p.classes), st.lint, st.oint, len(p.oint_star), len(p.si_star))
+
+
+def _shuffled_slots(t, rng):
+    if t.slots is None:
+        return t
+    slots = []
+    for slot in t.slots:
+        slot = [_shuffled_slots(s, rng) for s in slot]
+        if rng.random() < 0.5:
+            rng.shuffle(slot)
+        slots.append(tuple(slot))
+    return LabeledTree(t.label, tuple(slots))
+
+
+_SMALL_FORESTS = [f for k in (1, 2, 3) for n in range(1, 6)
+                  for f in enumerate_forests(range(1, n + 1), k)]
+
+
+def _scrambled_forests(seed, count):
+    """Valid forests spoiled by some of: labels redrawn (duplicates and
+    order faults), leaves given k empty slots, slots shuffled, and the
+    forest's k changed; the first two through the text and ``_read_forest``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = rng.choice(_SMALL_FORESTS)
+        k, text, n = f.k, serialize_forest(f), sum(1 for _ in f.labels())
+        faults = {j for j in range(4) if rng.random() < 0.5} or {rng.randrange(4)}
+        if 0 in faults:
+            text = re.sub(r"\d+", lambda m: str(rng.randint(1, n + 1))
+                          if rng.random() < 0.5 else m[0], text)
+        if 1 in faults:  # a label that opens no slots is a leaf
+            text = re.sub(r"\d+(?![\d\[])", lambda m: f"{m[0]}[{';' * (k - 1)}]"
+                          if rng.random() < 0.3 else m[0], text)
+        g = forest_module._read_forest(text, k)
+        if 2 in faults:
+            g = Forest(k, tuple(_shuffled_slots(t, rng) for t in g.trees))
+        if 3 in faults:
+            g = Forest(rng.choice([j for j in (1, 2, 3, 4) if j != k]), g.trees)
+        yield g
+
+
+class TestCensusWalk:
+    """The census walk against ``forest_profile``'s counts and the earlier
+    validator's violation lists; the two walks share no code."""
+
+    def test_every_small_forest(self):
+        for f in _SMALL_FORESTS:
+            w = forest_module._census_walk(f)
+            assert w[:12] == _profile_counts(f), serialize_forest(f)
+            assert w.violations == _reference_violations(f) == []
+
+    @pytest.mark.parametrize("k,seed", [(k, seed) for k in (1, 2, 3, 4) for seed in (1, 2)])
+    def test_seeded_order_200_images(self, k, seed):
+        word = _seeded_word(200, k, seed)
+        for f in (xi(word, k), zeta(word, k)):
+            w = forest_module._census_walk(f)
+            assert (w[:12], w.violations) == (_profile_counts(f), [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scrambled_forests(self, seed):
+        # the whole violation list, on every forest; the counts where
+        # forest_profile reads the forest as a valid one would be read: the
+        # labels are distinct and only paths or roots fail to increase
+        compared = 0
+        for f in _scrambled_forests(seed, 1000):
+            w = forest_module._census_walk(f)
+            assert w.violations == _reference_violations(f), serialize_forest(f)
+            labels = list(f.labels())
+            if len(set(labels)) == len(labels) and all(
+                    message.startswith(("path", "roots")) for _, message in w.violations):
+                assert w[:12] == _profile_counts(f), serialize_forest(f)
+                compared += 1
+        assert compared
+
+    @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
+    def test_listed_invalid_forests(self, f, expected):
+        assert forest_module._census_walk(f).violations == _reference_violations(f) == expected
+
+    def test_internal_node_without_slots(self):
+        # no reader builds it; the walk lists it and does not raise
+        f = Forest(2, (LabeledTree(1, ()),))
+        assert validate_forest(f) == _reference_violations(f) == [
+            (1, "node 1 has 0 slots, expected 2"),
+            (1, "internal node 1 has k empty slots (not pruned)"),
+        ]
 
 
 class TestProfileReference:

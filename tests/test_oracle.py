@@ -132,24 +132,25 @@ class TestRunSuite:
 
     def test_census_suites_share_one_word_fold_per_cell(self, monkeypatch):
         # theorems and polynomials fold each cell's words once per call; the
-        # theorem suite validates each forest once; each call folds its own
-        cells, validated = [], [0]
-        real_enumerate, real_validate = oracle.enumerate_k_stirling, oracle.validate_forest
+        # theorem suite walks (and so validates) each forest once; each call
+        # folds its own
+        cells, walked = [], [0]
+        real_enumerate, real_walk = oracle.enumerate_k_stirling, oracle._census_walk
 
         def enumerate_words(n, k, *args):
             cells.append((n, k))
             return real_enumerate(n, k, *args)
 
-        def validate(f):
-            validated[0] += 1
-            return real_validate(f)
+        def walk(f):
+            walked[0] += 1
+            return real_walk(f)
 
         monkeypatch.setattr(oracle, "enumerate_k_stirling", enumerate_words)
-        monkeypatch.setattr(oracle, "validate_forest", validate)
+        monkeypatch.setattr(oracle, "_census_walk", walk)
         both = run_suite(4, 3, suites=("theorems", "polynomials"))
         expected = sorted((n, k) for n in range(5) for k in range(1, 4))
         assert sorted(cells) == expected
-        assert validated[0] == sum(
+        assert walked[0] == sum(
             count_k_stirling(n, k) for n in range(1, 5) for k in range(1, 4)
         )
         cells.clear()
@@ -202,21 +203,32 @@ class TestRunSuite:
         assert all(r.passed for r in run_suite(5, 3, suites=("gfs",)))
         assert 0 < counted[0] <= 46_282
 
+    # Mutants of the census walk, each a wrong count in its record: the
+    # relation it breaks fails at its cell, and run_suite returns.
+    @pytest.mark.parametrize("identity,n,k,mutate", [
+        # the last root's old grand child left among the starred old internals
+        ("thm.relation.bar-star", 4, 2, lambda w: w._replace(oint_star=w.oint)),
+        # an old internal counted as young
+        ("thm.relation.hat-star", 4, 2, lambda w: w._replace(oint=max(w.oint - 1, 0))),
+    ])
+    def test_relation_mutants_fail_their_identity(self, monkeypatch, identity, n, k, mutate):
+        real = oracle._census_walk
+        monkeypatch.setattr(oracle, "_census_walk", lambda f: mutate(real(f)))
+        reports = {(r.identity, r.n, r.k): r for r in run_suite(n, k, suites=("theorems",))}
+        assert not reports[identity, n, k].passed
+
     def test_leaf_split_catches_a_misfiled_node(self, monkeypatch):
-        # a profile that counts one internal node as an old leaf keeps
+        # a walk that counts one internal node as an old leaf keeps
         # lleaf = oleaf + yleaf + si, but not lleaf = nodes - internal nodes
         bad = parse_forest("1[2[3;];] 4", 2)
-        real = forest_module.forest_profile
+        real = oracle._census_walk
 
-        def profile(f):
-            p = real(f)
-            if f != bad:
-                return p
-            st = p.stats
-            return p._replace(stats=st._replace(oleaf=st.oleaf + 1, lleaf=st.lleaf + 1))
+        def walk(f):
+            w = real(f)
+            return w._replace(oleaf=w.oleaf + 1, lleaf=w.lleaf + 1) if f == bad else w
 
-        monkeypatch.setattr(oracle, "forest_profile", profile)
-        census = oracle._fold_forests(enumerate_forests([1, 2, 3, 4], 2), validate=True)
+        monkeypatch.setattr(oracle, "_census_walk", walk)
+        census = oracle._fold_forests(enumerate_forests([1, 2, 3, 4], 2))
         assert census.bad["thm.relation.leaf-split"] == ["1[2[3;];] 4"]
 
     def test_bijection_suite_validates_no_word(self, monkeypatch):
