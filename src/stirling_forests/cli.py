@@ -249,7 +249,7 @@ def _chi_inv(text: str, args) -> str:
     return word_to_text(bimap.chi_inv(f.trees[0], args.k))
 
 
-def _gamma_prime(text: str, args) -> str:
+def _gamma_prime_unmarked(text: str, args) -> str:
     mf = _parse_marked(text, args)
     if mf.marks:
         raise ValueError("gamma-prime starts from an unmarked forest")
@@ -273,7 +273,7 @@ _MAPS = {
     "alpha": lambda text, a: pipeline.alpha_step(_parse_marked(text, a)).text(),
     "beta": lambda text, a: pipeline.beta_step(_parse_marked(text, a)).text(),
     "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(_parse_marked(text, a))),
-    "gamma-prime": _gamma_prime,
+    "gamma-prime": _gamma_prime_unmarked,
 }
 
 

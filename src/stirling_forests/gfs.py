@@ -26,6 +26,11 @@ marked-forest domain once, by the labels its marks may take: X and Y, which
 theta pairs up, and their bar/hat class versions (theta takes X-bar onto
 Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and the guards
 of theta, theta_prime and the pipeline maps read the same table.
+
+``theta``, ``theta_prime`` and ``orbit_representative`` take an optional
+trailing ``profile``, the ``forest_profile`` of the (one-tree) forest they
+act on, as ``pipeline.psi`` does; it is computed when the caller does not
+pass it.
 """
 
 from __future__ import annotations
@@ -218,21 +223,16 @@ def orbit(t: LabeledTree) -> list[LabeledTree]:
     return sorted(seen, key=serialize_tree)
 
 
-def orbit_representative(t: LabeledTree) -> LabeledTree:
+def orbit_representative(t: LabeledTree, profile: ForestProfile | None = None) -> LabeledTree:
     """The unique orbit member without young leaves.
 
     One simultaneous toggle of all young-leaf labels suffices; the result is
-    checked to be young-leaf free.
+    checked to be young-leaf free.  Without young leaves t is its own.
     """
     f = Forest(_tree_k(t), (t,))
-    return _representative(f, forest_profile(f))
-
-
-def _representative(f: Forest, p: ForestProfile) -> LabeledTree:
-    """orbit_representative of f's one tree given f's profile; without young
-    leaves the tree is its own."""
+    p = forest_profile(f) if profile is None else profile
     if not p.yleaf:
-        return f.trees[0]
+        return t
     rep = phi_set(f, p.yleaf).trees[0]
     if forest_profile(Forest(f.k, (rep,))).stats.yleaf:
         raise RuntimeError("toggling every young leaf must leave none")
@@ -272,13 +272,9 @@ def in_domain(mf: MarkedForest, name: str) -> bool:
     return pool is not None and mf.marks <= pool
 
 
-def theta(mf: MarkedForest) -> MarkedForest:
+def theta(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
     """Toggle the old-internal part of the marks, keep the singleton part."""
-    return _theta(mf, forest_profile(mf.forest))
-
-
-def _theta(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
-    """theta given the forest's profile."""
+    p = forest_profile(mf.forest) if profile is None else profile
     pool = DOMAINS["X"](p)
     if pool is None or not mf.marks <= pool:
         raise ValueError("theta requires a young-leaf-free forest with marks "
@@ -288,13 +284,9 @@ def _theta(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
     return MarkedForest(phi_set(mf.forest, s1), frozenset(s2))
 
 
-def theta_prime(mf: MarkedForest) -> MarkedForest:
+def theta_prime(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
     """Toggle all young leaves away and absorb their labels into the marks."""
-    return _theta_prime(mf, forest_profile(mf.forest))
-
-
-def _theta_prime(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
-    """theta_prime given the forest's profile."""
+    p = forest_profile(mf.forest) if profile is None else profile
     if not mf.marks <= DOMAINS["Y"](p):
         raise ValueError("theta_prime requires marks among non-final singletons")
     return MarkedForest(phi_set(mf.forest, p.yleaf), frozenset(mf.marks | p.yleaf))

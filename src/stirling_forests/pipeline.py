@@ -27,12 +27,18 @@ beta until no removable leaf remains and returns the settled marked forest;
 the two are mutually inverse.  ``main_bijection`` is gamma after theta.
 The guards take their domains from ``gfs.DOMAINS``: gamma's marks lie in Y,
 and main_bijection's input in X-bar or X-hat by its forest's class.
+
+Each map takes, as psi does, an optional trailing ``profile``: the
+``forest_profile`` of its input forest, computed when the caller does not
+pass it.  A map that returns its input forest hands the profile on.
+``_beta_chain`` yields gamma_prime's states with their profiles; the
+oracle's pipeline suite replays it.
 """
 
 from __future__ import annotations
 
 from .forest import Forest, ForestProfile, LabeledTree, forest_profile
-from .gfs import DOMAINS, MarkedForest, _theta
+from .gfs import DOMAINS, MarkedForest, theta
 
 
 def _singleton_index(f: Forest, x: int) -> int | None:
@@ -115,90 +121,74 @@ def _pop_young(f: Forest, x: int) -> Forest:
     )
 
 
-def alpha_step(mf: MarkedForest) -> MarkedForest:
+def alpha_step(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
     """psi at the greatest mark, which must label a singleton; drop the mark."""
-    return _alpha(mf, forest_profile(mf.forest))
-
-
-def _alpha(mf: MarkedForest, p: ForestProfile) -> MarkedForest:
-    """alpha_step given the forest's profile."""
     if not mf.marks:
         raise ValueError("alpha requires a nonempty mark set")
+    p = forest_profile(mf.forest) if profile is None else profile
     x = max(mf.marks)
     if x not in p.si:
         raise ValueError(f"mark {x} does not label a singleton")
     return MarkedForest(psi(mf.forest, x, p), mf.marks - {x})
 
 
-def beta_step(mf: MarkedForest) -> MarkedForest:
+def beta_step(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
     """psi at the least removable leaf; record its root label as a mark."""
-    return _beta(mf, forest_profile(mf.forest))[0]
-
-
-def _beta(mf: MarkedForest, p: ForestProfile) -> tuple[MarkedForest, int, int]:
-    """beta_step given the forest's profile, with the leaf x it removed and
-    the root label y it marked."""
+    p = forest_profile(mf.forest) if profile is None else profile
     pool = p.removable_old | p.removable_young
     if not pool:
         raise ValueError("beta requires a removable leaf")
     x = min(pool)
     y = mf.forest.trees[mf.forest.tree_index_of(x)].label
-    return MarkedForest(psi(mf.forest, x, p), frozenset(mf.marks | {y})), x, y
+    return MarkedForest(psi(mf.forest, x, p), frozenset(mf.marks | {y}))
 
 
-def gamma_map(mf: MarkedForest) -> Forest:
-    """Drain the marks, greatest first, through psi."""
-    return _gamma(mf, forest_profile(mf.forest))
-
-
-def _gamma(mf: MarkedForest, p: ForestProfile) -> Forest:
-    """gamma_map given the forest's profile; each later state is profiled once."""
+def gamma_map(mf: MarkedForest, profile: ForestProfile | None = None) -> Forest:
+    """Drain the marks, greatest first, through psi; each later state is
+    profiled once."""
+    p = forest_profile(mf.forest) if profile is None else profile
     if not mf.marks <= DOMAINS["Y"](p):
         raise ValueError("gamma requires marks among non-final singletons")
     for _ in range(len(mf.marks)):
-        mf, p = _alpha(mf, p or forest_profile(mf.forest)), None
+        mf, p = alpha_step(mf, p), None
     return mf.forest
 
 
-def gamma_prime_map(f: Forest) -> MarkedForest:
-    """Run beta until no removable leaf remains; inverse of gamma_map.
+def gamma_prime_map(f: Forest, profile: ForestProfile | None = None) -> MarkedForest:
+    """Run beta until no removable leaf remains; inverse of gamma_map."""
+    for mf, _ in _beta_chain(f, forest_profile(f) if profile is None else profile):
+        pass
+    return mf
 
-    Each step lowers lleaf - si by 1, so at most lleaf(f) - si(f) steps run.
+
+def _beta_chain(f: Forest, p: ForestProfile):
+    """The states of gamma_prime_map on f, each with its profile p: from
+    (f, {}) on, beta at each state whose forest keeps a removable leaf.
+
+    Each step lowers lleaf - si by 1, so at most lleaf(f) - si(f) steps run;
+    the chain refuses to take one more.
     """
-    return _gamma_prime(f, forest_profile(f))[0]
-
-
-def _gamma_prime(f: Forest, p: ForestProfile):
-    """gamma_prime_map given f's profile, with its trajectory for replay and
-    audit: the visited marked forests, the (x, y) choice of each beta step
-    and each state's profile."""
-    mf = MarkedForest(f, frozenset())
-    trajectory, steps, profiles = [mf], [], [p]
-    budget = p.stats.lleaf - p.stats.si
-    while p.stats.rleaf > 0:
-        if len(steps) > budget:
+    mf, budget = MarkedForest(f, frozenset()), p.stats.lleaf - p.stats.si
+    while True:
+        yield mf, p
+        if not p.stats.rleaf:
+            return
+        if budget <= 0:
             raise RuntimeError("beta failed to terminate within its budget")
-        mf, x, y = _beta(mf, p)
+        budget -= 1
+        mf = beta_step(mf, p)
         p = forest_profile(mf.forest)
-        steps.append((x, y))
-        trajectory.append(mf)
-        profiles.append(p)
-    return mf, trajectory, steps, profiles
 
 
-def main_bijection(mf: MarkedForest) -> Forest:
+def main_bijection(mf: MarkedForest, profile: ForestProfile | None = None) -> Forest:
     """gamma after theta, on the bar- or hat-class marked domains."""
-    return _main(mf, forest_profile(mf.forest))
-
-
-def _main(mf: MarkedForest, p: ForestProfile) -> Forest:
-    """main_bijection given the forest's profile."""
+    p = forest_profile(mf.forest) if profile is None else profile
     pool = DOMAINS["Xbar" if p.in_bar else "Xhat"](p)
     if pool is None or not mf.marks <= pool:
         raise ValueError(
             "main bijection requires a starred forest with marks among "
             "old internals (bar: excluding the last root's) and non-final singletons"
         )
-    out = _theta(mf, p)
+    out = theta(mf, p)
     # without old-internal marks theta keeps the forest, and so its profile
-    return _gamma(out, p if out.forest is mf.forest else forest_profile(out.forest))
+    return gamma_map(out, p if out.forest is mf.forest else None)

@@ -425,14 +425,27 @@ class TestVerify:
         assert lines and all(rec["pass"] for rec in lines)
         assert {"identity", "n", "k", "pass", "left", "right"} <= set(lines[0])
 
+    def test_repeated_suite_reports_once(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--k-max", "1",
+                               "--suite", "polynomials", "--suite", "polynomials")
+        assert code == 0
+        *reports, total = out.splitlines()
+        assert len(set(reports)) == len(reports) == 15
+        assert total == "15/15 identities passed"
+
     # The NDJSON bytes, pinned: the sha256 of the whole output of the census
     # suites to n = 5 and of the default suites to n = 4, both at k <= 3, as
-    # printed before the census forest fold and the validator shared a walk.
+    # printed before the census forest fold and the validator shared a walk,
+    # and of the map suites to n = 5, k <= 3, as printed while the maps still
+    # had private profile twins.
     @pytest.mark.parametrize("argv,digest", [
         (["--n-max", "5", "--k-max", "3", "--suite", "theorems", "--suite", "polynomials"],
          "a18837ae4322b3d53dc90e6050b0d954edcb5cffb353d2e487abb3218ab28a27"),
         (["--n-max", "4", "--k-max", "3"],
          "e08baca1fe3a9b0feef23a04ac38326e0e9ad7e0436756055fa380d045b866d6"),
+        (["--n-max", "5", "--k-max", "3", "--suite", "bijections", "--suite", "gfs",
+          "--suite", "pipeline"],
+         "f091f4917a5af01685a7bc21c2179866179150c0564d6e3153b170dda89a28ab"),
     ])
     def test_json_bytes_pinned(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 import stirling_forests.forest as forest_module
@@ -160,6 +163,11 @@ class TestRunSuite:
         assert [r.as_dict() for r in both] == [r.as_dict() for r in alone]
         assert all(r.passed for r in both)
 
+    def test_repeated_suite_runs_once(self):
+        once = [r.as_dict() for r in run_suite(3, 2, ("gfs",))]
+        assert len(once) == 60
+        assert [r.as_dict() for r in run_suite(3, 2, ("gfs", "gfs"))] == once
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite(2, 2, suites=("nope",))
@@ -188,6 +196,32 @@ class TestRunSuite:
         assert all(r.passed for r in run_suite(5, 3, suites=(suite,)))
         assert 0 < counted[0] <= calls
 
+    # The suites call each map by its public name, so a wrapper put on it
+    # (the benchmark's tracer, a mutant) sees their calls.
+    def test_map_suites_reach_every_public_map(self, monkeypatch):
+        maps = (gfs.theta, gfs.theta_prime, pipeline.alpha_step, pipeline.beta_step,
+                pipeline.gamma_map, pipeline.gamma_prime_map, pipeline.main_bijection)
+        counted = Counter()
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                counted[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {id(fn): counting(fn) for fn in maps}
+        aliases = [
+            (module, name, wrappers[id(value)])
+            for module_name, module in sys.modules.items()
+            if module_name.split(".")[0] == "stirling_forests"
+            for name, value in vars(module).items()
+            if id(value) in wrappers
+        ]
+        for module, name, wrapper in aliases:
+            monkeypatch.setattr(module, name, wrapper)
+        assert all(r.passed for r in run_suite(4, 2, ("gfs", "pipeline")))
+        assert set(counted) == {fn.__name__ for fn in maps}
+
     # The gfs suite computes each toggle image once: where phi(t, x) is t,
     # phi(phi(t, x), y) is phi(t, y).  gfs.phi calls at n <= 5, k <= 3
     # (87 981 when every composite was toggled afresh).
@@ -210,6 +244,10 @@ class TestRunSuite:
         ("thm.relation.bar-star", 4, 2, lambda w: w._replace(oint_star=w.oint)),
         # an old internal counted as young
         ("thm.relation.hat-star", 4, 2, lambda w: w._replace(oint=max(w.oint - 1, 0))),
+        # an internal node counted as an old leaf in every forest, which also
+        # lengthens the gamma censuses past their centers
+        ("thm.relation.leaf-split", 4, 2,
+         lambda w: w._replace(oleaf=w.oleaf + 1, lleaf=w.lleaf + 1)),
     ])
     def test_relation_mutants_fail_their_identity(self, monkeypatch, identity, n, k, mutate):
         real = oracle._census_walk
@@ -230,6 +268,18 @@ class TestRunSuite:
         monkeypatch.setattr(oracle, "_census_walk", walk)
         census = oracle._fold_forests(enumerate_forests([1, 2, 3, 4], 2))
         assert census.bad["thm.relation.leaf-split"] == ["1[2[3;];] 4"]
+
+    def test_overlong_census_fails_with_its_vector(self, monkeypatch):
+        # one old leaf too many in every forest: at n = 1 the bar census
+        # [0, 1] does not fit its center 0, so its reports fail with the
+        # vector as their left side instead of raising
+        real = oracle._census_walk
+        monkeypatch.setattr(oracle, "_census_walk",
+                            lambda f: (w := real(f))._replace(oleaf=w.oleaf + 1))
+        reports = {(r.identity, r.n, r.k): r for r in run_suite(1, 1, suites=("theorems",))}
+        for identity in ("thm.bar.census=distribution", "thm.bar.census=decomposition"):
+            report = reports[identity, 1, 1]
+            assert not report.passed and report.left == [0, 1]
 
     def test_bijection_suite_validates_no_word(self, monkeypatch):
         # enumerated words are k-Stirling: the unchecked passes take them

@@ -2,9 +2,7 @@ import pytest
 
 from stirling_forests import gfs, pipeline
 from stirling_forests.forest import (
-    Forest,
     enumerate_forests,
-    enumerate_trees,
     forest_profile,
     forest_stats,
     in_bar,
@@ -138,17 +136,36 @@ class TestGammaMaps:
 
     def test_gamma_prime_trajectory_exposed(self):
         f = parse_forest("1[;4,7;2[;5;],3,6[;8;]]", 3)
-        out, states, steps, _ = pipeline._gamma_prime(f, forest_profile(f))
-        assert steps[0] == (3, 1)
-        assert states[0].marks == frozenset()
-        assert forest_stats(out.forest).rleaf == 0
+        states = [mf for mf, _ in pipeline._beta_chain(f, forest_profile(f))]
+        assert states[0] == MarkedForest(f, frozenset())
+        # the first step removes the old leaf 3 and marks its root 1
+        assert states[1].text() == "1 2[;5;] 3[;4,7;6[;8;]] | {1}"
+        assert forest_stats(states[-1].forest).rleaf == 0
+
+    def test_beta_chain_and_its_profiles(self):
+        for f in _small_forests():
+            chain = list(pipeline._beta_chain(f, forest_profile(f)))
+            states = [mf for mf, _ in chain]
+            assert states[0] == MarkedForest(f, frozenset())
+            assert states[-1] == gamma_prime_map(f)
+            assert [p for _, p in chain] == [forest_profile(mf.forest) for mf in states]
+            assert all(len(b.marks - a.marks) == 1 for a, b in zip(states, states[1:]))
 
     def test_gamma_prime_budget_guard_raises(self, monkeypatch):
         # a psi that never removes a leaf must trip the termination guard,
-        # also under python -O
-        monkeypatch.setattr(pipeline, "psi", lambda f, *args, **kwargs: f)
+        # also under python -O, and take no step past lleaf - si
+        f = parse_forest("1[;2] 3", 2)
+        calls = []
+
+        def stuck(g, *args, **kwargs):
+            calls.append(g)
+            return g
+
+        monkeypatch.setattr(pipeline, "psi", stuck)
         with pytest.raises(RuntimeError, match="budget"):
-            gamma_prime_map(parse_forest("1[;2] 3", 2))
+            gamma_prime_map(f)
+        st = forest_stats(f)
+        assert len(calls) == st.lleaf - st.si == 1
 
     @pytest.mark.parametrize("k,n", [(1, 5), (2, 4), (3, 4)])
     def test_gamma_after_gamma_prime_is_identity(self, k, n):
@@ -187,7 +204,7 @@ def _outcome(fn, *args):
     """What a call gives: its value, or the type and message of its error."""
     try:
         return ("value", fn(*args))
-    except Exception as exc:  # the twins must agree on errors too
+    except Exception as exc:  # the calls must agree on errors too
         return ("error", type(exc), str(exc))
 
 
@@ -197,41 +214,27 @@ def _small_forests():
             yield from enumerate_forests(range(1, n + 1), k)
 
 
-class TestProfileTwins:
-    # each private entry point, handed the forest's profile, equals its
-    # public twin on every forest and marked forest with n <= 4, k <= 3
+class TestProfileArgument:
+    # each map, handed its input's profile, equals its call without one on
+    # every forest and marked forest with n <= 4, k <= 3
 
     def test_marked_maps(self):
-        twins = [
-            (alpha_step, pipeline._alpha),
-            (beta_step, lambda mf, p: pipeline._beta(mf, p)[0]),
-            (gamma_map, pipeline._gamma),
-            (main_bijection, pipeline._main),
-            (gfs.theta, gfs._theta),
-            (gfs.theta_prime, gfs._theta_prime),
-        ]
+        maps = (alpha_step, beta_step, gamma_map, main_bijection, gfs.theta, gfs.theta_prime)
         checked = 0
         for f in _small_forests():
             p = forest_profile(f)
             labels = sorted(f.labels())
             for mask in range(1 << len(labels)):
                 mf = MarkedForest(f, frozenset(x for i, x in enumerate(labels) if mask >> i & 1))
-                for public, private in twins:
-                    assert _outcome(private, mf, p) == _outcome(public, mf), (mf.text(), public)
+                for fn in maps:
+                    assert _outcome(fn, mf, p) == _outcome(fn, mf), (mf.text(), fn)
                 checked += 1
         assert checked == sum(count_k_stirling(n, k) << n for k in (1, 2, 3) for n in range(5))
 
-    def test_gamma_prime_and_its_profiles(self):
+    def test_forest_maps(self):
         for f in _small_forests():
             p = forest_profile(f)
-            mf, states, steps, profiles = pipeline._gamma_prime(f, p)
-            assert mf == gamma_prime_map(f) == states[-1]
-            assert states[0] == MarkedForest(f, frozenset()) and len(steps) == len(states) - 1
-            assert profiles == [forest_profile(state.forest) for state in states]
-
-    def test_representative(self):
-        for k in (1, 2, 3):
-            for n in range(1, 5):
-                for t in enumerate_trees(range(1, n + 1), k):
-                    f = Forest(k, (t,))
-                    assert gfs._representative(f, forest_profile(f)) == orbit_representative(t)
+            assert _outcome(gamma_prime_map, f, p) == _outcome(gamma_prime_map, f)
+            if len(f.trees) == 1:
+                t = f.trees[0]
+                assert _outcome(orbit_representative, t, p) == _outcome(orbit_representative, t)
