@@ -20,6 +20,7 @@ import sys
 
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
+    _census_walk,
     enumerate_forests,
     forest_profile,
     parse_forest,
@@ -97,12 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# --filter by --kind: the oracle's family tests, plus the starred forests
+# --filter by --kind: the oracle's family tests, plus the starred forests; a
+# forest's tests read its census record
 _FAMILY = oracle.FAMILY_TESTS
 _FILTERS = {
     "perms": {"bar": _FAMILY["Qbar"], "hat": _FAMILY["Qhat"], "tilde": _FAMILY["Qtilde"]},
     "forests": {"bar": _FAMILY["Fbar"], "hat": _FAMILY["Fhat"], "tilde": _FAMILY["T"],
-                "star": lambda f, p: p.in_star},
+                "star": lambda f, w: w.in_star},
 }
 
 
@@ -116,7 +118,7 @@ def _cmd_enumerate(args) -> int:
         record, show, key = (lambda w: word_class(w, k)), word_to_text, "word"
     else:
         objects = enumerate_forests(range(1, args.n + 1), k)
-        record, show, key = forest_profile, serialize_forest, "forest"
+        record, show, key = _census_walk, serialize_forest, "forest"
     test = _FILTERS[args.kind].get(args.filter)
     if args.filter and test is None:
         raise ValueError("--filter star applies to forests")

@@ -19,10 +19,18 @@ children of its labeled grand parent, otherwise "young"; roots are neither.
 A young leaf s is removable iff it sits in the last slot of the last root
 and is below every subtree root label in that root's first k-1 slots: the
 condition for ``gfs.phi`` at s to empty those slots, which the test suite
-checks against ``phi``.  ``forest_profile`` finds classes, counters, label
-sets, removable leaves and bar/star membership in one explicit-stack
-traversal; ``node_classes``, ``forest_stats``, ``removable_labels``,
-``label_sets`` and ``in_bar`` are views of it.
+checks against ``phi``.
+
+One explicit-stack traversal, ``_walk``, checks the invariants and
+classifies the nodes: the class map, the label lists by class, the
+removable old leaves, bar, and a record of counts, the lengths of the
+lists.  Its three readers each walk once per call: ``validate_forest``
+returns the violations and never raises; the private ``_census_walk``
+returns the record, which freezes no set, for the oracle's theorem census
+and ``sf enumerate --filter``; ``forest_profile`` freezes each list once and
+adds the last tree's removable young leaves, for the maps.
+``node_classes``, ``forest_stats``, ``removable_labels`` and ``label_sets``
+are views of ``forest_profile``.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -35,17 +43,10 @@ holding the leaf 7, prints as ``4[5[;6;],8;;7]``.  LABEL is a run of decimal
 digits read by ``stirling.read_label``, the one label rule, and blanks may
 sit between tokens; serialization emits single spaces between trees only.
 
-``validate_forest`` lists every violation, in the order of a depth-first
-walk, and never raises.  It is a view of ``_census_walk``, which also counts
-the classes, bar and star of the forest for the oracle's theorem census;
-``forest_profile`` stays a walk of its own, for the maps.  The tests check
-the walk's counts against ``forest_profile``.
-
 The reader ``_read_forest`` (one ``re`` scan for tokens, and a stack of open
-nodes), the serializer, ``_census_walk`` (a stack of (parent, node) pairs
-and slot-order checks), ``LabeledTree.labels`` and ``forest_profile`` walk
-trees with explicit stacks and take any depth; ``LabeledTree``
-equality and hashing, made by the dataclass, still recurse.
+nodes), the serializer, ``_walk`` and ``LabeledTree.labels`` walk trees with
+explicit stacks and take any depth; ``LabeledTree`` equality and hashing,
+made by the dataclass, still recurse.
 
 ``enumerate_forests`` and ``enumerate_trees`` stream their family in a fixed
 order.  Each call memoises the sub-families it shares (remainders and slot
@@ -150,10 +151,12 @@ class ForestStats(NamedTuple):
 class ForestProfile(NamedTuple):
     """The analyses of one forest, from ``forest_profile``: ``classes`` is
     ``node_classes``, ``stats`` is ``forest_stats``, the sets are those of
-    ``label_sets`` and ``removable_labels``; ``in_bar`` is ``in_bar`` and
-    ``in_star`` means no young and no removable leaves.
-    A named tuple, not a frozen dataclass: census loops build one per forest,
-    and it constructs several times faster."""
+    ``label_sets`` and ``removable_labels``; ``in_bar`` means the last tree is
+    a singleton or its root's first k-1 slots are empty (the empty forest is
+    bar), ``in_star`` means no young and no removable leaves, and
+    ``violations`` is ``validate_forest``'s list, empty when the forest is
+    valid.  A named tuple, not a frozen dataclass: map loops build one per
+    forest, and it constructs several times faster."""
 
     classes: dict[int, NodeClass]
     stats: ForestStats
@@ -167,6 +170,7 @@ class ForestProfile(NamedTuple):
     removable_young: frozenset[int]
     in_bar: bool
     in_star: bool
+    violations: list[tuple[int | None, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,8 @@ def parse_tree(text: str, k: int) -> LabeledTree:
 
 
 class _CensusRecord(NamedTuple):
-    """What the theorem census reads of one forest, from ``_census_walk``.
+    """What the theorem census reads of one forest, built by ``_walk`` and
+    returned by ``_census_walk``.
     The first seven fields are the census signature, so ``record[:7]`` is it;
     ``nodes`` counts distinct labels, ``lint`` internal nodes, and the starred
     counts are the sizes of ``forest_profile``'s starred sets."""
@@ -299,39 +304,50 @@ class _CensusRecord(NamedTuple):
     violations: list[tuple[int | None, str]]
 
 
-def _census_walk(f: Forest) -> _CensusRecord:
-    """``validate_forest`` and the counts of ``forest_profile`` in one walk.
+def _walk(f: Forest) -> tuple:
+    """The one traversal that classifies nodes and checks the invariants.
 
-    Depth first with an explicit stack of (parent label, node) pairs.  A slot
-    of two or more trees also pushes (parent label, slot) just above its
-    first tree, so its order is checked after the walk of the slots before it.
-    A popped internal node also counts its children by class, its old grand
-    child being the greatest slot end, as ``forest_profile`` reads it.  The
-    root, popped first, leaves its old grand child and the classes of its
-    grand children, which settle the tree's removable old leaf.  A removable
-    young leaf is young, so the walk need not find those to settle in_star.
+    Depth first with an explicit stack of (parent label, node, class)
+    triples.  A popped internal node sorts its grand children into classes,
+    its old grand child being the greatest slot end (slots increase), pushes
+    each with its class and lists its label by class; a node's class enters
+    the class map when the node is popped, so the map is also the set of
+    labels seen, which the duplicate check reads.  A slot of two or more
+    trees also pushes (parent label, slot, None) just above its first tree,
+    so its order is checked after the walk of the slots before it.  The
+    root, popped first, leaves its old grand child and whether a young leaf
+    is among its grand children, which settle the tree's removable old leaf.
+
+    Returns the census record, whose counts are the lengths of the label
+    lists, and for ``forest_profile`` the class map; the old internal, old
+    leaf, young leaf, singleton and removable old leaf labels as lists; and
+    the last root's old grand child (None when the last tree is a
+    singleton).  A removable young leaf is young, so in_star needs no search
+    for those.
     """
     k, trees = f.k, f.trees
     violations: list[tuple[int | None, str]] = []
-    seen: set[int] = set()
+    classes: dict[int, NodeClass] = {}
+    oint, oleaf, yleaf, si, removable_old = [], [], [], [], []
     for a, b in zip(trees, trees[1:]):
         if a.label >= b.label:
             violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
-    oleaf = yleaf = oint = lint = si = removable = 0
+    lint = 0
     last = len(trees) - 1
+    stack: list = []
     for i, t in enumerate(trees):
         if t.slots is None:
             x = t.label
-            if x in seen:
+            if x in classes:
                 violations.append((x, f"duplicate label {x}"))
-            seen.add(x)
-            si += 1
+            classes[x] = _ROOT
+            si.append(x)
             continue
-        before = oleaf, yleaf, oint
-        stack: list = [(None, t)]
+        young = len(yleaf)
+        stack.append((None, t, _ROOT))
         while stack:
-            parent, u = stack.pop()
-            if type(u) is tuple:
+            parent, u, c = stack.pop()
+            if c is None:
                 for a, b in zip(u, u[1:]):
                     if a.label >= b.label:
                         violations.append(
@@ -341,9 +357,9 @@ def _census_walk(f: Forest) -> _CensusRecord:
             x = u.label
             if parent is not None and x <= parent:
                 violations.append((x, f"path not increasing: {x} below {parent}"))
-            if x in seen:
+            if x in classes:
                 violations.append((x, f"duplicate label {x}"))
-            seen.add(x)
+            classes[x] = c
             slots = u.slots
             if slots is None:
                 continue
@@ -358,109 +374,84 @@ def _census_walk(f: Forest) -> _CensusRecord:
                 violations.append((x, f"internal node {x} has k empty slots (not pruned)"))
             for slot in reversed(slots):
                 for s in reversed(slot):
-                    stack.append((x, s))
+                    y = s.label
                     if s.slots is None:
-                        if s.label == top:
-                            oleaf += 1
+                        if y == top:
+                            stack.append((x, s, _OLD_LEAF))
+                            oleaf.append(y)
                         else:
-                            yleaf += 1
-                    elif s.label == top:
-                        oint += 1
+                            stack.append((x, s, _YOUNG_LEAF))
+                            yleaf.append(y)
+                    elif y == top:
+                        stack.append((x, s, _OLD_INTERNAL))
+                        oint.append(y)
+                    else:
+                        stack.append((x, s, _YOUNG_INTERNAL))
                 if len(slot) > 1:
-                    stack.append((x, slot))
-            if u is t:  # the root's old grand child, and its old leaf, young leaf
-                # and old internal grand children
+                    stack.append((x, slot, None))
+            if u is t:  # the root's old grand child, and whether a young leaf is under it
                 root_top = top
-                under_root = oleaf - before[0], yleaf - before[1], oint - before[2]
-        # the tree's removable old leaf: the root's first k-1 slots are empty,
-        # its one leaf grand child is its old one, and is below the next root
-        bar = not any(t.slots[: k - 1])
-        if bar and under_root[:2] == (1, 0) and (i == last or root_top < trees[i + 1].label):
-            removable += 1
+                young = len(yleaf) > young
+        # the tree's removable old leaf: its root's old grand child is a leaf,
+        # its only leaf grand child, below the next root, and the first k-1
+        # slots are empty
+        if (not young and classes.get(root_top) is _OLD_LEAF
+                and (i == last or root_top < trees[i + 1].label) and not any(t.slots[: k - 1])):
+            removable_old.append(root_top)
+    n_oint, n_oleaf, n_yleaf, n_si = len(oint), len(oleaf), len(yleaf), len(si)
     if not trees or trees[-1].slots is None:  # no trees, or a final singleton
-        bar, oint_star, si_star = True, oint, si - bool(trees)
-    else:  # bar is the last tree's; the last root's old grand child is not starred
-        oint_star, si_star = oint - bool(under_root[2]), si
-    return _CensusRecord(oleaf + yleaf + si, si, oleaf, yleaf, len(trees) == 1, bar,
-                         not yleaf and not removable, len(seen), lint, oint, oint_star,
-                         si_star, violations)
+        bar, root_top, oint_star, si_star = True, None, n_oint, n_si - bool(trees)
+    else:  # the last root's old grand child is not starred
+        bar = not any(trees[-1].slots[: k - 1])
+        oint_star, si_star = n_oint - (classes.get(root_top) is _OLD_INTERNAL), n_si
+    record = tuple.__new__(_CensusRecord, (
+        n_oleaf + n_yleaf + n_si, n_si, n_oleaf, n_yleaf, len(trees) == 1, bar,
+        not yleaf and not removable_old, len(classes), lint, n_oint, oint_star, si_star,
+        violations))
+    return record, classes, oint, oleaf, yleaf, si, removable_old, root_top
+
+
+def _census_walk(f: Forest) -> _CensusRecord:
+    """The census record of ``_walk``; it freezes no set."""
+    return _walk(f)[0]
 
 
 def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
     """All invariant violations as (offending label, message), in the order
-    of a depth-first walk; empty when valid.  A view of ``_census_walk``."""
-    return _census_walk(f).violations
+    of a depth-first walk; empty when valid.  The violations of ``_walk``."""
+    return _walk(f)[0].violations
+
+
+_EMPTY: frozenset[int] = frozenset()
 
 
 def forest_profile(f: Forest) -> ForestProfile:
-    """Every per-forest statistic, from one explicit-stack traversal.
-
-    A node's grand children are classified when the node is popped; its old
-    grand child is the greatest slot end, as slots increase.  Each label set
-    is collected in a list and frozen once.  The root, popped first, leaves
-    its old grand child and its count of leaf grand children, which settle
-    the tree's removable old leaf; in the last tree they also give the
-    removable young leaves and the starred sets.
-    """
+    """Every per-forest statistic, from ``_walk``: its counts, and each label
+    list frozen once (the empty ones share one frozenset), plus the last
+    tree's removable young leaves.  The named tuples are built with
+    ``tuple.__new__``, which skips their generated ``__new__``."""
+    w, classes, oint, oleaf, yleaf, si, removable_old, top = _walk(f)
     k, trees = f.k, f.trees
-    classes: dict[int, NodeClass] = {}
-    oint, oleaf, yleaf, singletons, removable_old, removable_young = [], [], [], [], [], []
-    lint = 0
-    last = len(trees) - 1
-    for i, t in enumerate(trees):
-        classes[t.label] = _ROOT
-        if t.slots is None:
-            singletons.append(t.label)
-            continue
-        leaves = len(oleaf) + len(yleaf)
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            lint += 1
-            top = max([slot[-1].label for slot in u.slots if slot])
-            for slot in u.slots:
-                for s in slot:
-                    x = s.label
-                    if s.slots is None:
-                        if x == top:
-                            classes[x] = _OLD_LEAF
-                            oleaf.append(x)
-                        else:
-                            classes[x] = _YOUNG_LEAF
-                            yleaf.append(x)
-                    else:
-                        stack.append(s)
-                        if x == top:
-                            classes[x] = _OLD_INTERNAL
-                            oint.append(x)
-                        else:
-                            classes[x] = _YOUNG_INTERNAL
-            if u is t:  # the root's grand children: its old one and how many are leaves
-                root_top = top
-                leaves = len(oleaf) + len(yleaf) - leaves
-        earlier = t.slots[: k - 1]
-        first = [slot[0].label for slot in earlier if slot]  # the least label of each slot
-        if (
-            not first
-            and leaves == 1
-            and classes[root_top] is _OLD_LEAF
-            and (i == last or root_top < trees[i + 1].label)
-        ):
-            removable_old.append(root_top)
-        if i == last:
-            bound = min(first, default=root_top)
-            removable_young = [s.label for s in t.slots[-1] if s.slots is None and s.label < bound]
-    oint, oleaf, yleaf, si, removable_old, removable_young = map(
-        frozenset, (oint, oleaf, yleaf, singletons, removable_old, removable_young))
-    rleaf = len(removable_old) + len(removable_young)
-    stats = ForestStats(len(oleaf) + len(yleaf) + len(si), len(si), len(oleaf), len(yleaf),
-                        len(oint), lint, rleaf)
-    if trees and trees[-1].slots is not None:  # first and root_top are the last tree's
-        bar, oint_star, si_star = not first, oint - {root_top}, si
-    else:  # no trees, or a final singleton
-        bar, oint_star, si_star = True, oint, frozenset(singletons[:-1])
-    return ForestProfile(classes, stats, oint, oleaf, yleaf, si, oint_star, si_star,
-                         removable_old, removable_young, bar, not yleaf and not rleaf)
+    removable_young: list[int] = []
+    if not trees or trees[-1].slots is None:  # no trees, or a final singleton
+        si_star = si[:-1]
+    else:  # the last slot's leaves below every subtree root of the first k-1 slots
+        si_star = si
+        slots = trees[-1].slots
+        bound = top
+        for slot in slots[: k - 1]:
+            if slot and slot[0].label < bound:
+                bound = slot[0].label
+        removable_young = [s.label for slot in slots[-1:] for s in slot
+                           if s.slots is None and s.label < bound]
+    oint, oleaf, yleaf, si, si_star, removable_old, removable_young = [
+        frozenset(labels) if labels else _EMPTY
+        for labels in (oint, oleaf, yleaf, si, si_star, removable_old, removable_young)]
+    stats = tuple.__new__(ForestStats, (w.lleaf, w.si, w.oleaf, w.yleaf, w.oint, w.lint,
+                                        len(removable_old) + len(removable_young)))
+    return tuple.__new__(ForestProfile, (
+        classes, stats, oint, oleaf, yleaf, si, oint - {top} if top in oint else oint, si_star,
+        removable_old, removable_young, w.in_bar, w.in_star, w.violations))
 
 
 def node_classes(f: Forest) -> dict[int, NodeClass]:
@@ -500,12 +491,6 @@ def label_sets(f: Forest) -> dict:
         "Oint_star": set(p.oint_star),
         "Si_star": set(p.si_star),
     }
-
-
-def in_bar(f: Forest) -> bool:
-    """Last tree a singleton or its root's first k-1 slots empty; the empty
-    forest counts as bar (its hat class is empty)."""
-    return forest_profile(f).in_bar
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ histograms once per signature, from a representative object:
   ap and lap histograms of Q, Qbar, Qhat and Qtilde: the ``poly.*`` routes,
   the classwise splits A = a + x*b, ``thm.tilde.trees=words`` and
   ``thm.k1.reduction``;
-* the forest fold walks each forest once with ``forest._census_walk``,
-  which validates it and counts its classes, and builds no
-  ``forest_profile``.  From the walk's record it fills the lleaf and
-  lleaf - si histograms of F, Fbar and Fhat, the bar/hat gamma censuses,
-  the forest count and, per forest, the ``thm.relation.*`` checks (an
-  invalid forest fails ``thm.relation.leaf-split``), and from the one-tree
-  forests the T lleaf histogram and the tilde gamma census: every other
-  ``thm.*`` report.
+* the forest fold reads each forest's ``forest._census_walk`` record, the
+  counts of the one forest walk, which also validates it; it freezes no
+  label set.  From the record it fills the lleaf and lleaf - si histograms
+  of F, Fbar and Fhat, the bar/hat gamma censuses, the forest count and,
+  per forest, the ``thm.relation.*`` checks (an invalid forest fails
+  ``thm.relation.leaf-split``), and from the one-tree forests the T lleaf
+  histogram and the tilde gamma census: every other ``thm.*`` report.
 
 ``distribution``, ``gamma_census_bar_hat`` and ``gamma_census_tilde`` are
 views of these folds; the objects folded pick the family: words, forests,
@@ -29,14 +28,16 @@ or trees wrapped as one-tree forests.
 
 The map suites analyse each object once.  Enumerated words are k-Stirling,
 so the bijection suite runs the unchecked passes (``bimap._xi_trees``,
-``_zeta``, ``_chi_tree``) and takes ap once per word.  The gfs and pipeline
-suites call the public maps, passing each its input's profile (the maps'
-``profile`` argument) and reusing it when a map returns its input; they
-replay gamma_prime's states with ``pipeline._beta_chain`` and mark each
-forest over ``gfs.DOMAINS``.  The gfs suite also toggles each (tree, label)
-once: where ``phi(t, x)`` is t itself, ``phi(phi(t, x), x)`` is t and
-``phi(phi(t, x), y)`` is ``phi(t, y)``, so the involution and commutation
-checks compare the same values without toggling them again.
+``_zeta``, ``_chi_tree``), takes ap once per word and reads each image's
+counts from its census record.  The gfs and pipeline suites call the public
+maps, passing each its input's profile (the maps' ``profile`` argument) and
+reusing it when a map returns its input; the pipeline suite reads each
+forest's violations from that profile.  They replay gamma_prime's states
+with ``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
+The gfs suite also toggles each (tree, label) once: where ``phi(t, x)`` is
+t itself, ``phi(phi(t, x), x)`` is t and ``phi(phi(t, x), y)`` is
+``phi(t, y)``, so the involution and commutation checks compare the same
+values without toggling them again.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .forest import (
     forest_profile,
     serialize_forest,
     serialize_tree,
-    validate_forest,
 )
 from .gfs import DOMAINS, MarkedForest
 from .polyx import (
@@ -76,18 +76,18 @@ from .stirling import (
 )
 
 # The one table of families: membership of an object given its class record
-# (``word_class`` for a word; ``forest_profile`` or the census walk's record
-# for a forest).  A family named Q* holds words, T one-tree forests, the
-# others forests.
+# (``word_class`` for a word, ``forest._census_walk``'s record for a
+# forest).  A family named Q* holds words, T one-tree forests, the others
+# forests.
 FAMILY_TESTS = {
     "Q": lambda w, cls: True,
     "Qbar": lambda w, cls: cls["in_bar"],
     "Qhat": lambda w, cls: not cls["in_bar"],
     "Qtilde": lambda w, cls: cls["in_tilde"],
-    "F": lambda f, p: True,
-    "Fbar": lambda f, p: p.in_bar,
-    "Fhat": lambda f, p: not p.in_bar,
-    "T": lambda f, p: len(f.trees) == 1,
+    "F": lambda f, w: True,
+    "Fbar": lambda f, w: w.in_bar,
+    "Fhat": lambda f, w: not w.in_bar,
+    "T": lambda f, w: len(f.trees) == 1,
 }
 FAMILIES = tuple(FAMILY_TESTS)
 STATISTICS = ("ap", "lap", "lleaf", "lleaf-si")
@@ -319,23 +319,23 @@ def _suite_bijections(n, k, folds):
         ap = stat_ap(w, k)
         fx = Forest(k, bimap._xi_trees(w, k))
         if (bimap.xi_inv(fx) != w
-                or forest_profile(fx).stats.lleaf != ap + (bool(w) and cls["in_bar"])):
+                or _census_walk(fx).lleaf != ap + (bool(w) and cls["in_bar"])):
             bad_xi.append(word_to_text(w))
         xi_images.add(fx)
         fz = bimap._zeta(w, k)
-        pz = forest_profile(fz)
-        if bimap.zeta_inv(fz) != w or pz.stats.lleaf - pz.stats.si != ap:
+        wz = _census_walk(fz)
+        if bimap.zeta_inv(fz) != w or wz.lleaf - wz.si != ap:
             bad_zeta.append(word_to_text(w))
-        if cls["in_bar"] != pz.in_bar:
+        if cls["in_bar"] != wz.in_bar:
             bad_class.append(word_to_text(w))
         zeta_images.add(fz)
         if n and cls["in_tilde"]:
             t = bimap._chi_tree(w, k)
-            st = forest_profile(Forest(k, (t,))).stats
+            wt = _census_walk(Forest(k, (t,)))
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
-                or (n >= 2 and st.lleaf != ap)
+                or (n >= 2 and wt.lleaf != ap)
                 or cls["in_bar"] != plateau_slots
             ):
                 bad_chi.append(word_to_text(w))
@@ -464,10 +464,9 @@ def _suite_pipeline(n, k, folds):
         p = forest_profile(f)
         base_stat = p.stats.lleaf - p.stats.si
         target[p.in_bar].append(f)
-        f_bad = validate_forest(f)
         for x in labels:
             g = pipeline.psi(f, x, p)
-            gp, g_bad = (p, f_bad) if g is f else (forest_profile(g), validate_forest(g))
+            gp = p if g is f else forest_profile(g)
             if x in p.si_star:  # a non-final singleton
                 expect = base_stat + 1
             elif x in p.removable_old:
@@ -484,7 +483,7 @@ def _suite_pipeline(n, k, folds):
                     bad_shift.append(f"{serialize_forest(f)} @ {x}")
             else:
                 expect = base_stat
-            if gp.stats.lleaf - gp.stats.si != expect or g_bad:
+            if gp.stats.lleaf - gp.stats.si != expect or gp.violations:
                 bad_shift.append(f"{serialize_forest(f)} @ {x}")
             if gp.in_bar != p.in_bar:
                 bad_class.append(f"{serialize_forest(f)} @ {x}")

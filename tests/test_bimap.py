@@ -9,8 +9,8 @@ from stirling_forests.forest import (
     Forest,
     LabeledTree,
     enumerate_forests,
+    forest_profile,
     forest_stats,
-    in_bar,
     parse_forest,
     parse_tree,
     serialize_forest,
@@ -116,7 +116,7 @@ class TestExhaustive:
             assert zeta_inv(fz) == w
             sz = forest_stats(fz)
             assert sz.lleaf - sz.si == stat_ap(w, k)
-            assert in_bar(fz) == word_class(w, k)["in_bar"]
+            assert forest_profile(fz).in_bar == word_class(w, k)["in_bar"]
             zeta_images.add(fz)
         family = set(enumerate_forests(labels, k))
         assert xi_images == family

@@ -17,7 +17,6 @@ from stirling_forests.forest import (
     enumerate_trees,
     forest_profile,
     forest_stats,
-    in_bar,
     label_sets,
     parse_forest,
     removable_labels,
@@ -384,6 +383,7 @@ def _reference_profile(f):
         "removable_young": removable_young,
         "in_bar": last is None or last.slots is None or not any(last.slots[: k - 1]),
         "in_star": not yleaf and not rleaf,
+        "violations": _reference_violations(f),
     }
 
 
@@ -484,8 +484,9 @@ def _scrambled_forests(seed, count):
 
 
 class TestCensusWalk:
-    """The census walk against ``forest_profile``'s counts and the earlier
-    validator's violation lists; the two walks share no code."""
+    """The three readers of the one walk against each other, the census
+    record's counts against ``forest_profile``'s, and the violation lists
+    against the earlier validator's."""
 
     def test_every_small_forest(self):
         for f in _SMALL_FORESTS:
@@ -502,31 +503,60 @@ class TestCensusWalk:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scrambled_forests(self, seed):
-        # the whole violation list, on every forest; the counts where
-        # forest_profile reads the forest as a valid one would be read: the
-        # labels are distinct and only paths or roots fail to increase
+        # the whole violation list, on every forest, from all three readers;
+        # the counts, and the profile against the reference, where the
+        # profile reads the forest as a valid one would be read: the labels
+        # are distinct and only paths or roots fail to increase
         compared = 0
         for f in _scrambled_forests(seed, 1000):
-            w = forest_module._census_walk(f)
-            assert w.violations == _reference_violations(f), serialize_forest(f)
+            w, p = forest_module._census_walk(f), forest_profile(f)
+            expected = _reference_violations(f)
+            assert w.violations == p.violations == validate_forest(f) == expected
             labels = list(f.labels())
             if len(set(labels)) == len(labels) and all(
                     message.startswith(("path", "roots")) for _, message in w.violations):
                 assert w[:12] == _profile_counts(f), serialize_forest(f)
+                assert p._asdict() == _reference_profile(f), serialize_forest(f)
                 compared += 1
         assert compared
 
     @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
     def test_listed_invalid_forests(self, f, expected):
         assert forest_module._census_walk(f).violations == _reference_violations(f) == expected
+        assert forest_profile(f).violations == expected
 
     def test_internal_node_without_slots(self):
-        # no reader builds it; the walk lists it and does not raise
+        # no reader builds it; the readers list it and do not raise
         f = Forest(2, (LabeledTree(1, ()),))
-        assert validate_forest(f) == _reference_violations(f) == [
+        expected = [
             (1, "node 1 has 0 slots, expected 2"),
             (1, "internal node 1 has k empty slots (not pruned)"),
         ]
+        assert validate_forest(f) == _reference_violations(f) == expected
+        assert forest_profile(f).violations == forest_module._census_walk(f).violations == expected
+
+    def test_unpruned_node_read_from_text(self):
+        # the text 1[;] reads as an internal node with k empty slots
+        f = forest_module._read_forest("1[;]", 2)
+        assert f == Forest(2, (LabeledTree(1, ((), ())),))
+        expected = [(1, "internal node 1 has k empty slots (not pruned)")]
+        assert validate_forest(f) == _reference_violations(f) == expected
+        assert forest_profile(f).violations == forest_module._census_walk(f).violations == expected
+
+    def test_each_reader_walks_once(self, monkeypatch):
+        walks = [0]
+        real = forest_module._walk
+
+        def walk(f):
+            walks[0] += 1
+            return real(f)
+
+        monkeypatch.setattr(forest_module, "_walk", walk)
+        f = parse_forest(FIG4, 3)
+        for reader in (validate_forest, forest_profile, forest_module._census_walk):
+            walks[0] = 0
+            reader(f)
+            assert walks[0] == 1, reader.__name__
 
 
 class TestProfileReference:
@@ -563,7 +593,7 @@ class TestClassesAndEnumeration:
         assert len(forests) == 15
         texts = {serialize_forest(f) for f in forests}
         assert texts == set(BAR_3_2) | set(HAT_3_2)
-        assert sum(1 for f in forests if in_bar(f)) == 9
+        assert sum(1 for f in forests if forest_profile(f).in_bar) == 9
 
     def test_singleton_label_set(self):
         assert list(enumerate_forests([1], 3)) == [Forest(3, (LabeledTree(1),))]

@@ -23,6 +23,27 @@ from stirling_forests.polyx import (
 from stirling_forests.stirling import count_k_stirling, enumerate_k_stirling, stat_ap, stat_lap
 
 
+def _counted(calls, name, real):
+    """real, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def _count_walks(monkeypatch) -> Counter:
+    """Count the calls of the one forest walk, of the census record at the
+    oracle and of forest_profile at each module that calls it."""
+    calls = Counter()
+    monkeypatch.setattr(forest_module, "_walk", _counted(calls, "_walk", forest_module._walk))
+    monkeypatch.setattr(oracle, "_census_walk",
+                        _counted(calls, "_census_walk", oracle._census_walk))
+    profile = _counted(calls, "forest_profile", forest_module.forest_profile)
+    for module in (forest_module, gfs, pipeline, oracle):
+        monkeypatch.setattr(module, "forest_profile", profile)
+    return calls
+
+
 class TestDistribution:
     @pytest.mark.parametrize(
         "family,stat,n,k,coeffs",
@@ -117,21 +138,24 @@ class TestRunSuite:
 
     def test_gfs_suite_passes_trees_once(self, monkeypatch):
         # one tree enumeration per cell, whose profiles also give the T
-        # lleaf histogram; the trees are not validated again
-        calls = {"enumerate_trees": 0, "validate_forest": 0}
-
-        def counted(name):
-            real = getattr(oracle, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(oracle, name, counted(name))
+        # lleaf histogram; every forest walk is a profile's, so the trees
+        # are not validated again
+        calls = _count_walks(monkeypatch)
+        monkeypatch.setattr(oracle, "enumerate_trees",
+                            _counted(calls, "enumerate_trees", oracle.enumerate_trees))
         assert all(r.passed for r in run_suite(4, 2, suites=("gfs",)))
-        assert calls == {"enumerate_trees": 10, "validate_forest": 0}
+        assert calls["enumerate_trees"] == 10
+        assert 0 < calls["_walk"] == calls["forest_profile"]
+
+    # Each forest walk of these suites is that of a record they read: the
+    # bijection suite reads census records and builds no profile, and the
+    # pipeline suite reads violations from its profiles
+    @pytest.mark.parametrize("suite", ["bijections", "pipeline"])
+    def test_map_suites_walk_only_for_their_records(self, monkeypatch, suite):
+        calls = _count_walks(monkeypatch)
+        assert all(r.passed for r in run_suite(4, 3, suites=(suite,)))
+        assert 0 < calls["_walk"] == calls["_census_walk"] + calls["forest_profile"]
+        assert calls["forest_profile" if suite == "bijections" else "_census_walk"] == 0
 
     def test_census_suites_share_one_word_fold_per_cell(self, monkeypatch):
         # theorems and polynomials fold each cell's words once per call; the

@@ -5,7 +5,6 @@ from stirling_forests.forest import (
     enumerate_forests,
     forest_profile,
     forest_stats,
-    in_bar,
     label_sets,
     parse_forest,
     removable_labels,
@@ -59,7 +58,7 @@ class TestPsi:
             pool = rem["old"] | rem["young"]
             for x in range(1, n + 1):
                 g = psi(f, x)
-                assert in_bar(g) == in_bar(f)
+                assert forest_profile(g).in_bar == forest_profile(f).in_bar
                 gs = forest_stats(g)
                 singleton_non_last = any(
                     t.slots is None and t.label == x for t in f.trees[:-1]
