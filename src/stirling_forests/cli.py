@@ -21,8 +21,8 @@ import sys
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
     _census_walk,
+    _parse_profiled,
     enumerate_forests,
-    forest_profile,
     parse_forest,
     serialize_forest,
     serialize_tree,
@@ -48,9 +48,9 @@ def _read_input(value: str) -> str:
     return sys.stdin.read().strip() if value == "-" else value
 
 
-def _parse_marked(text: str, args) -> gfs.MarkedForest:
-    """A marked forest; a bare forest carries no marks."""
-    return gfs.parse_marked(text if "|" in text else text + "|{}", args.k)
+def _parse_marked(text: str, args) -> tuple[gfs.MarkedForest, gfs.ForestProfile]:
+    """A marked forest (a bare one has no marks) and its profile, in one walk."""
+    return gfs._parse_marked_profiled(text if "|" in text else text + "|{}", args.k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,6 +141,10 @@ def _looks_like_word(text: str, k: int) -> bool:
         return False
 
 
+# the counts and classes of the forest record that sf stats prints, in order
+_STATS_KEYS = ("lleaf", "si", "oleaf", "yleaf", "oint", "lint", "rleaf", "in_bar", "in_star")
+
+
 def _cmd_stats(args) -> int:
     text = _read_input(args.input)
     kind = args.type or ("word" if _looks_like_word(text, args.k) else "forest")
@@ -156,14 +160,11 @@ def _cmd_stats(args) -> int:
             **cls,
         }
     else:
-        f = parse_forest(text, args.k)
-        p = forest_profile(f)
+        f, p = _parse_profiled(text, args.k)
         record = {
             "kind": "forest",
             "forest": serialize_forest(f),
-            **p.stats.as_dict(),
-            "in_bar": p.in_bar,
-            "in_star": p.in_star,
+            **{key: getattr(p.stats, key) for key in _STATS_KEYS},
             "removable_old": sorted(p.removable_old),
             "removable_young": sorted(p.removable_young),
             "Oint_star": sorted(p.oint_star),
@@ -233,15 +234,18 @@ def _cmd_gamma(args) -> int:
     return 0
 
 
-def _at_x(step, text: str, args) -> str:
-    """A forest map that acts at the labels --x lists between commas."""
+def _at_x(text: str, args) -> str:
+    """phi or psi (with its input's profile) at the labels --x lists between commas."""
     try:
         labels = [read_label(p.strip()) for p in args.x.split(",")] if args.x else []
     except ValueError as exc:
         raise ValueError(f"in --x: {exc}") from None
-    if args.name == "psi" and len(labels) != 1:
+    if args.name == "phi":
+        return serialize_forest(gfs.phi_set(parse_forest(text, args.k), labels))
+    if len(labels) != 1:
         raise ValueError("--name psi takes exactly one label in --x")
-    return serialize_forest(step(parse_forest(text, args.k), labels))
+    f, p = _parse_profiled(text, args.k)
+    return serialize_forest(pipeline.psi(f, labels[0], p))
 
 
 def _chi_inv(text: str, args) -> str:
@@ -252,10 +256,10 @@ def _chi_inv(text: str, args) -> str:
 
 
 def _gamma_prime_unmarked(text: str, args) -> str:
-    mf = _parse_marked(text, args)
+    mf, p = _parse_marked(text, args)
     if mf.marks:
         raise ValueError("gamma-prime starts from an unmarked forest")
-    return pipeline.gamma_prime_map(mf.forest).text()
+    return pipeline.gamma_prime_map(mf.forest, p).text()
 
 
 # sf map: each name's function from the input text and the arguments to the
@@ -268,13 +272,13 @@ _MAPS = {
     "chi-inv": _chi_inv,
     "zeta": lambda text, a: serialize_forest(bimap.zeta(word_from_text(text), a.k)),
     "zeta-inv": lambda text, a: word_to_text(bimap.zeta_inv(parse_forest(text, a.k))),
-    "phi": lambda text, a: _at_x(gfs.phi_set, text, a),
-    "theta": lambda text, a: gfs.theta(_parse_marked(text, a)).text(),
-    "theta-prime": lambda text, a: gfs.theta_prime(_parse_marked(text, a)).text(),
-    "psi": lambda text, a: _at_x(lambda f, xs: pipeline.psi(f, xs[0]), text, a),
-    "alpha": lambda text, a: pipeline.alpha_step(_parse_marked(text, a)).text(),
-    "beta": lambda text, a: pipeline.beta_step(_parse_marked(text, a)).text(),
-    "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(_parse_marked(text, a))),
+    "phi": _at_x,
+    "theta": lambda text, a: gfs.theta(*_parse_marked(text, a)).text(),
+    "theta-prime": lambda text, a: gfs.theta_prime(*_parse_marked(text, a)).text(),
+    "psi": _at_x,
+    "alpha": lambda text, a: pipeline.alpha_step(*_parse_marked(text, a)).text(),
+    "beta": lambda text, a: pipeline.beta_step(*_parse_marked(text, a)).text(),
+    "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(*_parse_marked(text, a))),
     "gamma-prime": _gamma_prime_unmarked,
 }
 

@@ -23,14 +23,15 @@ checks against ``phi``.
 
 One explicit-stack traversal, ``_walk``, checks the invariants and
 classifies the nodes: the class map, the label lists by class, the
-removable old leaves, bar, and a record of counts, the lengths of the
-lists.  Its three readers each walk once per call: ``validate_forest``
-returns the violations and never raises; the private ``_census_walk``
-returns the record, which freezes no set, for the oracle's theorem census
-and ``sf enumerate --filter``; ``forest_profile`` freezes each list once and
-adds the last tree's removable young leaves, for the maps.
-``node_classes``, ``forest_stats``, ``removable_labels`` and ``label_sets``
-are views of ``forest_profile``.
+removable leaves, bar, and ``ForestStats``, the one count record.  Its
+readers each walk once per call: ``validate_forest`` returns the record's
+violations and never raises; the private ``_census_walk`` returns the
+record, which freezes no set, for the oracle's theorem census and ``sf
+enumerate --filter``; ``forest_profile`` freezes each list once and keeps
+the record as ``stats``, for the maps; the private ``_parse_profiled``
+reads a text's forest with its profile and refuses as ``parse_forest``
+does.  ``node_classes``, ``forest_stats``, ``removable_labels`` and
+``label_sets`` are views of ``forest_profile``.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -134,29 +135,37 @@ _ROOT, _OLD_LEAF, _YOUNG_LEAF, _OLD_INTERNAL, _YOUNG_INTERNAL = NodeClass
 
 
 class ForestStats(NamedTuple):
-    """The counters of ``forest_stats``; a named tuple, as every profile builds one."""
+    """The one count record of a forest, built by ``_walk``;
+    ``_census_walk`` returns it and ``forest_profile`` keeps it as
+    ``stats``.  ``record[:7]`` is the census signature.  ``nodes`` counts
+    distinct labels, ``lint`` internal nodes and ``rleaf`` removable
+    leaves; the starred counts are the sizes of the profile's starred sets.
+    ``in_bar``: the last tree is a singleton or its root's first k-1 slots
+    are empty (the empty forest is bar); ``in_star``: no young and no
+    removable leaves; ``violations`` is ``validate_forest``'s list."""
 
     lleaf: int
     si: int
     oleaf: int
     yleaf: int
-    oint: int
+    one_tree: bool
+    in_bar: bool
+    in_star: bool
+    nodes: int
     lint: int
+    oint: int
+    oint_star: int
+    si_star: int
     rleaf: int
-
-    def as_dict(self) -> dict:
-        return self._asdict()
+    violations: list[tuple[int | None, str]]
 
 
 class ForestProfile(NamedTuple):
     """The analyses of one forest, from ``forest_profile``: ``classes`` is
-    ``node_classes``, ``stats`` is ``forest_stats``, the sets are those of
-    ``label_sets`` and ``removable_labels``; ``in_bar`` means the last tree is
-    a singleton or its root's first k-1 slots are empty (the empty forest is
-    bar), ``in_star`` means no young and no removable leaves, and
-    ``violations`` is ``validate_forest``'s list, empty when the forest is
-    valid.  A named tuple, not a frozen dataclass: map loops build one per
-    forest, and it constructs several times faster."""
+    ``node_classes``, ``stats`` the count record, the sets are those of
+    ``label_sets`` and ``removable_labels``.  A named tuple, not a frozen
+    dataclass: map loops build one per forest, and it constructs several
+    times faster."""
 
     classes: dict[int, NodeClass]
     stats: ForestStats
@@ -168,9 +177,6 @@ class ForestProfile(NamedTuple):
     si_star: frozenset[int]
     removable_old: frozenset[int]
     removable_young: frozenset[int]
-    in_bar: bool
-    in_star: bool
-    violations: list[tuple[int | None, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +277,17 @@ def parse_forest(text: str, k: int) -> Forest:
     return f
 
 
+def _parse_profiled(text: str, k: int) -> tuple[Forest, ForestProfile]:
+    """The forest of ``parse_forest`` and its ``forest_profile``, from one
+    walk; it refuses what ``parse_forest`` refuses, with the same error."""
+    check_order(k)
+    f = _read_forest(text, k)
+    p = forest_profile(f)
+    if p.stats.violations:
+        raise ForestInvariantError(*p.stats.violations[0])
+    return f, p
+
+
 def parse_tree(text: str, k: int) -> LabeledTree:
     f = parse_forest(text, k)
     if len(f.trees) != 1:
@@ -280,28 +297,6 @@ def parse_tree(text: str, k: int) -> LabeledTree:
 
 # ---------------------------------------------------------------------------
 # validation and classification
-
-
-class _CensusRecord(NamedTuple):
-    """What the theorem census reads of one forest, built by ``_walk`` and
-    returned by ``_census_walk``.
-    The first seven fields are the census signature, so ``record[:7]`` is it;
-    ``nodes`` counts distinct labels, ``lint`` internal nodes, and the starred
-    counts are the sizes of ``forest_profile``'s starred sets."""
-
-    lleaf: int
-    si: int
-    oleaf: int
-    yleaf: int
-    one_tree: bool
-    in_bar: bool
-    in_star: bool
-    nodes: int
-    lint: int
-    oint: int
-    oint_star: int
-    si_star: int
-    violations: list[tuple[int | None, str]]
 
 
 def _walk(f: Forest) -> tuple:
@@ -316,19 +311,20 @@ def _walk(f: Forest) -> tuple:
     trees also pushes (parent label, slot, None) just above its first tree,
     so its order is checked after the walk of the slots before it.  The
     root, popped first, leaves its old grand child and whether a young leaf
-    is among its grand children, which settle the tree's removable old leaf.
+    is among its grand children, which settle the tree's removable old leaf
+    and, for the last tree, whether to look for removable young leaves: they
+    are young, so the last slot is scanned only under a young leaf.
 
-    Returns the census record, whose counts are the lengths of the label
+    Returns the count record, whose counts are the lengths of the label
     lists, and for ``forest_profile`` the class map; the old internal, old
-    leaf, young leaf, singleton and removable old leaf labels as lists; and
-    the last root's old grand child (None when the last tree is a
-    singleton).  A removable young leaf is young, so in_star needs no search
-    for those.
+    leaf, young leaf, singleton, removable old leaf and removable young leaf
+    labels as lists; and the last root's old grand child (None when the last
+    tree is a singleton).
     """
     k, trees = f.k, f.trees
     violations: list[tuple[int | None, str]] = []
     classes: dict[int, NodeClass] = {}
-    oint, oleaf, yleaf, si, removable_old = [], [], [], [], []
+    oint, oleaf, yleaf, si, removable_old, removable_young = [], [], [], [], [], []
     for a, b in zip(trees, trees[1:]):
         if a.label >= b.label:
             violations.append((b.label, f"roots not increasing: {a.label} before {b.label}"))
@@ -402,17 +398,21 @@ def _walk(f: Forest) -> tuple:
     if not trees or trees[-1].slots is None:  # no trees, or a final singleton
         bar, root_top, oint_star, si_star = True, None, n_oint, n_si - bool(trees)
     else:  # the last root's old grand child is not starred
-        bar = not any(trees[-1].slots[: k - 1])
+        slots = trees[-1].slots
+        bar = not any(slots[: k - 1])
         oint_star, si_star = n_oint - (classes.get(root_top) is _OLD_INTERNAL), n_si
-    record = tuple.__new__(_CensusRecord, (
+        if young:  # the last slot's leaves below every subtree root of the first k-1 slots
+            bound = min([root_top] + [slot[0].label for slot in slots[: k - 1] if slot])
+            removable_young = [s.label for s in slots[-1] if s.slots is None and s.label < bound]
+    record = tuple.__new__(ForestStats, (
         n_oleaf + n_yleaf + n_si, n_si, n_oleaf, n_yleaf, len(trees) == 1, bar,
         not yleaf and not removable_old, len(classes), lint, n_oint, oint_star, si_star,
-        violations))
-    return record, classes, oint, oleaf, yleaf, si, removable_old, root_top
+        len(removable_old) + len(removable_young), violations))
+    return record, classes, oint, oleaf, yleaf, si, removable_old, removable_young, root_top
 
 
-def _census_walk(f: Forest) -> _CensusRecord:
-    """The census record of ``_walk``; it freezes no set."""
+def _census_walk(f: Forest) -> ForestStats:
+    """The count record of ``_walk``; it freezes no set."""
     return _walk(f)[0]
 
 
@@ -426,32 +426,17 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 def forest_profile(f: Forest) -> ForestProfile:
-    """Every per-forest statistic, from ``_walk``: its counts, and each label
-    list frozen once (the empty ones share one frozenset), plus the last
-    tree's removable young leaves.  The named tuples are built with
-    ``tuple.__new__``, which skips their generated ``__new__``."""
-    w, classes, oint, oleaf, yleaf, si, removable_old, top = _walk(f)
-    k, trees = f.k, f.trees
-    removable_young: list[int] = []
-    if not trees or trees[-1].slots is None:  # no trees, or a final singleton
-        si_star = si[:-1]
-    else:  # the last slot's leaves below every subtree root of the first k-1 slots
-        si_star = si
-        slots = trees[-1].slots
-        bound = top
-        for slot in slots[: k - 1]:
-            if slot and slot[0].label < bound:
-                bound = slot[0].label
-        removable_young = [s.label for slot in slots[-1:] for s in slot
-                           if s.slots is None and s.label < bound]
+    """Every per-forest statistic, from ``_walk``: its count record, and each
+    label list frozen once (the empty ones share one frozenset).  The named
+    tuple is built with ``tuple.__new__``, which skips its generated
+    ``__new__``."""
+    stats, classes, oint, oleaf, yleaf, si, removable_old, removable_young, top = _walk(f)
     oint, oleaf, yleaf, si, si_star, removable_old, removable_young = [
         frozenset(labels) if labels else _EMPTY
-        for labels in (oint, oleaf, yleaf, si, si_star, removable_old, removable_young)]
-    stats = tuple.__new__(ForestStats, (w.lleaf, w.si, w.oleaf, w.yleaf, w.oint, w.lint,
-                                        len(removable_old) + len(removable_young)))
+        for labels in (oint, oleaf, yleaf, si, si[: stats.si_star], removable_old, removable_young)]
     return tuple.__new__(ForestProfile, (
         classes, stats, oint, oleaf, yleaf, si, oint - {top} if top in oint else oint, si_star,
-        removable_old, removable_young, w.in_bar, w.in_star, w.violations))
+        removable_old, removable_young))
 
 
 def node_classes(f: Forest) -> dict[int, NodeClass]:
@@ -475,7 +460,7 @@ def removable_labels(f: Forest) -> dict:
 
 
 def forest_stats(f: Forest) -> ForestStats:
-    """All seven counters; singletons count as labeled leaves."""
+    """The count record; singletons count as labeled leaves."""
     return forest_profile(f).stats
 
 

@@ -41,8 +41,8 @@ from .forest import (
     Forest,
     ForestProfile,
     LabeledTree,
+    _parse_profiled,
     forest_profile,
-    parse_forest,
     serialize_forest,
     serialize_tree,
 )
@@ -62,6 +62,13 @@ class MarkedForest:
 def parse_marked(text: str, k: int) -> MarkedForest:
     """The marked forest in the form ``MarkedForest.text`` writes:
     ``<forest> | {1,3}``, blanks allowed around the marks."""
+    return _parse_marked_profiled(text, k)[0]
+
+
+def _parse_marked_profiled(text: str, k: int) -> tuple[MarkedForest, ForestProfile]:
+    """``parse_marked``'s marked forest and the ``forest_profile`` of its
+    forest, from one walk; the forest's faults are refused before the marks'
+    labels are checked."""
     forest_text, _, marks_text = text.partition("|")
     marks_text = marks_text.strip()
     inner = marks_text[1:-1].strip()
@@ -69,7 +76,8 @@ def parse_marked(text: str, k: int) -> MarkedForest:
     if not (marks_text.startswith("{") and marks_text.endswith("}")
             and all(p.isdecimal() for p in pieces)):
         raise ValueError("marks must look like {1,3}")
-    return marked_forest(parse_forest(forest_text, k), map(read_label, pieces))
+    f, p = _parse_profiled(forest_text, k)
+    return marked_forest(f, map(read_label, pieces)), p
 
 
 def marked_forest(forest: Forest, marks) -> MarkedForest:
@@ -256,11 +264,11 @@ DOMAINS = {
     # any forest; non-final singletons
     "Y": lambda p: p.si_star,
     # starred; old internals (bar: not the last root's), non-final singletons
-    "Xbar": lambda p: p.oint_star | p.si_star if p.in_star and p.in_bar else None,
-    "Xhat": lambda p: p.oint | p.si_star if p.in_star and not p.in_bar else None,
+    "Xbar": lambda p: p.oint_star | p.si_star if p.stats.in_star and p.stats.in_bar else None,
+    "Xhat": lambda p: p.oint | p.si_star if p.stats.in_star and not p.stats.in_bar else None,
     # free of removable leaves; non-final singletons
-    "Ybar": lambda p: p.si_star if p.in_bar and not p.stats.rleaf else None,
-    "Yhat": lambda p: p.si_star if not p.in_bar and not p.stats.rleaf else None,
+    "Ybar": lambda p: p.si_star if p.stats.in_bar and not p.stats.rleaf else None,
+    "Yhat": lambda p: p.si_star if not p.stats.in_bar and not p.stats.rleaf else None,
 }
 
 

@@ -274,7 +274,7 @@ def _marked(f: Forest, pool) -> Iterator[MarkedForest]:
 def _class_domain(name: str, p) -> frozenset[int] | None:
     """The pool of the class version (bar or hat, by p's class) of the
     marked domain ``name`` ("X" or "Y"), from ``gfs.DOMAINS``."""
-    return DOMAINS[name + ("bar" if p.in_bar else "hat")](p)
+    return DOMAINS[name + ("bar" if p.stats.in_bar else "hat")](p)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def _suite_gfs(n, k, folds):
     for f in _forests(n, k):
         p = forest_profile(f)
         base = p.stats
-        target[p.in_bar].extend(_marked(f, _class_domain("Y", p)))
+        target[base.in_bar].extend(_marked(f, _class_domain("Y", p)))
         pool = _class_domain("X", p)
         for mf in _marked(f, DOMAINS["X"](p)):
             out = gfs.theta(mf, p)
@@ -441,10 +441,10 @@ def _suite_gfs(n, k, folds):
                 outst.lleaf - outst.si != base.lleaf - base.si + len(mf.marks & p.oint)
                 or outst.rleaf != 0
                 or outp.si_star != p.si_star
-                or outp.in_bar != p.in_bar
+                or outst.in_bar != base.in_bar
             ):
-                bad_shift[p.in_bar].append(mf.text())
-            image[p.in_bar][out] = image[p.in_bar].get(out, 0) + 1
+                bad_shift[base.in_bar].append(mf.text())
+            image[base.in_bar][out] = image[base.in_bar].get(out, 0) + 1
     yield _count_report("gfs.theta.roundtrip", n, k, bad_theta)
     for bar, side in ((True, "bar"), (False, "hat")):
         yield _bijection_report(f"gfs.theta.{side}-bijection", n, k,
@@ -462,8 +462,8 @@ def _suite_pipeline(n, k, folds):
     bad_main: dict[bool, list[str]] = {True: [], False: []}
     for f in _forests(n, k):
         p = forest_profile(f)
-        base_stat = p.stats.lleaf - p.stats.si
-        target[p.in_bar].append(f)
+        base_stat, bar = p.stats.lleaf - p.stats.si, p.stats.in_bar
+        target[bar].append(f)
         for x in labels:
             g = pipeline.psi(f, x, p)
             gp = p if g is f else forest_profile(g)
@@ -483,9 +483,9 @@ def _suite_pipeline(n, k, folds):
                     bad_shift.append(f"{serialize_forest(f)} @ {x}")
             else:
                 expect = base_stat
-            if gp.stats.lleaf - gp.stats.si != expect or gp.violations:
+            if gp.stats.lleaf - gp.stats.si != expect or gp.stats.violations:
                 bad_shift.append(f"{serialize_forest(f)} @ {x}")
-            if gp.in_bar != p.in_bar:
+            if gp.stats.in_bar != bar:
                 bad_class.append(f"{serialize_forest(f)} @ {x}")
         chain = list(pipeline._beta_chain(f, p))
         for (prev, _), (cur, after) in zip(chain, chain[1:]):
@@ -514,8 +514,8 @@ def _suite_pipeline(n, k, folds):
             g = pipeline.main_bijection(mf, p)
             gs = forest_profile(g).stats
             if gs.lleaf - gs.si != base_stat + len(mf.marks):
-                bad_main[p.in_bar].append(mf.text())
-            image[p.in_bar][g] = image[p.in_bar].get(g, 0) + 1
+                bad_main[bar].append(mf.text())
+            image[bar][g] = image[bar].get(g, 0) + 1
     yield _count_report("pipe.psi.shift", n, k, bad_shift)
     yield _count_report("pipe.psi.bar-preserved", n, k, bad_class)
     yield _count_report("pipe.gamma.gamma-prime.roundtrip", n, k, bad_round)

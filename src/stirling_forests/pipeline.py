@@ -183,7 +183,7 @@ def _beta_chain(f: Forest, p: ForestProfile):
 def main_bijection(mf: MarkedForest, profile: ForestProfile | None = None) -> Forest:
     """gamma after theta, on the bar- or hat-class marked domains."""
     p = forest_profile(mf.forest) if profile is None else profile
-    pool = DOMAINS["Xbar" if p.in_bar else "Xhat"](p)
+    pool = DOMAINS["Xbar" if p.stats.in_bar else "Xhat"](p)
     if pool is None or not mf.marks <= pool:
         raise ValueError(
             "main bijection requires a starred forest with marks among "

@@ -85,8 +85,8 @@ def test_criterion_02_first_letter_one_values():
 def test_criterion_03_figure_fixtures():
     with criterion(3, "figure totals and golden fixtures"):
         forests = list(enumerate_forests([1, 2, 3], 2))
-        assert sum(1 for f in forests if forest_profile(f).in_bar) == 9
-        assert sum(1 for f in forests if not forest_profile(f).in_bar) == 6
+        assert sum(1 for f in forests if forest_profile(f).stats.in_bar) == 9
+        assert sum(1 for f in forests if not forest_profile(f).stats.in_bar) == 6
 
         fig1 = parse_forest("1[10;;9] 2[;;3] 4[5[;6;],8;;7]", 3)
         assert serialize_forest(fig1) == "1[10;;9] 2[;;3] 4[5[;6;],8;;7]"
@@ -184,7 +184,7 @@ def test_criterion_10_property_floor():
             assert st.oleaf + st.yleaf + st.si == st.lleaf
             if st.yleaf == 0 and st.rleaf == 0:
                 sets = label_sets(f)
-                if forest_profile(f).in_bar:
+                if forest_profile(f).stats.in_bar:
                     assert (
                         len(sets["Oint_star"]) + len(sets["Si_star"])
                         == n - 1 - 2 * st.oleaf

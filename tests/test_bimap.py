@@ -116,7 +116,7 @@ class TestExhaustive:
             assert zeta_inv(fz) == w
             sz = forest_stats(fz)
             assert sz.lleaf - sz.si == stat_ap(w, k)
-            assert forest_profile(fz).in_bar == word_class(w, k)["in_bar"]
+            assert forest_profile(fz).stats.in_bar == word_class(w, k)["in_bar"]
             zeta_images.add(fz)
         family = set(enumerate_forests(labels, k))
         assert xi_images == family

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import stirling_forests.forest as forest_module
 from stirling_forests import cli, oracle
 from stirling_forests.cli import main
 from stirling_forests.forest import enumerate_forests, serialize_forest
@@ -392,7 +393,9 @@ class TestEnumerateStats:
             assert out == f'{{"kind":"forest","forest":"{forest}",{fields}}}\n'
 
     def test_forest_stats_json_is_fixed(self, capsys):
-        # counters in ForestStats field order, then the class record
+        # the counters lleaf, si, oleaf, yleaf, oint, lint, rleaf in this
+        # order (cli._STATS_KEYS, not the count record's field order), then
+        # the class record
         code, out, _ = run_cli(capsys, "stats", "--k", "3", "--type", "forest",
                                "--input", "1[3;;7] 2[;;4[;;6],5] 8[;;9,10[;;11]]")
         assert code == 0
@@ -589,6 +592,23 @@ class TestRefusals:
                                      "--by", by)
             assert (code, out, err) == (2, "", f"sf gamma: error: {text}\n"), by
 
+    # a forest's own faults are refused before its marks are checked, and the
+    # profiled readers refuse with parse_forest's texts
+    @pytest.mark.parametrize("argv,message", [
+        (["map", "--name", "theta", "--input", "2 1 | {9}"], "roots not increasing: 2 before 1"),
+        (["map", "--name", "theta", "--input", "1 2 | {9}"],
+         "labels [9] do not occur in the forest"),
+        (["map", "--name", "gamma-prime", "--input", "1[2;1]"], "path not increasing: 1 below 1"),
+        (["map", "--name", "psi", "--x", "1", "--input", "1[;]"],
+         "internal node 1 has k empty slots (not pruned)"),
+        (["map", "--name", "psi", "--x", "1", "--input", "1[;"],
+         "at position 3: expected a label"),
+        (["stats", "--type", "forest", "--input", "2[1;]"], "path not increasing: 1 below 2"),
+    ])
+    def test_forest_refused_before_marks(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--k", "2")
+        assert (code, out, err) == (2, "", f"sf {argv[0]}: error: {message}\n")
+
     def test_library_fault_escapes_main(self, capsys, monkeypatch):
         # main turns only a ValueError into exit 2; a RuntimeError is a
         # library fault and keeps its traceback
@@ -599,3 +619,33 @@ class TestRefusals:
         with pytest.raises(RuntimeError, match="an invariant broke"):
             main(["poly", "--n", "3", "--k", "2", "--which", "A"])
         assert capsys.readouterr() == ("", "")
+
+
+class TestOneWalk:
+    # each command reads its input forest in one walk: those that use a
+    # profile take it from the walk that validates the text
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--k", "2", "--type", "forest", "--input", "1[2,3;4[;5]] 6"],
+        ["map", "--name", "theta", "--k", "2", "--input", "1[2[3;];] | {2}"],
+        ["map", "--name", "theta-prime", "--k", "2", "--input", "1[2,3;] | {}"],
+        ["map", "--name", "alpha", "--k", "2", "--input", "1 2 3 | {1}"],
+        ["map", "--name", "beta", "--k", "2", "--input", "1[;2] 3 | {}"],
+        ["map", "--name", "gamma", "--k", "2", "--input", "1 2 3 | {1}"],
+        ["map", "--name", "gamma-prime", "--k", "2", "--input", "1[2,3;4[;5]] 6"],
+        ["map", "--name", "psi", "--k", "3", "--x", "2", "--input", "1[3;;7] 2 4[;;6] 5 8"],
+        ["map", "--name", "xi-inv", "--k", "2", "--input", "1[2,3;4[;5]] 6"],
+        ["map", "--name", "zeta-inv", "--k", "2", "--input", "1[2,3;4[;5]] 6"],
+        ["map", "--name", "chi-inv", "--k", "2", "--input", "1[2,3;4[;5]]"],
+        ["map", "--name", "phi", "--k", "2", "--x", "4", "--input", "1[2,3;4[;5]] 6"],
+    ], ids=lambda argv: argv[2] if argv[0] == "map" else argv[0])
+    def test_one_walk_per_input(self, capsys, monkeypatch, argv):
+        walks = [0]
+        real = forest_module._walk
+
+        def walk(f):
+            walks[0] += 1
+            return real(f)
+
+        monkeypatch.setattr(forest_module, "_walk", walk)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, walks[0]) == (0, "", 1)

@@ -208,10 +208,12 @@ class TestValidate:
          ("1[4[3;],2;]", 2), ("3[;5,4] 1[2;]", 2)],
     )
     def test_parse_raises_first_violation(self, text, k):
+        # the profiled reader refuses with parse_forest's error
         first = validate_forest(forest_module._read_forest(text, k))[0]
-        with pytest.raises(ForestInvariantError) as err:
-            parse_forest(text, k)
-        assert (err.value.label, str(err.value)) == first
+        for parse in (parse_forest, forest_module._parse_profiled):
+            with pytest.raises(ForestInvariantError) as err:
+                parse(text, k)
+            assert (err.value.label, str(err.value)) == first
 
 
 class TestClassification:
@@ -229,18 +231,29 @@ class TestClassification:
             forest_profile(parse_forest("1", 2)).classes[7]
 
 
+_COUNTERS = ("lleaf", "si", "oleaf", "yleaf", "oint", "lint", "rleaf")
+
+
+def _by_name(record, names=_COUNTERS) -> dict:
+    return {name: getattr(record, name) for name in names}
+
+
 class TestStats:
     def test_all_singletons(self):
         st = forest_stats(parse_forest("1 2 3", 2))
-        assert st.as_dict() == {
+        assert _by_name(st) == {
             "lleaf": 3, "si": 3, "oleaf": 0, "yleaf": 0,
             "oint": 0, "lint": 0, "rleaf": 0,
         }
 
     def test_named_tuple_keeps_field_order(self):
+        # the first seven fields are the census signature
         st = forest_stats(parse_forest("1[2[3;];] 4", 2))
-        assert list(st.as_dict()) == ["lleaf", "si", "oleaf", "yleaf", "oint", "lint", "rleaf"]
-        assert tuple(st) == tuple(st.as_dict().values()) == (2, 1, 1, 0, 1, 2, 0)
+        assert st._fields == ("lleaf", "si", "oleaf", "yleaf", "one_tree", "in_bar", "in_star",
+                              "nodes", "lint", "oint", "oint_star", "si_star", "rleaf",
+                              "violations")
+        assert st[:7] == (2, 1, 1, 0, False, True, True)
+        assert tuple(st) == (2, 1, 1, 0, False, True, True, 4, 2, 1, 1, 0, 0, [])
 
     def test_fig4(self):
         st = forest_stats(parse_forest(FIG4, 3))
@@ -249,7 +262,7 @@ class TestStats:
 
     def test_chain(self):
         st = forest_stats(parse_forest("1[2[3;];]", 2))
-        assert st.as_dict() == {
+        assert _by_name(st) == {
             "lleaf": 1, "si": 0, "oleaf": 1, "yleaf": 0,
             "oint": 1, "lint": 2, "rleaf": 0,
         }
@@ -369,21 +382,23 @@ def _reference_profile(f):
         oint_star = oint_star - {max(grand_children[last.label])}
     rleaf = len(removable_old) + len(removable_young)
     yleaf = of_class(NodeClass.YOUNG_LEAF)
+    si_star = si - {last.label} if last is not None else si
     return {
         "classes": classes,
         "stats": (len(leaves), len(si), len(of_class(NodeClass.OLD_LEAF)), len(yleaf),
-                  len(of_class(NodeClass.OLD_INTERNAL)), len(classes) - len(leaves), rleaf),
+                  len(roots) == 1,
+                  last is None or last.slots is None or not any(last.slots[: k - 1]),
+                  not yleaf and not rleaf, len(classes), len(classes) - len(leaves),
+                  len(of_class(NodeClass.OLD_INTERNAL)), len(oint_star), len(si_star), rleaf,
+                  _reference_violations(f)),
         "oint": of_class(NodeClass.OLD_INTERNAL),
         "oleaf": of_class(NodeClass.OLD_LEAF),
         "yleaf": yleaf,
         "si": si,
         "oint_star": oint_star,
-        "si_star": si - {last.label} if last is not None else si,
+        "si_star": si_star,
         "removable_old": removable_old,
         "removable_young": removable_young,
-        "in_bar": last is None or last.slots is None or not any(last.slots[: k - 1]),
-        "in_star": not yleaf and not rleaf,
-        "violations": _reference_violations(f),
     }
 
 
@@ -437,11 +452,13 @@ def _reference_violations(f):
 
 
 def _profile_counts(f):
-    """The census walk's record, less its violations, read off forest_profile."""
+    """The count record, less its violations, read off forest_profile's label
+    sets where they give the count."""
     p = forest_profile(f)
-    st = p.stats
-    return (st.lleaf, st.si, st.oleaf, st.yleaf, len(f.trees) == 1, p.in_bar, p.in_star,
-            len(p.classes), st.lint, st.oint, len(p.oint_star), len(p.si_star))
+    rleaf = len(p.removable_old) + len(p.removable_young)
+    return (len(p.oleaf) + len(p.yleaf) + len(p.si), len(p.si), len(p.oleaf), len(p.yleaf),
+            len(f.trees) == 1, p.stats.in_bar, not p.yleaf and not rleaf, len(p.classes),
+            p.stats.lint, len(p.oint), len(p.oint_star), len(p.si_star), rleaf)
 
 
 def _shuffled_slots(t, rng):
@@ -491,15 +508,23 @@ class TestCensusWalk:
     def test_every_small_forest(self):
         for f in _SMALL_FORESTS:
             w = forest_module._census_walk(f)
-            assert w[:12] == _profile_counts(f), serialize_forest(f)
+            assert w[:13] == _profile_counts(f), serialize_forest(f)
             assert w.violations == _reference_violations(f) == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_profile_keeps_the_record(self, k):
+        # one count record: the profile's stats is the census walk's record
+        for n in range(7):
+            for f in enumerate_forests(range(1, n + 1), k):
+                assert forest_profile(f).stats == forest_module._census_walk(f), serialize_forest(f)
 
     @pytest.mark.parametrize("k,seed", [(k, seed) for k in (1, 2, 3, 4) for seed in (1, 2)])
     def test_seeded_order_200_images(self, k, seed):
         word = _seeded_word(200, k, seed)
         for f in (xi(word, k), zeta(word, k)):
             w = forest_module._census_walk(f)
-            assert (w[:12], w.violations) == (_profile_counts(f), [])
+            assert w == forest_profile(f).stats
+            assert (w[:13], w.violations) == (_profile_counts(f), [])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scrambled_forests(self, seed):
@@ -511,11 +536,12 @@ class TestCensusWalk:
         for f in _scrambled_forests(seed, 1000):
             w, p = forest_module._census_walk(f), forest_profile(f)
             expected = _reference_violations(f)
-            assert w.violations == p.violations == validate_forest(f) == expected
+            assert p.stats == w
+            assert w.violations == validate_forest(f) == expected
             labels = list(f.labels())
             if len(set(labels)) == len(labels) and all(
                     message.startswith(("path", "roots")) for _, message in w.violations):
-                assert w[:12] == _profile_counts(f), serialize_forest(f)
+                assert w[:13] == _profile_counts(f), serialize_forest(f)
                 assert p._asdict() == _reference_profile(f), serialize_forest(f)
                 compared += 1
         assert compared
@@ -523,7 +549,7 @@ class TestCensusWalk:
     @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
     def test_listed_invalid_forests(self, f, expected):
         assert forest_module._census_walk(f).violations == _reference_violations(f) == expected
-        assert forest_profile(f).violations == expected
+        assert forest_profile(f).stats.violations == expected
 
     def test_internal_node_without_slots(self):
         # no reader builds it; the readers list it and do not raise
@@ -533,7 +559,8 @@ class TestCensusWalk:
             (1, "internal node 1 has k empty slots (not pruned)"),
         ]
         assert validate_forest(f) == _reference_violations(f) == expected
-        assert forest_profile(f).violations == forest_module._census_walk(f).violations == expected
+        w = forest_module._census_walk(f)
+        assert forest_profile(f).stats == w and w.violations == expected
 
     def test_unpruned_node_read_from_text(self):
         # the text 1[;] reads as an internal node with k empty slots
@@ -541,7 +568,8 @@ class TestCensusWalk:
         assert f == Forest(2, (LabeledTree(1, ((), ())),))
         expected = [(1, "internal node 1 has k empty slots (not pruned)")]
         assert validate_forest(f) == _reference_violations(f) == expected
-        assert forest_profile(f).violations == forest_module._census_walk(f).violations == expected
+        w = forest_module._census_walk(f)
+        assert forest_profile(f).stats == w and w.violations == expected
 
     def test_each_reader_walks_once(self, monkeypatch):
         walks = [0]
@@ -553,7 +581,8 @@ class TestCensusWalk:
 
         monkeypatch.setattr(forest_module, "_walk", walk)
         f = parse_forest(FIG4, 3)
-        for reader in (validate_forest, forest_profile, forest_module._census_walk):
+        for reader in (validate_forest, forest_profile, forest_module._census_walk,
+                       lambda f: forest_module._parse_profiled(FIG4, f.k)):
             walks[0] = 0
             reader(f)
             assert walks[0] == 1, reader.__name__
@@ -578,22 +607,22 @@ class TestProfileReference:
 class TestClassesAndEnumeration:
     def test_fig2_all_bar(self):
         for text in BAR_3_2:
-            assert forest_profile(parse_forest(text, 2)).in_bar is True
+            assert forest_profile(parse_forest(text, 2)).stats.in_bar is True
 
     def test_fig3_all_hat(self):
         for text in HAT_3_2:
-            assert forest_profile(parse_forest(text, 2)).in_bar is False
+            assert forest_profile(parse_forest(text, 2)).stats.in_bar is False
 
     def test_star_excludes_young_leaves(self):
-        p = forest_profile(parse_forest("1[;2,3]", 2))
-        assert (p.in_bar, p.in_star) == (True, False)
+        st = forest_profile(parse_forest("1[;2,3]", 2)).stats
+        assert (st.in_bar, st.in_star) == (True, False)
 
     def test_bar_hat_split_at_3_2(self):
         forests = list(enumerate_forests([1, 2, 3], 2))
         assert len(forests) == 15
         texts = {serialize_forest(f) for f in forests}
         assert texts == set(BAR_3_2) | set(HAT_3_2)
-        assert sum(1 for f in forests if forest_profile(f).in_bar) == 9
+        assert sum(1 for f in forests if forest_profile(f).stats.in_bar) == 9
 
     def test_singleton_label_set(self):
         assert list(enumerate_forests([1], 3)) == [Forest(3, (LabeledTree(1),))]

@@ -286,14 +286,14 @@ class TestTheta:
 def _reference_domains(mf):
     p = forest_profile(mf.forest)
     m = mf.marks
-    x_class = p.in_star and m <= (p.oint_star if p.in_bar else p.oint) | p.si_star
+    x_class = p.stats.in_star and m <= (p.oint_star if p.stats.in_bar else p.oint) | p.si_star
     return {
         "X": p.stats.yleaf == 0 and m <= p.oint | p.si_star,
         "Y": m <= p.si_star,
-        "Xbar": p.in_bar and x_class,
-        "Xhat": not p.in_bar and x_class,
-        "Ybar": p.in_bar and p.stats.rleaf == 0 and m <= p.si_star,
-        "Yhat": not p.in_bar and p.stats.rleaf == 0 and m <= p.si_star,
+        "Xbar": p.stats.in_bar and x_class,
+        "Xhat": not p.stats.in_bar and x_class,
+        "Ybar": p.stats.in_bar and p.stats.rleaf == 0 and m <= p.si_star,
+        "Yhat": not p.stats.in_bar and p.stats.rleaf == 0 and m <= p.si_star,
     }
 
 

@@ -58,7 +58,7 @@ class TestPsi:
             pool = rem["old"] | rem["young"]
             for x in range(1, n + 1):
                 g = psi(f, x)
-                assert forest_profile(g).in_bar == forest_profile(f).in_bar
+                assert forest_profile(g).stats.in_bar == forest_profile(f).stats.in_bar
                 gs = forest_stats(g)
                 singleton_non_last = any(
                     t.slots is None and t.label == x for t in f.trees[:-1]
