@@ -240,11 +240,11 @@ def _at_x(text: str, args) -> str:
         labels = [read_label(p.strip()) for p in args.x.split(",")] if args.x else []
     except ValueError as exc:
         raise ValueError(f"in --x: {exc}") from None
-    if args.name == "phi":
-        return serialize_forest(gfs.phi_set(parse_forest(text, args.k), labels))
-    if len(labels) != 1:
+    if args.name == "psi" and len(labels) != 1:
         raise ValueError("--name psi takes exactly one label in --x")
     f, p = _parse_profiled(text, args.k)
+    if args.name == "phi":
+        return serialize_forest(gfs.phi_set(f, labels))
     return serialize_forest(pipeline.psi(f, labels[0], p))
 
 

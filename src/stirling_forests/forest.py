@@ -28,9 +28,10 @@ readers each walk once per call: ``validate_forest`` returns the record's
 violations and never raises; the private ``_census_walk`` returns the
 record, which freezes no set, for the oracle's theorem census and ``sf
 enumerate --filter``; ``forest_profile`` freezes each list once and keeps
-the record as ``stats``, for the maps; the private ``_parse_profiled``
-reads a text's forest with its profile and refuses as ``parse_forest``
-does.  ``node_classes``, ``forest_stats``, ``removable_labels`` and
+the record as ``stats``, for the maps.  The one text reader, the private
+``_parse_profiled``, returns a text's forest with its profile and refuses
+the profile's first violation; ``parse_forest`` keeps the forest.
+``node_classes``, ``forest_stats``, ``removable_labels`` and
 ``label_sets`` are views of ``forest_profile``.
 
 Canonical text grammar (bit-exact round-trip):
@@ -267,25 +268,20 @@ def _read_forest(text: str, k: int) -> Forest:
     return Forest(k, tuple(roots))
 
 
-def parse_forest(text: str, k: int) -> Forest:
-    """Parse canonical forest text and validate all its invariants."""
-    check_order(k)
-    f = _read_forest(text, k)
-    violations = validate_forest(f)
-    if violations:
-        raise ForestInvariantError(*violations[0])
-    return f
-
-
 def _parse_profiled(text: str, k: int) -> tuple[Forest, ForestProfile]:
-    """The forest of ``parse_forest`` and its ``forest_profile``, from one
-    walk; it refuses what ``parse_forest`` refuses, with the same error."""
+    """The forest a canonical text reads as, with its ``forest_profile``,
+    from one walk; the profile's first violation is refused."""
     check_order(k)
     f = _read_forest(text, k)
     p = forest_profile(f)
     if p.stats.violations:
         raise ForestInvariantError(*p.stats.violations[0])
     return f, p
+
+
+def parse_forest(text: str, k: int) -> Forest:
+    """Parse canonical forest text and validate all its invariants."""
+    return _parse_profiled(text, k)[0]
 
 
 def parse_tree(text: str, k: int) -> LabeledTree:

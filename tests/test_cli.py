@@ -592,8 +592,8 @@ class TestRefusals:
                                      "--by", by)
             assert (code, out, err) == (2, "", f"sf gamma: error: {text}\n"), by
 
-    # a forest's own faults are refused before its marks are checked, and the
-    # profiled readers refuse with parse_forest's texts
+    # a forest's own faults are refused before its marks are checked, with
+    # parse_forest's texts
     @pytest.mark.parametrize("argv,message", [
         (["map", "--name", "theta", "--input", "2 1 | {9}"], "roots not increasing: 2 before 1"),
         (["map", "--name", "theta", "--input", "1 2 | {9}"],
