@@ -67,8 +67,8 @@ def parse_marked(text: str, k: int) -> MarkedForest:
 
 def _parse_marked_profiled(text: str, k: int) -> tuple[MarkedForest, ForestProfile]:
     """``parse_marked``'s marked forest and the ``forest_profile`` of its
-    forest, from one walk; the forest's faults are refused before the marks'
-    labels are checked."""
+    forest, from one walk; the forest's faults are refused before the marks
+    are checked against the profile's classes, which hold every label."""
     forest_text, _, marks_text = text.partition("|")
     marks_text = marks_text.strip()
     inner = marks_text[1:-1].strip()
@@ -77,12 +77,17 @@ def _parse_marked_profiled(text: str, k: int) -> tuple[MarkedForest, ForestProfi
             and all(p.isdecimal() for p in pieces)):
         raise ValueError("marks must look like {1,3}")
     f, p = _parse_profiled(forest_text, k)
-    return marked_forest(f, map(read_label, pieces)), p
+    return _marked_among(f, map(read_label, pieces), p.classes), p
 
 
 def marked_forest(forest: Forest, marks) -> MarkedForest:
+    return _marked_among(forest, marks, forest.labels())
+
+
+def _marked_among(forest: Forest, marks, labels) -> MarkedForest:
+    """forest marked by marks, which must all lie among its labels."""
     marks = frozenset(marks)
-    unknown = marks - set(forest.labels())
+    unknown = marks.difference(labels)
     if unknown:
         raise ValueError(f"labels {sorted(unknown)} do not occur in the forest")
     return MarkedForest(forest, marks)

@@ -34,10 +34,15 @@ maps, passing each its input's profile (the maps' ``profile`` argument) and
 reusing it when a map returns its input; the pipeline suite reads each
 forest's violations from that profile.  They replay gamma_prime's states
 with ``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
-The gfs suite also toggles each (tree, label) once: where ``phi(t, x)`` is
-t itself, ``phi(phi(t, x), x)`` is t and ``phi(phi(t, x), y)`` is
-``phi(t, y)``, so the involution and commutation checks compare the same
-values without toggling them again.
+The gfs suite walks each orbit of the toggles once, breadth first from the
+first enumerated tree that no earlier orbit reached, and keeps one table per
+orbit: every member's image at every label, from one ``gfs.phi`` call per
+(tree, label) and held as the cell's one object of its value, and every
+member's profile.  The involution, commutation, type-preservation and orbit
+checks are read off that table, which is dropped before the next orbit.  The
+walk stays inside the cell's trees: an image outside them, or in an earlier
+orbit, is not walked and fails ``gfs.phi.involution``, so a faulty toggle
+ends in failing reports.  ``gfs.orbit`` is not called.
 """
 
 from __future__ import annotations
@@ -364,45 +369,77 @@ def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
                           bijective and not bad, witness)
 
 
+def _orbit_table(start, labels, cell: dict, walked: set):
+    """The orbit of ``start`` under the toggles, walked breadth first inside
+    the cell's trees: its members and, per member, the image at each label,
+    each from one ``gfs.phi`` call.  An image is the cell's object of its
+    value (so images compare with ``is``), or None when it is no tree of the
+    cell; an image in an orbit walked before is not walked again.  The
+    members' ids join ``walked``."""
+    members, rows = [start], []
+    walked.add(id(start))
+    for s in members:  # the walk appends the members it reaches
+        row = []
+        for x in labels:
+            image = gfs.phi(s, x)
+            c = s if image is s else cell.get(image)
+            if c is not None and id(c) not in walked:
+                walked.add(id(c))
+                members.append(c)
+            row.append(c)
+        rows.append(row)
+    return members, rows
+
+
 def _suite_gfs(n, k, folds):
-    labels = list(range(1, n + 1))
+    labels = range(1, n + 1)
     bad_inv, bad_comm, bad_type, bad_orbit = [], [], [], []
     orbit_total = IntPolynomial()
     trees = _Census()  # the T lleaf histogram, from the profiles taken here
-    for t in enumerate_trees(labels, k):
-        f = Forest(k, (t,))
-        p = forest_profile(f)
-        trees.bump("lleaf", p.stats.lleaf)
-        before = p.classes
-        # where phi(t, x) is t, phi(phi(t, x), y) is images[y]: each toggle
-        # image is computed once
-        images = {x: gfs.phi(t, x) for x in labels}
-        for x in labels:
-            tx = images[x]
-            if tx is not t and gfs.phi(tx, x) != t:
-                bad_inv.append(f"{serialize_tree(t)} @ {x}")
-            after = before if tx is t else forest_profile(Forest(k, (tx,))).classes
-            for z in labels:
-                ok = before[z] == after[z] or z == x and _toggled(before[z], after[z])
-                if not ok:
-                    bad_type.append(f"{serialize_tree(t)} @ {x}/{z}")
-            for y in labels:
-                if y >= x:
-                    break
-                ty = images[y]
-                xy = ty if tx is t else gfs.phi(tx, y)
-                yx = tx if ty is t else gfs.phi(ty, x)
-                if xy != yx:
-                    bad_comm.append(f"{serialize_tree(t)} @ {x},{y}")
-        rep = gfs.orbit_representative(t, p)
-        if rep == t:
-            members = gfs.orbit(t)
-            young_free = sum(
-                1 for s in members if forest_profile(Forest(k, (s,))).stats.yleaf == 0
-            )
-            st = p.stats
-            if young_free != 1 or len(members) != 2**st.oint:
-                bad_orbit.append(serialize_tree(t))
+    cell = {t: t for t in enumerate_trees(labels, k)}  # one object per tree value
+    walked: set[int] = set()
+    for start in cell:
+        if id(start) in walked:
+            continue
+        # one table per orbit: each member's toggle images and profile
+        members, rows = _orbit_table(start, labels, cell, walked)
+        profiles = [forest_profile(Forest(k, (s,))) for s in members]
+        pos = {id(s): i for i, s in enumerate(members)}
+        for s, row, p in zip(members, rows, profiles):
+            trees.bump("lleaf", p.stats.lleaf)
+            at = [pos.get(id(c)) for c in row]  # each image's place in the table
+            for i, x in enumerate(labels):
+                if row[i] is s:  # the identity: nothing moves, so nothing can fail
+                    continue
+                # an image in an earlier orbit cannot toggle back to s, or
+                # that orbit's walk would have reached s
+                if at[i] is None or rows[at[i]][i] is not s:
+                    bad_inv.append(f"{serialize_tree(s)} @ {x}")
+                if at[i] is None:
+                    continue
+                before, after = p.classes, profiles[at[i]].classes
+                for z in labels:
+                    ok = before[z] == after[z] or z == x and _toggled(before[z], after[z])
+                    if not ok:
+                        bad_type.append(f"{serialize_tree(s)} @ {x}/{z}")
+            # phi(phi(s, x), y) against phi(phi(s, y), x), where both first
+            # images are in the table
+            for i, x in enumerate(labels):
+                for j in range(i):  # y = labels[j] < x
+                    if (at[i] is not None and at[j] is not None
+                            and rows[at[i]][j] is not rows[at[j]][i]):
+                        bad_comm.append(f"{serialize_tree(s)} @ {x},{labels[j]}")
+        # the orbit holds 2^oint trees, exactly one of them young-leaf free,
+        # and that one is every member's representative
+        young_free = [(s, p.stats) for s, p in zip(members, profiles) if not p.yleaf]
+        reps = [gfs.orbit_representative(s, p) for s, p in zip(members, profiles)]
+        if len(young_free) != 1:
+            bad_orbit.append(serialize_tree(start))
+        else:
+            rep, st = young_free[0]
+            if len(members) != 2**st.oint or any(r != rep for r in reps):
+                bad_orbit.append(serialize_tree(rep))
+        for _, st in young_free:
             orbit_total = orbit_total + gamma_compose(
                 GammaExpansion(center=2 * st.oleaf + st.oint,
                                gamma=(0,) * st.oleaf + (1,))

@@ -649,3 +649,15 @@ class TestOneWalk:
         monkeypatch.setattr(forest_module, "_walk", walk)
         code, out, err = run_cli(capsys, *argv)
         assert (code, err, walks[0]) == (0, "", 1)
+
+    def test_marks_checked_against_the_walk(self, capsys, monkeypatch):
+        # absent marks are found in the walk's classes, not by listing the
+        # forest's labels again, and named in increasing order
+        def labels(self):
+            raise AssertionError("the forest's labels listed again")
+
+        monkeypatch.setattr(forest_module.Forest, "labels", labels)
+        code, out, err = run_cli(capsys, "map", "--name", "theta", "--k", "2",
+                                 "--input", "1[2[3;];] 4 | {9,2,7}")
+        assert (code, out, err) == (
+            2, "", "sf map: error: labels [7, 9] do not occur in the forest\n")

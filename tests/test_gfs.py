@@ -151,7 +151,9 @@ class TestOrbit:
         t = parse_tree("1[2[3;];]", 2)
         assert orbit_representative(t) == t
 
-    @pytest.mark.parametrize("k,n", [(1, 5), (2, 4), (3, 4)])
+    # the oracle's gfs suite walks orbits without gfs.orbit: this is its
+    # exhaustive test, up to the suite's n = 5
+    @pytest.mark.parametrize("k,n", [(1, 5), (2, 4), (3, 4), (2, 5), (3, 5)])
     def test_orbits_partition_with_unique_representative(self, k, n):
         trees = list(enumerate_trees(range(1, n + 1), k))
         seen = set()

@@ -7,7 +7,16 @@ import stirling_forests.forest as forest_module
 import stirling_forests.stirling as stirling_module
 from stirling_forests import gfs, oracle, pipeline
 from stirling_forests.cli import main
-from stirling_forests.forest import enumerate_forests, forest_stats, parse_forest
+from stirling_forests.forest import (
+    Forest,
+    LabeledTree,
+    NodeClass,
+    enumerate_forests,
+    enumerate_trees,
+    forest_stats,
+    node_classes,
+    parse_forest,
+)
 from stirling_forests.oracle import (
     distribution,
     gamma_census_bar_hat,
@@ -42,6 +51,20 @@ def _count_walks(monkeypatch) -> Counter:
     for module in (forest_module, gfs, pipeline, oracle):
         monkeypatch.setattr(module, "forest_profile", profile)
     return calls
+
+
+def _bare_root(real, t, x):
+    """A toggle mutant: the bare root in place of every image that moves,
+    which is no tree of the cell."""
+    return t if real(t, x) is t else LabeledTree(t.label)
+
+
+def _stuck_at_old_internals(real, t, x):
+    """A toggle mutant: the identity at an old internal label, so a young
+    leaf's toggle does not come back."""
+    k = len(t.slots) if t.slots is not None else 1
+    old = node_classes(Forest(k, (t,)))[x] is NodeClass.OLD_INTERNAL
+    return t if old else real(t, x)
 
 
 class TestDistribution:
@@ -203,10 +226,11 @@ class TestRunSuite:
 
     # Each suite analyses an object once: forest_profile calls at n <= 5,
     # k <= 3, bounded by the counts measured when the profiles were first
-    # threaded through the maps (pipeline 75 663 and gfs 45 883 before), and
+    # threaded through the maps (pipeline 75 663 and gfs 45 883 before),
     # since main_bijection hands its profile on where theta keeps the forest
-    # (pipeline 20 566 before).
-    @pytest.mark.parametrize("suite,calls", [("pipeline", 17_792), ("gfs", 19_194)])
+    # (pipeline 20 566 before), and since the gfs suite profiles each tree
+    # once, in its orbit's table (19 194 before).
+    @pytest.mark.parametrize("suite,calls", [("pipeline", 17_792), ("gfs", 12_353)])
     def test_map_suites_profile_each_object_once(self, monkeypatch, suite, calls):
         counted = [0]
         real = forest_module.forest_profile
@@ -246,9 +270,10 @@ class TestRunSuite:
         assert all(r.passed for r in run_suite(4, 2, ("gfs", "pipeline")))
         assert set(counted) == {fn.__name__ for fn in maps}
 
-    # The gfs suite computes each toggle image once: where phi(t, x) is t,
-    # phi(phi(t, x), y) is phi(t, y).  gfs.phi calls at n <= 5, k <= 3
-    # (87 981 when every composite was toggled afresh).
+    # The gfs suite toggles each (tree, label) once, in its orbit's table:
+    # 12 723 gfs.phi calls at n <= 5, k <= 3 (87 981 when every composite
+    # was toggled afresh, 46 282 when each tree's images were toggled again
+    # by the commutation loop and by gfs.orbit).
     def test_gfs_suite_toggles_each_image_once(self, monkeypatch):
         counted = [0]
         real = gfs.phi
@@ -259,7 +284,32 @@ class TestRunSuite:
 
         monkeypatch.setattr(gfs, "phi", phi)
         assert all(r.passed for r in run_suite(5, 3, suites=("gfs",)))
-        assert 0 < counted[0] <= 46_282
+        pairs = sum(n * sum(1 for _ in enumerate_trees(range(1, n + 1), k))
+                    for n in range(6) for k in range(1, 4))
+        assert counted[0] == pairs == 12_723
+
+    # Faulty toggles: the gfs suite walks no orbit outside the cell's trees,
+    # returns, and fails the involution and orbit checks at the cell.
+    @pytest.mark.parametrize("mutant", [_bare_root, _stuck_at_old_internals],
+                             ids=lambda mutant: mutant.__name__.strip("_"))
+    def test_faulty_toggle_fails_its_reports(self, monkeypatch, mutant):
+        real = gfs.phi
+        monkeypatch.setattr(gfs, "phi", lambda t, x: mutant(real, t, x))
+        reports = {(r.identity, r.n, r.k): r for r in run_suite(4, 2, suites=("gfs",))}
+        for identity in ("gfs.phi.involution", "gfs.orbit.unique-representative"):
+            assert not reports[identity, 4, 2].passed, identity
+
+    def test_partial_representative_fails_the_orbit_check(self, monkeypatch):
+        # a representative that toggles only the greatest young leaf keeps
+        # the others, so it is not the orbit's young-leaf-free member
+        real = gfs.phi
+
+        def one_toggle(t, profile):
+            return real(t, max(profile.yleaf)) if profile.yleaf else t
+
+        monkeypatch.setattr(gfs, "orbit_representative", one_toggle)
+        reports = {(r.identity, r.n, r.k): r for r in run_suite(4, 2, suites=("gfs",))}
+        assert not reports["gfs.orbit.unique-representative", 4, 2].passed
 
     # Mutants of the census walk, each a wrong count in its record: the
     # relation it breaks fails at its cell, and run_suite returns.
