@@ -5,9 +5,10 @@ Every check compares exact polynomials or exact counts; there is no
 tolerance anywhere.  Failures come back as reports carrying a replayable
 witness in canonical text form, never as exceptions.
 
-Each suite makes one pass over each family per (n, k) cell; a ``run_suite``
-call folds each cell's words once, for all its suites.  Two folds do the
-census work, each counting one signature per object and filling the
+``run_suite`` goes cell by cell, and the suites of a cell share what they
+make of it, dropped before the next cell: the word fold, made once per cell
+for all its suites, and for the map suites one forest table.  Two folds do
+the census work, each counting one signature per object and filling the
 histograms once per signature, from a representative object:
 
 * the word fold takes ap, lap and ``word_class`` once per word and fills the
@@ -26,34 +27,49 @@ histograms once per signature, from a representative object:
 views of these folds; the objects folded pick the family: words, forests,
 or trees wrapped as one-tree forests.
 
-The map suites analyse each object once.  Enumerated words are k-Stirling,
-so the bijection suite runs the unchecked passes (``bimap._xi_trees``,
-``_zeta``, ``_chi_tree``), takes ap once per word and reads each image's
-counts from its census record.  The gfs and pipeline suites call the public
-maps, passing each its input's profile (the maps' ``profile`` argument) and
-reusing it when a map returns its input; the pipeline suite reads each
-forest's violations from that profile.  They replay gamma_prime's states
-with ``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
+The map suites analyse each forest once, through the cell's forest table:
+one ``enumerate_forests`` pass, kept in its order, each forest the one object
+of its value, with its census record and, once a suite asks, its profile
+(whose ``stats`` is then the record).  Lookups go by value.  A miss, an image
+that equals no forest of the cell, is made only by a faulty map: it is walked
+fresh, never stored, and fails its identity.  The theorem census streams its
+forests and keeps no table.
+
+Enumerated words are k-Stirling, so the bijection suite runs the unchecked
+passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``), takes ap once per
+word and reads each image's census record from the table; ``image=forests``
+counts the table places its images take.  The gfs and pipeline suites call
+the public maps, passing each its input's profile (the maps' ``profile``
+argument) and reusing it when a map returns its input; the table gives the
+profiles of the forests, of theta's images and of the alpha steps, and the
+records of the psi and main-bijection images, and the image counts are
+keyed by the table's objects.  They replay gamma_prime's states with
+``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
+
 The gfs suite walks each orbit of the toggles once, breadth first from the
-first enumerated tree that no earlier orbit reached, and keeps one table per
-orbit: every member's image at every label, from one ``gfs.phi`` call per
-(tree, label) and held as the cell's one object of its value, and every
-member's profile.  The involution, commutation, type-preservation and orbit
-checks are read off that table, which is dropped before the next orbit.  The
-walk stays inside the cell's trees: an image outside them, or in an earlier
-orbit, is not walked and fails ``gfs.phi.involution``, so a faulty toggle
-ends in failing reports.  ``gfs.orbit`` is not called.
+first tree that no earlier orbit reached, over the table's one-tree forests
+(in ``enumerate_trees`` order, so no tree enumeration is made), and keeps one
+table per orbit: every member's image at every label, from one ``gfs.phi``
+call per (tree, label) and held as the cell's one object of its value, and
+every member's profile.  The involution, commutation, type-preservation and
+orbit checks are read off that table, which is dropped before the next
+orbit.  The walk stays inside the cell's trees: an image outside them, or in
+an earlier orbit, is not walked and fails ``gfs.phi.involution``, so a
+faulty toggle ends in failing reports.  ``gfs.orbit`` is not called.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import bimap, gfs, pipeline
 from .forest import (
     Forest,
+    ForestProfile,
+    ForestStats,
     NodeClass,
     _census_walk,
     enumerate_forests,
@@ -171,10 +187,8 @@ class _Census:
             return gamma
 
 
-def _fold_words(n: int, k: int, folds: dict) -> _Census:
-    """The word fold of cell (n, k), kept in ``folds`` for the caller's later suites."""
-    if (n, k) in folds:
-        return folds[n, k]
+def _fold_words(n: int, k: int) -> _Census:
+    """The word fold of cell (n, k)."""
     census = _Census()
     tally, reps = Counter(), {}
     for w in enumerate_k_stirling(n, k):
@@ -190,7 +204,7 @@ def _fold_words(n: int, k: int, folds: dict) -> _Census:
             if FAMILY_TESTS[family](w, cls):
                 census.bump((family, "ap"), sig[0], times)
                 census.bump((family, "lap"), sig[1], times)
-    return folds.setdefault((n, k), census)
+    return census
 
 
 def _fold_forests(forests: Iterable[Forest]) -> _Census:
@@ -240,7 +254,7 @@ def distribution(family: str, statistic: str, n: int, k: int) -> IntPolynomial:
     if family in _WORD_FAMILIES:
         if statistic not in ("ap", "lap"):
             raise ValueError(f"statistic {statistic!r} undefined on words")
-        census = _fold_words(n, k, {})
+        census = _fold_words(n, k)
     elif family == "T":
         if statistic != "lleaf":
             raise ValueError(f"statistic {statistic!r} undefined on trees")
@@ -264,6 +278,68 @@ def gamma_census_tilde(n: int, k: int) -> list[int]:
     if n < 2:
         raise ValueError("the tree census needs n >= 2")
     return _fold_forests(_trees(n, k)).counts("tilde")
+
+
+# ---------------------------------------------------------------------------
+# the cell: what the suites of one (n, k) cell share in one run_suite call
+
+
+class _Table:
+    """The forests of one (n, k) cell for the map suites: one
+    ``enumerate_forests`` pass, kept in its order, each forest the one object
+    of its value.  A forest's census record is taken when a suite first asks
+    for it, and so is its profile, whose ``stats`` is then the record.
+
+    Lookups go by value; the table's own objects are found by identity,
+    without hashing.  A miss is an image that equals no forest of the cell,
+    which only a faulty map makes: it is walked fresh and never stored."""
+
+    def __init__(self, n: int, k: int):
+        self.forests = list(_forests(n, k))
+        self._places = {f: i for i, f in enumerate(self.forests)}
+        self._ids = {id(f): i for i, f in enumerate(self.forests)}
+        self._records: list[ForestStats | None] = [None] * len(self.forests)
+        self._profiles: list[ForestProfile | None] = [None] * len(self.forests)
+
+    def place(self, f: Forest) -> int | None:
+        """The index of f's value in ``forests``, or None for a miss."""
+        i = self._ids.get(id(f))
+        return self._places.get(f) if i is None else i
+
+    def record(self, f: Forest) -> tuple[int | None, ForestStats]:
+        """f's place and its census record."""
+        i = self.place(f)
+        if i is None:
+            return None, _census_walk(f)
+        if self._records[i] is None:
+            self._records[i] = _census_walk(self.forests[i])
+        return i, self._records[i]
+
+    def profile(self, f: Forest) -> tuple[int | None, ForestProfile]:
+        """f's place and its profile."""
+        i = self.place(f)
+        if i is None:
+            return None, forest_profile(f)
+        if self._profiles[i] is None:
+            self._profiles[i] = forest_profile(self.forests[i])
+            self._records[i] = self._profiles[i].stats
+        return i, self._profiles[i]
+
+
+class _Cell:
+    """The word fold and the forest table of one (n, k) cell, each made when
+    a suite first asks for it and dropped with the cell."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+
+    @cached_property
+    def words(self) -> _Census:
+        return _fold_words(self.n, self.k)
+
+    @cached_property
+    def forests(self) -> _Table:
+        return _Table(self.n, self.k)
 
 
 def _marked(f: Forest, pool) -> Iterator[MarkedForest]:
@@ -298,8 +374,8 @@ def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
                           violations[0] if violations else None)
 
 
-def _suite_polynomials(n, k, folds):
-    words = _fold_words(n, k, folds)
+def _suite_polynomials(n, k, cell):
+    words = cell.words
     A_egf = _egf_last(k, n)
     A_exc = exc_cyc_polynomial(n, k)
     A_ap = words.poly(("Q", "ap"))
@@ -315,28 +391,29 @@ def _suite_polynomials(n, k, folds):
                          descent_polynomial(n).reversal(max(n - 1, 0)))
 
 
-def _suite_bijections(n, k, folds):
+def _suite_bijections(n, k, cell):
+    table = cell.forests
     bad_xi, bad_chi, bad_zeta, bad_class = [], [], [], []
-    xi_images, zeta_images = set(), set()
+    xi_hits, zeta_hits = set(), set()  # the table places the images take
     # the enumerated words are k-Stirling: the unchecked passes take them
     for w in enumerate_k_stirling(n, k):
         cls = word_class(w, k)
         ap = stat_ap(w, k)
         fx = Forest(k, bimap._xi_trees(w, k))
-        if (bimap.xi_inv(fx) != w
-                or _census_walk(fx).lleaf != ap + (bool(w) and cls["in_bar"])):
+        i, wx = table.record(fx)
+        if bimap.xi_inv(fx) != w or wx.lleaf != ap + (bool(w) and cls["in_bar"]):
             bad_xi.append(word_to_text(w))
-        xi_images.add(fx)
+        xi_hits.add(i)
         fz = bimap._zeta(w, k)
-        wz = _census_walk(fz)
+        i, wz = table.record(fz)
         if bimap.zeta_inv(fz) != w or wz.lleaf - wz.si != ap:
             bad_zeta.append(word_to_text(w))
         if cls["in_bar"] != wz.in_bar:
             bad_class.append(word_to_text(w))
-        zeta_images.add(fz)
+        zeta_hits.add(i)
         if n and cls["in_tilde"]:
             t = bimap._chi_tree(w, k)
-            wt = _census_walk(Forest(k, (t,)))
+            _, wt = table.record(Forest(k, (t,)))
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
@@ -344,15 +421,14 @@ def _suite_bijections(n, k, folds):
                 or cls["in_bar"] != plateau_slots
             ):
                 bad_chi.append(word_to_text(w))
-    all_forests = set(_forests(n, k))
+    xi_hits.discard(None)  # a miss takes no place
+    zeta_hits.discard(None)
     yield _count_report("bij.xi.roundtrip+lap", n, k, bad_xi)
     yield _count_report("bij.chi.roundtrip+ap", n, k, bad_chi)
     yield _count_report("bij.zeta.roundtrip+ap", n, k, bad_zeta)
     yield _count_report("bij.zeta.bar-class", n, k, bad_class)
-    yield _eq_report("bij.xi.image=forests", n, k,
-                     len(xi_images & all_forests), len(all_forests))
-    yield _eq_report("bij.zeta.image=forests", n, k,
-                     len(zeta_images & all_forests), len(all_forests))
+    yield _eq_report("bij.xi.image=forests", n, k, len(xi_hits), len(table.forests))
+    yield _eq_report("bij.zeta.image=forests", n, k, len(zeta_hits), len(table.forests))
 
 
 def _toggled(before, after) -> bool:
@@ -369,20 +445,22 @@ def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
                           bijective and not bad, witness)
 
 
-def _orbit_table(start, labels, cell: dict, walked: set):
-    """The orbit of ``start`` under the toggles, walked breadth first inside
-    the cell's trees: its members and, per member, the image at each label,
-    each from one ``gfs.phi`` call.  An image is the cell's object of its
-    value (so images compare with ``is``), or None when it is no tree of the
-    cell; an image in an orbit walked before is not walked again.  The
-    members' ids join ``walked``."""
+def _orbit_table(start, labels, trees: dict, walked: set):
+    """The orbit of the one-tree forest ``start`` under the toggles, walked
+    breadth first inside the cell's trees: its members and, per member, the
+    image at each label, each from one ``gfs.phi`` call.  ``trees`` maps
+    each tree of the cell to the table's one-tree forest of it, so an image
+    is that forest (and images compare with ``is``), or None when it is no
+    tree of the cell; an image in an orbit walked before is not walked
+    again.  The members' ids join ``walked``."""
     members, rows = [start], []
     walked.add(id(start))
     for s in members:  # the walk appends the members it reaches
         row = []
+        t = s.trees[0]
         for x in labels:
-            image = gfs.phi(s, x)
-            c = s if image is s else cell.get(image)
+            image = gfs.phi(t, x)
+            c = s if image is t else trees.get(image)
             if c is not None and id(c) not in walked:
                 walked.add(id(c))
                 members.append(c)
@@ -391,22 +469,24 @@ def _orbit_table(start, labels, cell: dict, walked: set):
     return members, rows
 
 
-def _suite_gfs(n, k, folds):
+def _suite_gfs(n, k, cell):
+    table = cell.forests
     labels = range(1, n + 1)
     bad_inv, bad_comm, bad_type, bad_orbit = [], [], [], []
     orbit_total = IntPolynomial()
-    trees = _Census()  # the T lleaf histogram, from the profiles taken here
-    cell = {t: t for t in enumerate_trees(labels, k)}  # one object per tree value
+    tree_lleaf = _Census()  # the T lleaf histogram, from the profiles taken here
+    # the table's one-tree forests, in enumerate_trees order, by their tree
+    trees = {f.trees[0]: f for f in table.forests if len(f.trees) == 1}
     walked: set[int] = set()
-    for start in cell:
+    for start in trees.values():
         if id(start) in walked:
             continue
         # one table per orbit: each member's toggle images and profile
-        members, rows = _orbit_table(start, labels, cell, walked)
-        profiles = [forest_profile(Forest(k, (s,))) for s in members]
+        members, rows = _orbit_table(start, labels, trees, walked)
+        profiles = [table.profile(s)[1] for s in members]
         pos = {id(s): i for i, s in enumerate(members)}
         for s, row, p in zip(members, rows, profiles):
-            trees.bump("lleaf", p.stats.lleaf)
+            tree_lleaf.bump("lleaf", p.stats.lleaf)
             at = [pos.get(id(c)) for c in row]  # each image's place in the table
             for i, x in enumerate(labels):
                 if row[i] is s:  # the identity: nothing moves, so nothing can fail
@@ -414,27 +494,27 @@ def _suite_gfs(n, k, folds):
                 # an image in an earlier orbit cannot toggle back to s, or
                 # that orbit's walk would have reached s
                 if at[i] is None or rows[at[i]][i] is not s:
-                    bad_inv.append(f"{serialize_tree(s)} @ {x}")
+                    bad_inv.append(f"{serialize_forest(s)} @ {x}")
                 if at[i] is None:
                     continue
                 before, after = p.classes, profiles[at[i]].classes
                 for z in labels:
                     ok = before[z] == after[z] or z == x and _toggled(before[z], after[z])
                     if not ok:
-                        bad_type.append(f"{serialize_tree(s)} @ {x}/{z}")
+                        bad_type.append(f"{serialize_forest(s)} @ {x}/{z}")
             # phi(phi(s, x), y) against phi(phi(s, y), x), where both first
             # images are in the table
             for i, x in enumerate(labels):
                 for j in range(i):  # y = labels[j] < x
                     if (at[i] is not None and at[j] is not None
                             and rows[at[i]][j] is not rows[at[j]][i]):
-                        bad_comm.append(f"{serialize_tree(s)} @ {x},{labels[j]}")
+                        bad_comm.append(f"{serialize_forest(s)} @ {x},{labels[j]}")
         # the orbit holds 2^oint trees, exactly one of them young-leaf free,
         # and that one is every member's representative
-        young_free = [(s, p.stats) for s, p in zip(members, profiles) if not p.yleaf]
-        reps = [gfs.orbit_representative(s, p) for s, p in zip(members, profiles)]
+        young_free = [(s.trees[0], p.stats) for s, p in zip(members, profiles) if not p.yleaf]
+        reps = [gfs.orbit_representative(s.trees[0], p) for s, p in zip(members, profiles)]
         if len(young_free) != 1:
-            bad_orbit.append(serialize_tree(start))
+            bad_orbit.append(serialize_forest(start))
         else:
             rep, st = young_free[0]
             if len(members) != 2**st.oint or any(r != rep for r in reps):
@@ -452,7 +532,7 @@ def _suite_gfs(n, k, folds):
         # the closed form for an orbit's leaf generating function needs at
         # least two labels (a lone singleton has a leaf but no old leaf)
         yield _eq_report("gfs.orbit.census=lleaf-distribution", n, k,
-                         orbit_total, trees.poly("lleaf"))
+                         orbit_total, tree_lleaf.poly("lleaf"))
     # theta round trip on X; on X-bar and X-hat (keyed by in_bar) also image
     # equality onto Y-bar and Y-hat, plus the statistic shift and invariance
     # facts
@@ -460,15 +540,18 @@ def _suite_gfs(n, k, folds):
     bad_shift: dict[bool, list[str]] = {True: [], False: []}
     image: dict[bool, dict[MarkedForest, int]] = {True: {}, False: {}}
     target: dict[bool, list[MarkedForest]] = {True: [], False: []}
-    for f in _forests(n, k):
-        p = forest_profile(f)
+    for f in table.forests:
+        _, p = table.profile(f)
         base = p.stats
         target[base.in_bar].extend(_marked(f, _class_domain("Y", p)))
         pool = _class_domain("X", p)
         for mf in _marked(f, DOMAINS["X"](p)):
-            out = gfs.theta(mf, p)
+            out, outp = gfs.theta(mf, p), p
             # theta toggles only the old-internal marks; without any it is f
-            outp = forest_profile(out.forest) if mf.marks & p.oint else p
+            if mf.marks & p.oint:
+                i, outp = table.profile(out.forest)
+                if i is not None:  # held as the table's object of its value
+                    out = MarkedForest(table.forests[i], out.marks)
             if gfs.theta_prime(out, outp) != mf:
                 bad_theta.append(mf.text())
             if pool is None or not mf.marks <= pool:
@@ -488,7 +571,8 @@ def _suite_gfs(n, k, folds):
                                 image[bar], target[bar], bad_shift[bar])
 
 
-def _suite_pipeline(n, k, folds):
+def _suite_pipeline(n, k, cell):
+    table = cell.forests
     labels = range(1, n + 1)
     bad_shift, bad_class, bad_round, bad_obs, bad_ab_traj = [], [], [], [], []
     bad_pairs, bad_ba = [], []
@@ -497,13 +581,13 @@ def _suite_pipeline(n, k, folds):
     image: dict[bool, dict[Forest, int]] = {True: {}, False: {}}
     target: dict[bool, list[Forest]] = {True: [], False: []}
     bad_main: dict[bool, list[str]] = {True: [], False: []}
-    for f in _forests(n, k):
-        p = forest_profile(f)
+    for f in table.forests:
+        _, p = table.profile(f)
         base_stat, bar = p.stats.lleaf - p.stats.si, p.stats.in_bar
         target[bar].append(f)
         for x in labels:
             g = pipeline.psi(f, x, p)
-            gp = p if g is f else forest_profile(g)
+            gs = p.stats if g is f else table.record(g)[1]
             if x in p.si_star:  # a non-final singleton
                 expect = base_stat + 1
             elif x in p.removable_old:
@@ -520,9 +604,9 @@ def _suite_pipeline(n, k, folds):
                     bad_shift.append(f"{serialize_forest(f)} @ {x}")
             else:
                 expect = base_stat
-            if gp.stats.lleaf - gp.stats.si != expect or gp.stats.violations:
+            if gs.lleaf - gs.si != expect or gs.violations:
                 bad_shift.append(f"{serialize_forest(f)} @ {x}")
-            if gp.stats.in_bar != bar:
+            if gs.in_bar != bar:
                 bad_class.append(f"{serialize_forest(f)} @ {x}")
         chain = list(pipeline._beta_chain(f, p))
         for (prev, _), (cur, after) in zip(chain, chain[1:]):
@@ -540,7 +624,7 @@ def _suite_pipeline(n, k, folds):
             state, sp = mf, p
             while state.marks:
                 nxt = pipeline.alpha_step(state, sp)
-                sp = forest_profile(nxt.forest)
+                _, sp = table.profile(nxt.forest)
                 if pipeline.beta_step(nxt, sp) != state:
                     bad_ba.append(state.text())
                 state = nxt
@@ -549,9 +633,11 @@ def _suite_pipeline(n, k, folds):
                 bad_pairs.append(mf.text())
         for mf in _marked(f, _class_domain("X", p)):
             g = pipeline.main_bijection(mf, p)
-            gs = forest_profile(g).stats
+            i, gs = table.record(g)
             if gs.lleaf - gs.si != base_stat + len(mf.marks):
                 bad_main[bar].append(mf.text())
+            if i is not None:  # keyed by the table's object of its value
+                g = table.forests[i]
             image[bar][g] = image[bar].get(g, 0) + 1
     yield _count_report("pipe.psi.shift", n, k, bad_shift)
     yield _count_report("pipe.psi.bar-preserved", n, k, bad_class)
@@ -565,10 +651,10 @@ def _suite_pipeline(n, k, folds):
                                 image[bar], target[bar], bad_main[bar])
 
 
-def _suite_theorems(n, k, folds):
+def _suite_theorems(n, k, cell):
     if n < 1:
         return
-    words = _fold_words(n, k, folds)
+    words = cell.words
     forests = _fold_forests(_forests(n, k))
     A = _egf_last(k, n)
     dec = symmetric_decompose(A, n - 1)
@@ -613,18 +699,23 @@ SUITES = tuple(_SUITE_TABLE)
 
 def run_suite(n_max: int, k_max: int, suites=SUITES) -> list[IdentityReport]:
     """One report per (identity, n, k) cell, sorted by identity, n, k; a
-    suite named twice runs once."""
+    suite named twice runs once.
+
+    The cells run in turn, k then n, each through every suite whose range
+    holds it, in the order named; a cell's word fold and forest table are
+    made when a suite first asks for them and dropped with the cell."""
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if n_max < 0 or k_max < 1:
         raise ValueError("need n_max >= 0 and k_max >= 1")
     reports: list[IdentityReport] = []
-    folds: dict = {}  # the word fold of each (n, k) cell, for this call only
-    for suite in dict.fromkeys(suites):
-        runner, cap = _SUITE_TABLE[suite]
-        for k in range(1, k_max + 1):
-            for n in range(0, min(n_max, cap(k)) + 1):
-                reports.extend(runner(n, k, folds))
+    runs = [_SUITE_TABLE[suite] for suite in dict.fromkeys(suites)]
+    for k in range(1, k_max + 1):
+        for n in range(0, min(n_max, max((cap(k) for _, cap in runs), default=-1)) + 1):
+            cell = _Cell(n, k)  # the suites of this cell share it, and drop it after
+            for runner, cap in runs:
+                if n <= cap(k):
+                    reports.extend(runner(n, k, cell))
     reports.sort(key=lambda r: (r.identity, r.n, r.k))
     return reports

@@ -694,6 +694,15 @@ class TestEnumerationOrder:
     def test_trees_4_2(self):
         assert [serialize_tree(t) for t in enumerate_trees([4, 3, 2, 1], 2)] == self.TREES_4_2
 
+    # the oracle's gfs suite walks its orbits over the one-tree forests of
+    # the cell's forest table, in this order
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2, 3) for n in range(6)]
+                             + [(6, 1), (6, 2)])
+    def test_one_tree_forests_come_in_tree_order(self, n, k):
+        labels = range(1, n + 1)
+        one_tree = [f.trees[0] for f in enumerate_forests(labels, k) if len(f.trees) == 1]
+        assert one_tree == list(enumerate_trees(labels, k))
+
     def test_module_state_does_not_grow(self):
         def sizes():
             return {name: len(value) for name, value in vars(forest_module).items()

@@ -1,11 +1,12 @@
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import stirling_forests.forest as forest_module
 import stirling_forests.stirling as stirling_module
-from stirling_forests import gfs, oracle, pipeline
+from stirling_forests import bimap, gfs, oracle, pipeline
 from stirling_forests.cli import main
 from stirling_forests.forest import (
     Forest,
@@ -65,6 +66,19 @@ def _stuck_at_old_internals(real, t, x):
     k = len(t.slots) if t.slots is not None else 1
     old = node_classes(Forest(k, (t,)))[x] is NodeClass.OLD_INTERNAL
     return t if old else real(t, x)
+
+
+def _swapped_roots(real, word, k):
+    """An xi mutant: the first two roots of the image swapped."""
+    trees = real(word, k)
+    return trees[1::-1] + trees[2:] if len(trees) > 1 else trees
+
+
+def _duplicated_label(real, f, x, profile=None):
+    """A psi mutant: where psi returns its forest, x duplicated as a final
+    singleton, which is no forest of the cell."""
+    g = real(f, x, profile)
+    return Forest(f.k, f.trees + (LabeledTree(x),)) if g is f else g
 
 
 class TestDistribution:
@@ -160,25 +174,58 @@ class TestRunSuite:
             assert {"identity", "n", "k", "pass", "left", "right"} <= set(d)
 
     def test_gfs_suite_passes_trees_once(self, monkeypatch):
-        # one tree enumeration per cell, whose profiles also give the T
-        # lleaf histogram; every forest walk is a profile's, so the trees
-        # are not validated again
+        # the orbit trees are the one-tree forests of the cell's table: one
+        # forest enumeration per cell and no tree enumeration; their profiles
+        # also give the T lleaf histogram, and every forest walk is a
+        # profile's, so the trees are not validated again
         calls = _count_walks(monkeypatch)
-        monkeypatch.setattr(oracle, "enumerate_trees",
-                            _counted(calls, "enumerate_trees", oracle.enumerate_trees))
+        for name in ("enumerate_forests", "enumerate_trees"):
+            monkeypatch.setattr(oracle, name, _counted(calls, name, getattr(oracle, name)))
         assert all(r.passed for r in run_suite(4, 2, suites=("gfs",)))
-        assert calls["enumerate_trees"] == 10
+        assert calls["enumerate_forests"] == 10
+        assert calls["enumerate_trees"] == 0
         assert 0 < calls["_walk"] == calls["forest_profile"]
 
     # Each forest walk of these suites is that of a record they read: the
     # bijection suite reads census records and builds no profile, and the
-    # pipeline suite reads violations from its profiles
-    @pytest.mark.parametrize("suite", ["bijections", "pipeline"])
+    # gfs suite reads profiles only
+    @pytest.mark.parametrize("suite", ["bijections", "gfs"])
     def test_map_suites_walk_only_for_their_records(self, monkeypatch, suite):
         calls = _count_walks(monkeypatch)
         assert all(r.passed for r in run_suite(4, 3, suites=(suite,)))
         assert 0 < calls["_walk"] == calls["_census_walk"] + calls["forest_profile"]
         assert calls["forest_profile" if suite == "bijections" else "_census_walk"] == 0
+
+    def test_map_suites_share_one_forest_table_per_cell(self, monkeypatch):
+        # the three map suites share one table per (n, k) cell: one forest
+        # enumeration per cell, no tree enumeration, and the oracle's own
+        # census walks and profiles each see every forest of a cell once
+        cells, seen = Counter(), {"_census_walk": Counter(), "forest_profile": Counter()}
+        real_enumerate = oracle.enumerate_forests
+
+        def enumerate_forests(labels, k):
+            cells[len(labels), k] += 1
+            return real_enumerate(labels, k)
+
+        def enumerate_trees(labels, k):
+            raise AssertionError("trees enumerated")
+
+        def seeing(name, real):
+            def wrapper(f):
+                seen[name][f] += 1
+                return real(f)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "enumerate_forests", enumerate_forests)
+        monkeypatch.setattr(oracle, "enumerate_trees", enumerate_trees)
+        for name in seen:
+            monkeypatch.setattr(oracle, name, seeing(name, getattr(oracle, name)))
+        reports = run_suite(4, 3, ("bijections", "gfs", "pipeline"))
+        assert reports and all(r.passed for r in reports)
+        assert cells == Counter({(n, k): 1 for n in range(5) for k in range(1, 4)})
+        forests = sum(count_k_stirling(n, k) for n in range(5) for k in range(1, 4))
+        for name, counts in seen.items():
+            assert len(counts) == forests and set(counts.values()) == {1}, name
 
     def test_census_suites_share_one_word_fold_per_cell(self, monkeypatch):
         # theorems and polynomials fold each cell's words once per call; the
@@ -225,12 +272,15 @@ class TestRunSuite:
             run_suite(n_max, k_max)
 
     # Each suite analyses an object once: forest_profile calls at n <= 5,
-    # k <= 3, bounded by the counts measured when the profiles were first
-    # threaded through the maps (pipeline 75 663 and gfs 45 883 before),
-    # since main_bijection hands its profile on where theta keeps the forest
-    # (pipeline 20 566 before), and since the gfs suite profiles each tree
-    # once, in its orbit's table (19 194 before).
-    @pytest.mark.parametrize("suite,calls", [("pipeline", 17_792), ("gfs", 12_353)])
+    # k <= 3.  The oracle profiles each of the 5 178 forests of the cells
+    # once, in the cell's table; the rest are the maps' own calls (the
+    # states of the beta chains and of gamma's alpha steps, and each orbit
+    # representative checked young-leaf free).  Before the table the bounds
+    # were pipeline 17 792 and gfs 12 353; before the gfs orbit tables gfs
+    # 19 194, before main_bijection handed its profile on pipeline 20 566,
+    # and when the profiles were first threaded through the maps 75 663 and
+    # 45 883.
+    @pytest.mark.parametrize("suite,calls", [("pipeline", 9_870), ("gfs", 6_770)])
     def test_map_suites_profile_each_object_once(self, monkeypatch, suite, calls):
         counted = [0]
         real = forest_module.forest_profile
@@ -242,7 +292,7 @@ class TestRunSuite:
         for module in (forest_module, gfs, pipeline, oracle):
             monkeypatch.setattr(module, "forest_profile", profile)
         assert all(r.passed for r in run_suite(5, 3, suites=(suite,)))
-        assert 0 < counted[0] <= calls
+        assert counted[0] == calls
 
     # The suites call each map by its public name, so a wrapper put on it
     # (the benchmark's tracer, a mutant) sees their calls.
@@ -299,6 +349,42 @@ class TestRunSuite:
         for identity in ("gfs.phi.involution", "gfs.orbit.unique-representative"):
             assert not reports[identity, 4, 2].passed, identity
 
+    # Faulty maps whose image equals no forest of the cell: the image is
+    # walked fresh and fails its identity, run_suite returns, and the cell's
+    # table keeps exactly its enumerated forests.
+    @pytest.mark.parametrize("module,name,mutant,suite,failing", [
+        # xi with its first two roots swapped: the roots no longer increase
+        (bimap, "_xi_trees", _swapped_roots, "bijections",
+         ("bij.xi.roundtrip+lap", "bij.xi.image=forests")),
+        # psi duplicating x where it should return its forest, as a final
+        # singleton, which also puts a hat forest in the bar class
+        (pipeline, "psi", _duplicated_label, "pipeline",
+         ("pipe.psi.shift", "pipe.psi.bar-preserved")),
+    ], ids=["xi-swapped-roots", "psi-duplicated-label"])
+    def test_missed_image_fails_and_is_not_stored(self, monkeypatch, module, name, mutant,
+                                                  suite, failing):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: mutant(real, *args))
+        tables = []
+
+        class Recorded(oracle._Table):
+            def __init__(self, n, k):
+                super().__init__(n, k)
+                tables.append((n, k, self))
+
+        monkeypatch.setattr(oracle, "_Table", Recorded)
+        reports = {(r.identity, r.n, r.k): r for r in run_suite(4, 2, suites=(suite,))}
+        for identity in failing:
+            assert not reports[identity, 4, 2].passed, identity
+        image = reports.get(("bij.xi.image=forests", 4, 2))
+        if image is not None:
+            assert image.left < image.right
+        assert len(tables) == 10  # n = 0..4, k = 1, 2
+        for n, k, table in tables:
+            forests = list(enumerate_forests(range(1, n + 1), k))
+            assert table.forests == forests
+            assert len(table._places) == len(table._ids) == len(forests)
+
     def test_partial_representative_fails_the_orbit_check(self, monkeypatch):
         # a representative that toggles only the greatest young leaf keeps
         # the others, so it is not the orbit's young-leaf-free member
@@ -354,6 +440,18 @@ class TestRunSuite:
         for identity in ("thm.bar.census=distribution", "thm.bar.census=decomposition"):
             report = reports[identity, 1, 1]
             assert not report.passed and report.left == [0, 1]
+
+    def test_bijection_suite_memory(self):
+        # one cell's forest table at a time, and the images read from it, not
+        # kept as copies: the peak was 7.6 MB with three forest sets per cell
+        tracemalloc.start()
+        try:
+            reports = run_suite(5, 3, suites=("bijections",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak <= 4 * 2**20
 
     def test_bijection_suite_validates_no_word(self, monkeypatch):
         # enumerated words are k-Stirling: the unchecked passes take them
