@@ -21,8 +21,8 @@ import sys
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
     _census_walk,
-    _parse_profiled,
     enumerate_forests,
+    forest_profile,
     parse_forest,
     serialize_forest,
     serialize_tree,
@@ -48,9 +48,9 @@ def _read_input(value: str) -> str:
     return sys.stdin.read().strip() if value == "-" else value
 
 
-def _parse_marked(text: str, args) -> tuple[gfs.MarkedForest, gfs.ForestProfile]:
-    """A marked forest (a bare one has no marks) and its profile, in one walk."""
-    return gfs._parse_marked_profiled(text if "|" in text else text + "|{}", args.k)
+def _parse_marked(text: str, args) -> gfs.MarkedForest:
+    """A marked forest (a bare one has no marks), in one walk."""
+    return gfs.parse_marked(text if "|" in text else text + "|{}", args.k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +160,8 @@ def _cmd_stats(args) -> int:
             **cls,
         }
     else:
-        f, p = _parse_profiled(text, args.k)
+        f = parse_forest(text, args.k)
+        p = forest_profile(f)
         record = {
             "kind": "forest",
             "forest": serialize_forest(f),
@@ -235,17 +236,17 @@ def _cmd_gamma(args) -> int:
 
 
 def _at_x(text: str, args) -> str:
-    """phi or psi (with its input's profile) at the labels --x lists between commas."""
+    """phi or psi at the labels --x lists between commas."""
     try:
         labels = [read_label(p.strip()) for p in args.x.split(",")] if args.x else []
     except ValueError as exc:
         raise ValueError(f"in --x: {exc}") from None
     if args.name == "psi" and len(labels) != 1:
         raise ValueError("--name psi takes exactly one label in --x")
-    f, p = _parse_profiled(text, args.k)
+    f = parse_forest(text, args.k)
     if args.name == "phi":
         return serialize_forest(gfs.phi_set(f, labels))
-    return serialize_forest(pipeline.psi(f, labels[0], p))
+    return serialize_forest(pipeline.psi(f, labels[0]))
 
 
 def _chi_inv(text: str, args) -> str:
@@ -256,10 +257,10 @@ def _chi_inv(text: str, args) -> str:
 
 
 def _gamma_prime_unmarked(text: str, args) -> str:
-    mf, p = _parse_marked(text, args)
+    mf = _parse_marked(text, args)
     if mf.marks:
         raise ValueError("gamma-prime starts from an unmarked forest")
-    return pipeline.gamma_prime_map(mf.forest, p).text()
+    return pipeline.gamma_prime_map(mf.forest).text()
 
 
 # sf map: each name's function from the input text and the arguments to the
@@ -273,12 +274,12 @@ _MAPS = {
     "zeta": lambda text, a: serialize_forest(bimap.zeta(word_from_text(text), a.k)),
     "zeta-inv": lambda text, a: word_to_text(bimap.zeta_inv(parse_forest(text, a.k))),
     "phi": _at_x,
-    "theta": lambda text, a: gfs.theta(*_parse_marked(text, a)).text(),
-    "theta-prime": lambda text, a: gfs.theta_prime(*_parse_marked(text, a)).text(),
+    "theta": lambda text, a: gfs.theta(_parse_marked(text, a)).text(),
+    "theta-prime": lambda text, a: gfs.theta_prime(_parse_marked(text, a)).text(),
     "psi": _at_x,
-    "alpha": lambda text, a: pipeline.alpha_step(*_parse_marked(text, a)).text(),
-    "beta": lambda text, a: pipeline.beta_step(*_parse_marked(text, a)).text(),
-    "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(*_parse_marked(text, a))),
+    "alpha": lambda text, a: pipeline.alpha_step(_parse_marked(text, a)).text(),
+    "beta": lambda text, a: pipeline.beta_step(_parse_marked(text, a)).text(),
+    "gamma": lambda text, a: serialize_forest(pipeline.gamma_map(_parse_marked(text, a))),
     "gamma-prime": _gamma_prime_unmarked,
 }
 

@@ -23,16 +23,17 @@ checks against ``phi``.
 
 One explicit-stack traversal, ``_walk``, checks the invariants and
 classifies the nodes: the class map, the label lists by class, the
-removable leaves, bar, and ``ForestStats``, the one count record.  Its
-readers each walk once per call: ``validate_forest`` returns the record's
-violations and never raises; the private ``_census_walk`` returns the
-record, which freezes no set, for the oracle's theorem census and ``sf
-enumerate --filter``; ``forest_profile`` freezes each list once and keeps
-the record as ``stats``, for the maps.  The one text reader, the private
-``_parse_profiled``, returns a text's forest with its profile and refuses
-the profile's first violation; ``parse_forest`` keeps the forest.
-``node_classes``, ``forest_stats``, ``removable_labels`` and
-``label_sets`` are views of ``forest_profile``.
+removable leaves, bar, and ``ForestStats``, the one count record.
+``validate_forest`` returns the record's violations and never raises, and
+the private ``_census_walk`` returns the record, which freezes no set, for
+the oracle's theorem census and ``sf enumerate --filter``: each walks once
+per call.  ``forest_profile`` freezes each list once and keeps the record as
+``stats``, for the maps; it walks a forest at its first call only and
+stores the profile on the forest, which keeps it for as long as it lives.
+The one text reader, ``parse_forest``, refuses the profile's first
+violation, so a parsed forest holds its profile.  ``node_classes``,
+``forest_stats``, ``removable_labels`` and ``label_sets`` are views of
+``forest_profile``.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -109,8 +110,13 @@ class LabeledTree:
 
 @dataclass(frozen=True)
 class Forest:
+    """The arity k and the trees.  ``forest_profile`` stores the profile as
+    ``_profile``, no dataclass field, so ``==``, ``hash`` and ``repr`` leave
+    it out."""
+
     k: int
     trees: tuple[LabeledTree, ...] = ()
+    _profile = None
 
     def labels(self) -> Iterator[int]:
         for t in self.trees:
@@ -268,20 +274,15 @@ def _read_forest(text: str, k: int) -> Forest:
     return Forest(k, tuple(roots))
 
 
-def _parse_profiled(text: str, k: int) -> tuple[Forest, ForestProfile]:
-    """The forest a canonical text reads as, with its ``forest_profile``,
+def parse_forest(text: str, k: int) -> Forest:
+    """The forest a canonical text reads as, holding its ``forest_profile``,
     from one walk; the profile's first violation is refused."""
     check_order(k)
     f = _read_forest(text, k)
-    p = forest_profile(f)
-    if p.stats.violations:
-        raise ForestInvariantError(*p.stats.violations[0])
-    return f, p
-
-
-def parse_forest(text: str, k: int) -> Forest:
-    """Parse canonical forest text and validate all its invariants."""
-    return _parse_profiled(text, k)[0]
+    violations = forest_profile(f).stats.violations
+    if violations:
+        raise ForestInvariantError(*violations[0])
+    return f
 
 
 def parse_tree(text: str, k: int) -> LabeledTree:
@@ -423,21 +424,28 @@ _EMPTY: frozenset[int] = frozenset()
 
 def forest_profile(f: Forest) -> ForestProfile:
     """Every per-forest statistic, from ``_walk``: its count record, and each
-    label list frozen once (the empty ones share one frozenset).  The named
-    tuple is built with ``tuple.__new__``, which skips its generated
-    ``__new__``."""
+    label list frozen once (the empty ones share one frozenset).  The first
+    call stores the profile on f, a plain attribute written past the frozen
+    dataclass, and later calls return that object; it is shared, so it is
+    read and never changed.  The named tuple is built with
+    ``tuple.__new__``, which skips its generated ``__new__``."""
+    p = f._profile
+    if p is not None:
+        return p
     stats, classes, oint, oleaf, yleaf, si, removable_old, removable_young, top = _walk(f)
     oint, oleaf, yleaf, si, si_star, removable_old, removable_young = [
         frozenset(labels) if labels else _EMPTY
         for labels in (oint, oleaf, yleaf, si, si[: stats.si_star], removable_old, removable_young)]
-    return tuple.__new__(ForestProfile, (
+    p = tuple.__new__(ForestProfile, (
         classes, stats, oint, oleaf, yleaf, si, oint - {top} if top in oint else oint, si_star,
         removable_old, removable_young))
+    object.__setattr__(f, "_profile", p)
+    return p
 
 
 def node_classes(f: Forest) -> dict[int, NodeClass]:
-    """Class of every labeled node, keyed by label."""
-    return forest_profile(f).classes
+    """Class of every labeled node, keyed by label: a copy of the stored map."""
+    return dict(forest_profile(f).classes)
 
 
 def removable_labels(f: Forest) -> dict:

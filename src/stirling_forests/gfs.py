@@ -27,10 +27,9 @@ theta pairs up, and their bar/hat class versions (theta takes X-bar onto
 Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and the guards
 of theta, theta_prime and the pipeline maps read the same table.
 
-``theta``, ``theta_prime`` and ``orbit_representative`` take an optional
-trailing ``profile``, the ``forest_profile`` of the (one-tree) forest they
-act on, as ``pipeline.psi`` does; it is computed when the caller does not
-pass it.
+``theta``, ``theta_prime``, ``orbit_representative`` and ``in_domain``
+read their forest's ``forest_profile``, which the forest stores: a forest
+read by ``parse_marked``, or profiled before, is not walked again.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from dataclasses import dataclass
 
 from .forest import (
     Forest,
-    ForestProfile,
     LabeledTree,
-    _parse_profiled,
     forest_profile,
+    parse_forest,
     serialize_forest,
     serialize_tree,
 )
@@ -61,14 +59,9 @@ class MarkedForest:
 
 def parse_marked(text: str, k: int) -> MarkedForest:
     """The marked forest in the form ``MarkedForest.text`` writes:
-    ``<forest> | {1,3}``, blanks allowed around the marks."""
-    return _parse_marked_profiled(text, k)[0]
-
-
-def _parse_marked_profiled(text: str, k: int) -> tuple[MarkedForest, ForestProfile]:
-    """``parse_marked``'s marked forest and the ``forest_profile`` of its
-    forest, from one walk; the forest's faults are refused before the marks
-    are checked against the profile's classes, which hold every label."""
+    ``<forest> | {1,3}``, blanks allowed around the marks.  One walk: the
+    forest's faults are refused before the marks are checked against its
+    profile's classes, which hold every label."""
     forest_text, _, marks_text = text.partition("|")
     marks_text = marks_text.strip()
     inner = marks_text[1:-1].strip()
@@ -76,8 +69,8 @@ def _parse_marked_profiled(text: str, k: int) -> tuple[MarkedForest, ForestProfi
     if not (marks_text.startswith("{") and marks_text.endswith("}")
             and all(p.isdecimal() for p in pieces)):
         raise ValueError("marks must look like {1,3}")
-    f, p = _parse_profiled(forest_text, k)
-    return _marked_among(f, map(read_label, pieces), p.classes), p
+    f = parse_forest(forest_text, k)
+    return _marked_among(f, map(read_label, pieces), forest_profile(f).classes)
 
 
 def marked_forest(forest: Forest, marks) -> MarkedForest:
@@ -236,25 +229,19 @@ def orbit(t: LabeledTree) -> list[LabeledTree]:
     return sorted(seen, key=serialize_tree)
 
 
-def orbit_representative(t: LabeledTree, profile: ForestProfile | None = None) -> LabeledTree:
-    """The unique orbit member without young leaves.
+def orbit_representative(f: Forest) -> Forest:
+    """The unique orbit member without young leaves, componentwise.
 
     One simultaneous toggle of all young-leaf labels suffices; the result is
-    checked to be young-leaf free.  Without young leaves t is its own.
+    checked to be young-leaf free.  Without young leaves f is its own.
     """
-    f = Forest(_tree_k(t), (t,))
-    p = forest_profile(f) if profile is None else profile
-    if not p.yleaf:
-        return t
-    rep = phi_set(f, p.yleaf).trees[0]
-    if forest_profile(Forest(f.k, (rep,))).stats.yleaf:
+    yleaf = forest_profile(f).yleaf
+    if not yleaf:
+        return f
+    rep = phi_set(f, yleaf)
+    if forest_profile(rep).stats.yleaf:
         raise RuntimeError("toggling every young leaf must leave none")
     return rep
-
-
-def _tree_k(t: LabeledTree) -> int:
-    # A bare singleton carries no arity; any k gives the same (trivial) action.
-    return len(t.slots) if t.slots is not None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +272,9 @@ def in_domain(mf: MarkedForest, name: str) -> bool:
     return pool is not None and mf.marks <= pool
 
 
-def theta(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
+def theta(mf: MarkedForest) -> MarkedForest:
     """Toggle the old-internal part of the marks, keep the singleton part."""
-    p = forest_profile(mf.forest) if profile is None else profile
+    p = forest_profile(mf.forest)
     pool = DOMAINS["X"](p)
     if pool is None or not mf.marks <= pool:
         raise ValueError("theta requires a young-leaf-free forest with marks "
@@ -297,9 +284,9 @@ def theta(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedFores
     return MarkedForest(phi_set(mf.forest, s1), frozenset(s2))
 
 
-def theta_prime(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
+def theta_prime(mf: MarkedForest) -> MarkedForest:
     """Toggle all young leaves away and absorb their labels into the marks."""
-    p = forest_profile(mf.forest) if profile is None else profile
+    p = forest_profile(mf.forest)
     if not mf.marks <= DOMAINS["Y"](p):
         raise ValueError("theta_prime requires marks among non-final singletons")
     return MarkedForest(phi_set(mf.forest, p.yleaf), frozenset(mf.marks | p.yleaf))

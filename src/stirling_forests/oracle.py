@@ -29,21 +29,21 @@ or trees wrapped as one-tree forests.
 
 The map suites analyse each forest once, through the cell's forest table:
 one ``enumerate_forests`` pass, kept in its order, each forest the one object
-of its value, with its census record and, once a suite asks, its profile
-(whose ``stats`` is then the record).  Lookups go by value.  A miss, an image
-that equals no forest of the cell, is made only by a faulty map: it is walked
-fresh, never stored, and fails its identity.  The theorem census streams its
-forests and keeps no table.
+of its value, with its census record and, once a suite asks, its profile,
+which the forest stores (its ``stats`` is then the record).  Lookups go by
+value.  A miss, an image that equals no forest of the cell, is made only by a
+faulty map: it is walked fresh, never stored in the table, and fails its
+identity.  The theorem census streams its forests and keeps no table.
 
 Enumerated words are k-Stirling, so the bijection suite runs the unchecked
 passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``), takes ap once per
 word and reads each image's census record from the table; ``image=forests``
 counts the table places its images take.  The gfs and pipeline suites call
-the public maps, passing each its input's profile (the maps' ``profile``
-argument) and reusing it when a map returns its input; the table gives the
-profiles of the forests, of theta's images and of the alpha steps, and the
-records of the psi and main-bijection images, and the image counts are
-keyed by the table's objects.  They replay gamma_prime's states with
+the public maps on the table's objects, so each map finds its input's
+profile stored: ``_Table.held`` swaps theta's images and the alpha steps for
+the table's objects of their values, and the psi and main-bijection images
+take their records from the table.  The image counts are keyed by table
+place, with theta's marks.  The suites replay gamma_prime's states with
 ``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
 
 The gfs suite walks each orbit of the toggles once, breadth first from the
@@ -76,13 +76,13 @@ from .forest import (
     enumerate_trees,
     forest_profile,
     serialize_forest,
-    serialize_tree,
 )
 from .gfs import DOMAINS, MarkedForest
 from .polyx import (
     GammaExpansion,
     IntPolynomial,
     _egf_last,
+    check_order,
     gamma_compose,
     symmetric_decompose,
 )
@@ -237,11 +237,13 @@ def _fold_forests(forests: Iterable[Forest]) -> _Census:
 
 
 def _forests(n: int, k: int) -> Iterator[Forest]:
+    check_order(k, n)
     return enumerate_forests(range(1, n + 1), k)
 
 
 def _trees(n: int, k: int) -> Iterator[Forest]:
     """The trees on 1..n, each wrapped as a one-tree forest."""
+    check_order(k, n)
     return (Forest(k, (t,)) for t in enumerate_trees(range(1, n + 1), k))
 
 
@@ -275,9 +277,10 @@ def gamma_census_bar_hat(n: int, k: int) -> dict:
 
 def gamma_census_tilde(n: int, k: int) -> list[int]:
     """Histogram, by labeled-leaf count, of young-leaf-free trees on 1..n."""
+    trees = _trees(n, k)
     if n < 2:
         raise ValueError("the tree census needs n >= 2")
-    return _fold_forests(_trees(n, k)).counts("tilde")
+    return _fold_forests(trees).counts("tilde")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,8 @@ class _Table:
     """The forests of one (n, k) cell for the map suites: one
     ``enumerate_forests`` pass, kept in its order, each forest the one object
     of its value.  A forest's census record is taken when a suite first asks
-    for it, and so is its profile, whose ``stats`` is then the record.
+    for it, and so is its profile, which the forest stores and whose
+    ``stats`` is then the record.
 
     Lookups go by value; the table's own objects are found by identity,
     without hashing.  A miss is an image that equals no forest of the cell,
@@ -299,7 +303,6 @@ class _Table:
         self._places = {f: i for i, f in enumerate(self.forests)}
         self._ids = {id(f): i for i, f in enumerate(self.forests)}
         self._records: list[ForestStats | None] = [None] * len(self.forests)
-        self._profiles: list[ForestProfile | None] = [None] * len(self.forests)
 
     def place(self, f: Forest) -> int | None:
         """The index of f's value in ``forests``, or None for a miss."""
@@ -315,15 +318,16 @@ class _Table:
             self._records[i] = _census_walk(self.forests[i])
         return i, self._records[i]
 
-    def profile(self, f: Forest) -> tuple[int | None, ForestProfile]:
-        """f's place and its profile."""
+    def held(self, f: Forest) -> tuple[int | None, Forest, ForestProfile]:
+        """f's place, the table's object of f's value (f itself for a miss)
+        and that object's profile."""
         i = self.place(f)
         if i is None:
-            return None, forest_profile(f)
-        if self._profiles[i] is None:
-            self._profiles[i] = forest_profile(self.forests[i])
-            self._records[i] = self._profiles[i].stats
-        return i, self._profiles[i]
+            return None, f, forest_profile(f)
+        f = self.forests[i]
+        p = forest_profile(f)
+        self._records[i] = p.stats
+        return i, f, p
 
 
 class _Cell:
@@ -436,8 +440,9 @@ def _toggled(before, after) -> bool:
 
 
 def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
-    """Every target hit exactly once by the image counts, and no witness of
-    a broken side condition."""
+    """Every target key hit exactly once by the image counts, keyed alike by
+    table place (a miss's place is None), and no witness of a broken side
+    condition."""
     members = sum(image.values())
     bijective = members == len(target) and all(image.get(t, 0) == 1 for t in target)
     witness = bad[0] if bad else None if bijective else "image mismatch"
@@ -483,7 +488,7 @@ def _suite_gfs(n, k, cell):
             continue
         # one table per orbit: each member's toggle images and profile
         members, rows = _orbit_table(start, labels, trees, walked)
-        profiles = [table.profile(s)[1] for s in members]
+        profiles = [table.held(s)[2] for s in members]
         pos = {id(s): i for i, s in enumerate(members)}
         for s, row, p in zip(members, rows, profiles):
             tree_lleaf.bump("lleaf", p.stats.lleaf)
@@ -511,14 +516,14 @@ def _suite_gfs(n, k, cell):
                         bad_comm.append(f"{serialize_forest(s)} @ {x},{labels[j]}")
         # the orbit holds 2^oint trees, exactly one of them young-leaf free,
         # and that one is every member's representative
-        young_free = [(s.trees[0], p.stats) for s, p in zip(members, profiles) if not p.yleaf]
-        reps = [gfs.orbit_representative(s.trees[0], p) for s, p in zip(members, profiles)]
+        young_free = [(s, p.stats) for s, p in zip(members, profiles) if not p.yleaf]
+        reps = [gfs.orbit_representative(s) for s in members]
         if len(young_free) != 1:
             bad_orbit.append(serialize_forest(start))
         else:
             rep, st = young_free[0]
             if len(members) != 2**st.oint or any(r != rep for r in reps):
-                bad_orbit.append(serialize_tree(rep))
+                bad_orbit.append(serialize_forest(rep))
         for _, st in young_free:
             orbit_total = orbit_total + gamma_compose(
                 GammaExpansion(center=2 * st.oleaf + st.oint,
@@ -535,24 +540,20 @@ def _suite_gfs(n, k, cell):
                          orbit_total, tree_lleaf.poly("lleaf"))
     # theta round trip on X; on X-bar and X-hat (keyed by in_bar) also image
     # equality onto Y-bar and Y-hat, plus the statistic shift and invariance
-    # facts
+    # facts; a marked forest is keyed by (table place, marks)
     bad_theta: list[str] = []
     bad_shift: dict[bool, list[str]] = {True: [], False: []}
-    image: dict[bool, dict[MarkedForest, int]] = {True: {}, False: {}}
-    target: dict[bool, list[MarkedForest]] = {True: [], False: []}
-    for f in table.forests:
-        _, p = table.profile(f)
+    image: dict[bool, dict[tuple, int]] = {True: {}, False: {}}
+    target: dict[bool, list[tuple]] = {True: [], False: []}
+    for i, f in enumerate(table.forests):
+        p = table.held(f)[2]
         base = p.stats
-        target[base.in_bar].extend(_marked(f, _class_domain("Y", p)))
+        target[base.in_bar].extend((i, mf.marks) for mf in _marked(f, _class_domain("Y", p)))
         pool = _class_domain("X", p)
         for mf in _marked(f, DOMAINS["X"](p)):
-            out, outp = gfs.theta(mf, p), p
-            # theta toggles only the old-internal marks; without any it is f
-            if mf.marks & p.oint:
-                i, outp = table.profile(out.forest)
-                if i is not None:  # held as the table's object of its value
-                    out = MarkedForest(table.forests[i], out.marks)
-            if gfs.theta_prime(out, outp) != mf:
+            out = gfs.theta(mf)
+            j, g, outp = table.held(out.forest)  # g is f unless an old internal is marked
+            if gfs.theta_prime(MarkedForest(g, out.marks)) != mf:
                 bad_theta.append(mf.text())
             if pool is None or not mf.marks <= pool:
                 continue
@@ -564,7 +565,8 @@ def _suite_gfs(n, k, cell):
                 or outst.in_bar != base.in_bar
             ):
                 bad_shift[base.in_bar].append(mf.text())
-            image[base.in_bar][out] = image[base.in_bar].get(out, 0) + 1
+            key = j, out.marks
+            image[base.in_bar][key] = image[base.in_bar].get(key, 0) + 1
     yield _count_report("gfs.theta.roundtrip", n, k, bad_theta)
     for bar, side in ((True, "bar"), (False, "hat")):
         yield _bijection_report(f"gfs.theta.{side}-bijection", n, k,
@@ -577,16 +579,16 @@ def _suite_pipeline(n, k, cell):
     bad_shift, bad_class, bad_round, bad_obs, bad_ab_traj = [], [], [], [], []
     bad_pairs, bad_ba = [], []
     # the composite bijection onto each class (keyed by in_bar), with the
-    # mark-count shift
-    image: dict[bool, dict[Forest, int]] = {True: {}, False: {}}
-    target: dict[bool, list[Forest]] = {True: [], False: []}
+    # mark-count shift; a forest is keyed by its table place
+    image: dict[bool, dict[int | None, int]] = {True: {}, False: {}}
+    target: dict[bool, list[int]] = {True: [], False: []}
     bad_main: dict[bool, list[str]] = {True: [], False: []}
-    for f in table.forests:
-        _, p = table.profile(f)
+    for i, f in enumerate(table.forests):
+        p = table.held(f)[2]
         base_stat, bar = p.stats.lleaf - p.stats.si, p.stats.in_bar
-        target[bar].append(f)
+        target[bar].append(i)
         for x in labels:
-            g = pipeline.psi(f, x, p)
+            g = pipeline.psi(f, x)
             gs = p.stats if g is f else table.record(g)[1]
             if x in p.si_star:  # a non-final singleton
                 expect = base_stat + 1
@@ -608,37 +610,35 @@ def _suite_pipeline(n, k, cell):
                 bad_shift.append(f"{serialize_forest(f)} @ {x}")
             if gs.in_bar != bar:
                 bad_class.append(f"{serialize_forest(f)} @ {x}")
-        chain = list(pipeline._beta_chain(f, p))
-        for (prev, _), (cur, after) in zip(chain, chain[1:]):
-            if pipeline.alpha_step(cur, after) != prev:
+        chain = list(pipeline._beta_chain(f))
+        for prev, cur in zip(chain, chain[1:]):
+            if pipeline.alpha_step(cur) != prev:
                 bad_ab_traj.append(f"{prev.text()} -> {cur.text()}")
             for y in cur.marks - prev.marks:  # the root label beta marked
                 y_pos = pipeline._singleton_index(cur.forest, y)
+                after = forest_profile(cur.forest)
                 for r in after.removable_old | after.removable_young:
                     if cur.forest.tree_index_of(r) < y_pos:
                         bad_obs.append(f"{serialize_forest(cur.forest)} @ {r}")
-        if pipeline.gamma_map(*chain[-1]) != f:
+        if pipeline.gamma_map(chain[-1]) != f:
             bad_round.append(serialize_forest(f))
         # gamma on marked pairs, with beta-after-alpha inversion along the way
         for mf in _marked(f, _class_domain("Y", p)):
-            state, sp = mf, p
+            state = mf
             while state.marks:
-                nxt = pipeline.alpha_step(state, sp)
-                _, sp = table.profile(nxt.forest)
-                if pipeline.beta_step(nxt, sp) != state:
+                nxt = pipeline.alpha_step(state)
+                nxt = MarkedForest(table.held(nxt.forest)[1], nxt.marks)
+                if pipeline.beta_step(nxt) != state:
                     bad_ba.append(state.text())
                 state = nxt
-            # the chain is gamma's: state.forest is gamma(mf), sp its profile
-            if pipeline.gamma_prime_map(state.forest, sp) != mf:
+            # the chain is gamma's: state.forest is gamma(mf)
+            if pipeline.gamma_prime_map(state.forest) != mf:
                 bad_pairs.append(mf.text())
         for mf in _marked(f, _class_domain("X", p)):
-            g = pipeline.main_bijection(mf, p)
-            i, gs = table.record(g)
+            j, gs = table.record(pipeline.main_bijection(mf))
             if gs.lleaf - gs.si != base_stat + len(mf.marks):
                 bad_main[bar].append(mf.text())
-            if i is not None:  # keyed by the table's object of its value
-                g = table.forests[i]
-            image[bar][g] = image[bar].get(g, 0) + 1
+            image[bar][j] = image[bar].get(j, 0) + 1
     yield _count_report("pipe.psi.shift", n, k, bad_shift)
     yield _count_report("pipe.psi.bar-preserved", n, k, bad_class)
     yield _count_report("pipe.gamma.gamma-prime.roundtrip", n, k, bad_round)

@@ -28,16 +28,15 @@ the two are mutually inverse.  ``main_bijection`` is gamma after theta.
 The guards take their domains from ``gfs.DOMAINS``: gamma's marks lie in Y,
 and main_bijection's input in X-bar or X-hat by its forest's class.
 
-Each map takes, as psi does, an optional trailing ``profile``: the
-``forest_profile`` of its input forest, computed when the caller does not
-pass it.  A map that returns its input forest hands the profile on.
-``_beta_chain`` yields gamma_prime's states with their profiles; the
+Each map reads its input forest's ``forest_profile``, which the forest
+stores, so a step that returns its input forest, or a forest profiled
+before, walks nothing.  ``_beta_chain`` yields gamma_prime's states; the
 oracle's pipeline suite replays it.
 """
 
 from __future__ import annotations
 
-from .forest import Forest, ForestProfile, LabeledTree, forest_profile
+from .forest import Forest, LabeledTree, forest_profile
 from .gfs import DOMAINS, MarkedForest, theta
 
 
@@ -45,10 +44,9 @@ def _singleton_index(f: Forest, x: int) -> int | None:
     return next((i for i, t in enumerate(f.trees) if t.slots is None and t.label == x), None)
 
 
-def psi(f: Forest, x: int, profile: ForestProfile | None = None) -> Forest:
-    """The fundamental transformation at x; ``profile`` is
-    ``forest_profile(f)`` when the caller already has it."""
-    p = forest_profile(f) if profile is None else profile
+def psi(f: Forest, x: int) -> Forest:
+    """The fundamental transformation at x."""
+    p = forest_profile(f)
     if x not in p.classes:  # every label has a class
         raise ValueError(f"labels [{x}] do not occur in the forest")
     nonfinal = x in p.si_star  # x labels a non-final singleton
@@ -121,74 +119,69 @@ def _pop_young(f: Forest, x: int) -> Forest:
     )
 
 
-def alpha_step(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
+def alpha_step(mf: MarkedForest) -> MarkedForest:
     """psi at the greatest mark, which must label a singleton; drop the mark."""
     if not mf.marks:
         raise ValueError("alpha requires a nonempty mark set")
-    p = forest_profile(mf.forest) if profile is None else profile
     x = max(mf.marks)
-    if x not in p.si:
+    if x not in forest_profile(mf.forest).si:
         raise ValueError(f"mark {x} does not label a singleton")
-    return MarkedForest(psi(mf.forest, x, p), mf.marks - {x})
+    return MarkedForest(psi(mf.forest, x), mf.marks - {x})
 
 
-def beta_step(mf: MarkedForest, profile: ForestProfile | None = None) -> MarkedForest:
+def beta_step(mf: MarkedForest) -> MarkedForest:
     """psi at the least removable leaf; record its root label as a mark."""
-    p = forest_profile(mf.forest) if profile is None else profile
+    p = forest_profile(mf.forest)
     pool = p.removable_old | p.removable_young
     if not pool:
         raise ValueError("beta requires a removable leaf")
     x = min(pool)
     y = mf.forest.trees[mf.forest.tree_index_of(x)].label
-    return MarkedForest(psi(mf.forest, x, p), frozenset(mf.marks | {y}))
+    return MarkedForest(psi(mf.forest, x), frozenset(mf.marks | {y}))
 
 
-def gamma_map(mf: MarkedForest, profile: ForestProfile | None = None) -> Forest:
-    """Drain the marks, greatest first, through psi; each later state is
-    profiled once."""
-    p = forest_profile(mf.forest) if profile is None else profile
-    if not mf.marks <= DOMAINS["Y"](p):
+def gamma_map(mf: MarkedForest) -> Forest:
+    """Drain the marks, greatest first, through psi."""
+    if not mf.marks <= DOMAINS["Y"](forest_profile(mf.forest)):
         raise ValueError("gamma requires marks among non-final singletons")
     for _ in range(len(mf.marks)):
-        mf, p = alpha_step(mf, p), None
+        mf = alpha_step(mf)
     return mf.forest
 
 
-def gamma_prime_map(f: Forest, profile: ForestProfile | None = None) -> MarkedForest:
+def gamma_prime_map(f: Forest) -> MarkedForest:
     """Run beta until no removable leaf remains; inverse of gamma_map."""
-    for mf, _ in _beta_chain(f, forest_profile(f) if profile is None else profile):
+    for mf in _beta_chain(f):
         pass
     return mf
 
 
-def _beta_chain(f: Forest, p: ForestProfile):
-    """The states of gamma_prime_map on f, each with its profile p: from
-    (f, {}) on, beta at each state whose forest keeps a removable leaf.
+def _beta_chain(f: Forest):
+    """The states of gamma_prime_map on f: from (f, {}) on, beta at each
+    state whose forest keeps a removable leaf.
 
     Each step lowers lleaf - si by 1, so at most lleaf(f) - si(f) steps run;
     the chain refuses to take one more.
     """
+    p = forest_profile(f)
     mf, budget = MarkedForest(f, frozenset()), p.stats.lleaf - p.stats.si
     while True:
-        yield mf, p
-        if not p.stats.rleaf:
+        yield mf
+        if not forest_profile(mf.forest).stats.rleaf:
             return
         if budget <= 0:
             raise RuntimeError("beta failed to terminate within its budget")
         budget -= 1
-        mf = beta_step(mf, p)
-        p = forest_profile(mf.forest)
+        mf = beta_step(mf)
 
 
-def main_bijection(mf: MarkedForest, profile: ForestProfile | None = None) -> Forest:
+def main_bijection(mf: MarkedForest) -> Forest:
     """gamma after theta, on the bar- or hat-class marked domains."""
-    p = forest_profile(mf.forest) if profile is None else profile
+    p = forest_profile(mf.forest)
     pool = DOMAINS["Xbar" if p.stats.in_bar else "Xhat"](p)
     if pool is None or not mf.marks <= pool:
         raise ValueError(
             "main bijection requires a starred forest with marks among "
             "old internals (bar: excluding the last root's) and non-final singletons"
         )
-    out = theta(mf, p)
-    # without old-internal marks theta keeps the forest, and so its profile
-    return gamma_map(out, p if out.forest is mf.forest else None)
+    return gamma_map(theta(mf))

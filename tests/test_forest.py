@@ -24,7 +24,7 @@ from stirling_forests.forest import (
     serialize_tree,
     validate_forest,
 )
-from stirling_forests.gfs import phi
+from stirling_forests.gfs import parse_marked, phi
 from stirling_forests.stirling import LimitError, count_k_stirling
 
 FIG1 = "1[10;;9] 2[;;3] 4[5[;6;],8;;7]"
@@ -208,9 +208,9 @@ class TestValidate:
          ("1[4[3;],2;]", 2), ("3[;5,4] 1[2;]", 2)],
     )
     def test_parse_raises_first_violation(self, text, k):
-        # the profiled reader refuses with parse_forest's error
+        # the forest reader and the marked reader refuse the first violation
         first = validate_forest(forest_module._read_forest(text, k))[0]
-        for parse in (parse_forest, forest_module._parse_profiled):
+        for parse in (parse_forest, lambda text, k: parse_marked(f"{text} | {{}}", k)):
             with pytest.raises(ForestInvariantError) as err:
                 parse(text, k)
             assert (err.value.label, str(err.value)) == first
@@ -580,12 +580,18 @@ class TestCensusWalk:
             return real(f)
 
         monkeypatch.setattr(forest_module, "_walk", walk)
-        f = parse_forest(FIG4, 3)
         for reader in (validate_forest, forest_profile, forest_module._census_walk,
-                       lambda f: forest_module._parse_profiled(FIG4, f.k)):
+                       lambda f: parse_forest(FIG4, f.k),
+                       lambda f: parse_marked(FIG4 + " | {}", f.k)):
+            f = forest_module._read_forest(FIG4, 3)  # fresh: it holds no profile
             walks[0] = 0
             reader(f)
             assert walks[0] == 1, reader.__name__
+        # the profile is stored: the parsed forest is not walked again
+        f = parse_forest(FIG4, 3)
+        walks[0] = 0
+        assert forest_profile(f) is forest_profile(f)
+        assert walks[0] == 0
 
 
 class TestProfileReference:

@@ -137,19 +137,27 @@ class TestPhiSet:
 
 class TestOrbit:
     def test_pair_orbit(self):
-        t = parse_tree("1[;2,3]", 2)
-        members = orbit(t)
+        f = parse_forest("1[;2,3]", 2)
+        members = orbit(f.trees[0])
         assert {serialize_tree(s) for s in members} == {"1[;2,3]", "1[;2[;3]]"}
-        assert serialize_tree(orbit_representative(t)) == "1[;2[;3]]"
+        assert serialize_forest(orbit_representative(f)) == "1[;2[;3]]"
 
     def test_slot_choice_preserved(self):
-        t = parse_tree("1[2;3]", 2)
-        assert serialize_tree(orbit_representative(t)) == "1[2[;3];]"
-        assert len(orbit(t)) == 2
+        f = parse_forest("1[2;3]", 2)
+        assert serialize_forest(orbit_representative(f)) == "1[2[;3];]"
+        assert len(orbit(f.trees[0])) == 2
 
     def test_young_free_tree_is_its_own_representative(self):
-        t = parse_tree("1[2[3;];]", 2)
-        assert orbit_representative(t) == t
+        f = parse_forest("1[2[3;];]", 2)
+        assert orbit_representative(f) is f
+
+    def test_representative_is_componentwise(self):
+        # a forest's representative is its trees' representatives
+        for k in (1, 2, 3):
+            for n in range(5):
+                for f in enumerate_forests(range(1, n + 1), k):
+                    reps = [orbit_representative(Forest(k, (t,))).trees[0] for t in f.trees]
+                    assert orbit_representative(f) == Forest(k, tuple(reps)), serialize_forest(f)
 
     # the oracle's gfs suite walks orbits without gfs.orbit: this is its
     # exhaustive test, up to the suite's n = 5
@@ -159,7 +167,7 @@ class TestOrbit:
         seen = set()
         total = 0
         for t in trees:
-            rep = orbit_representative(t)
+            rep = orbit_representative(Forest(k, (t,))).trees[0]
             if rep in seen:
                 continue
             seen.add(rep)
@@ -189,7 +197,7 @@ class TestOrbit:
                     if not young:
                         break
                     current = phi(current, young[0])
-                assert current == orbit_representative(t)
+                assert current == orbit_representative(Forest(k, (t,))).trees[0]
 
 
 class TestTheta:

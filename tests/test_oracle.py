@@ -14,6 +14,7 @@ from stirling_forests.forest import (
     NodeClass,
     enumerate_forests,
     enumerate_trees,
+    forest_profile,
     forest_stats,
     node_classes,
     parse_forest,
@@ -74,10 +75,10 @@ def _swapped_roots(real, word, k):
     return trees[1::-1] + trees[2:] if len(trees) > 1 else trees
 
 
-def _duplicated_label(real, f, x, profile=None):
+def _duplicated_label(real, f, x):
     """A psi mutant: where psi returns its forest, x duplicated as a final
     singleton, which is no forest of the cell."""
-    g = real(f, x, profile)
+    g = real(f, x)
     return Forest(f.k, f.trees + (LabeledTree(x),)) if g is f else g
 
 
@@ -111,6 +112,21 @@ class TestDistribution:
         for family in ("F", "T"):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 distribution(family, "lleaf", 3, 0)
+
+    # a negative order is refused on the forest side as on the word side,
+    # not counted as the empty forest
+    @pytest.mark.parametrize("view,args", [
+        (distribution, ("F", "lleaf", -1, 2)),
+        (distribution, ("Fbar", "lleaf-si", -1, 2)),
+        (distribution, ("Fhat", "lleaf", -1, 2)),
+        (distribution, ("T", "lleaf", -1, 2)),
+        (distribution, ("Q", "ap", -1, 2)),
+        (gamma_census_bar_hat, (-2, 2)),
+        (gamma_census_tilde, (-1, 2)),
+    ], ids=["F", "Fbar", "Fhat", "T", "Q", "bar-hat", "tilde"])
+    def test_negative_order_refused(self, view, args):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            view(*args)
 
 
 class TestCensuses:
@@ -177,31 +193,41 @@ class TestRunSuite:
         # the orbit trees are the one-tree forests of the cell's table: one
         # forest enumeration per cell and no tree enumeration; their profiles
         # also give the T lleaf histogram, and every forest walk is a
-        # profile's, so the trees are not validated again
+        # profile's, so the trees are not validated again: 191 walks at
+        # n <= 4, k <= 2, the 159 forests of the cells and 32 orbit
+        # representatives checked young-leaf free
         calls = _count_walks(monkeypatch)
         for name in ("enumerate_forests", "enumerate_trees"):
             monkeypatch.setattr(oracle, name, _counted(calls, name, getattr(oracle, name)))
         assert all(r.passed for r in run_suite(4, 2, suites=("gfs",)))
         assert calls["enumerate_forests"] == 10
         assert calls["enumerate_trees"] == 0
-        assert 0 < calls["_walk"] == calls["forest_profile"]
+        assert (calls["_walk"], calls["_census_walk"]) == (191, 0)
 
     # Each forest walk of these suites is that of a record they read: the
-    # bijection suite reads census records and builds no profile, and the
-    # gfs suite reads profiles only
-    @pytest.mark.parametrize("suite", ["bijections", "gfs"])
-    def test_map_suites_walk_only_for_their_records(self, monkeypatch, suite):
+    # bijection suite reads census records, one per forest of the cells, and
+    # builds no profile, and the gfs suite reads profiles only
+    @pytest.mark.parametrize("suite,walks", [("bijections", 473), ("gfs", 595)],
+                             ids=["bijections", "gfs"])
+    def test_map_suites_walk_only_for_their_records(self, monkeypatch, suite, walks):
         calls = _count_walks(monkeypatch)
         assert all(r.passed for r in run_suite(4, 3, suites=(suite,)))
-        assert 0 < calls["_walk"] == calls["_census_walk"] + calls["forest_profile"]
-        assert calls["forest_profile" if suite == "bijections" else "_census_walk"] == 0
+        assert calls["_walk"] == walks
+        if suite == "bijections":
+            assert calls["_census_walk"] == walks and calls["forest_profile"] == 0
+        else:
+            assert calls["_census_walk"] == 0
 
     def test_map_suites_share_one_forest_table_per_cell(self, monkeypatch):
         # the three map suites share one table per (n, k) cell: one forest
-        # enumeration per cell, no tree enumeration, and the oracle's own
-        # census walks and profiles each see every forest of a cell once
-        cells, seen = Counter(), {"_census_walk": Counter(), "forest_profile": Counter()}
-        real_enumerate = oracle.enumerate_forests
+        # enumeration per cell, no tree enumeration, the oracle's own census
+        # walks see every forest of a cell once, and each table object is
+        # walked twice, for its census record and for the profile it then
+        # stores: 946 of the 1 480 walks, the rest the maps' walks of the
+        # states they make
+        cells, seen = Counter(), {"_census_walk": Counter()}
+        walked, tables = [], []  # the walked forests stay alive, so their ids stay theirs
+        real_enumerate, real_walk = oracle.enumerate_forests, forest_module._walk
 
         def enumerate_forests(labels, k):
             cells[len(labels), k] += 1
@@ -216,8 +242,19 @@ class TestRunSuite:
                 return real(f)
             return wrapper
 
+        def walk(f):
+            walked.append(f)
+            return real_walk(f)
+
+        class Recorded(oracle._Table):
+            def __init__(self, n, k):
+                super().__init__(n, k)
+                tables.append(self)
+
         monkeypatch.setattr(oracle, "enumerate_forests", enumerate_forests)
         monkeypatch.setattr(oracle, "enumerate_trees", enumerate_trees)
+        monkeypatch.setattr(forest_module, "_walk", walk)
+        monkeypatch.setattr(oracle, "_Table", Recorded)
         for name in seen:
             monkeypatch.setattr(oracle, name, seeing(name, getattr(oracle, name)))
         reports = run_suite(4, 3, ("bijections", "gfs", "pipeline"))
@@ -226,6 +263,11 @@ class TestRunSuite:
         forests = sum(count_k_stirling(n, k) for n in range(5) for k in range(1, 4))
         for name, counts in seen.items():
             assert len(counts) == forests and set(counts.values()) == {1}, name
+        walks = Counter(map(id, walked))
+        held = [f for table in tables for f in table.forests]
+        assert len(held) == forests == 473
+        assert [walks[id(f)] for f in held] == [2] * forests
+        assert len(walked) == 1_480
 
     def test_census_suites_share_one_word_fold_per_cell(self, monkeypatch):
         # theorems and polynomials fold each cell's words once per call; the
@@ -271,28 +313,26 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(n_max, k_max)
 
-    # Each suite analyses an object once: forest_profile calls at n <= 5,
-    # k <= 3.  The oracle profiles each of the 5 178 forests of the cells
-    # once, in the cell's table; the rest are the maps' own calls (the
-    # states of the beta chains and of gamma's alpha steps, and each orbit
-    # representative checked young-leaf free).  Before the table the bounds
-    # were pipeline 17 792 and gfs 12 353; before the gfs orbit tables gfs
-    # 19 194, before main_bijection handed its profile on pipeline 20 566,
-    # and when the profiles were first threaded through the maps 75 663 and
-    # 45 883.
-    @pytest.mark.parametrize("suite,calls", [("pipeline", 9_870), ("gfs", 6_770)])
-    def test_map_suites_profile_each_object_once(self, monkeypatch, suite, calls):
-        counted = [0]
-        real = forest_module.forest_profile
-
-        def profile(f):
-            counted[0] += 1
-            return real(f)
-
-        for module in (forest_module, gfs, pipeline, oracle):
-            monkeypatch.setattr(module, "forest_profile", profile)
-        assert all(r.passed for r in run_suite(5, 3, suites=(suite,)))
-        assert counted[0] == calls
+    # Each suite analyses an object once: forest walks at n <= 5, k <= 3.
+    # The oracle walks each of the 5 178 forests of the cells once for the
+    # suite's record or profile, in the cell's table, which the forest then
+    # stores (the pipeline suite also walks for 1 586 census records, of the
+    # psi and main-bijection images it has not profiled yet); the rest are
+    # the maps' walks of the
+    # states they make (of the beta chains and of gamma's alpha steps, and
+    # each orbit representative checked young-leaf free).  Counted as
+    # forest_profile calls, the pipeline and gfs bounds were 9 870 and 6 770
+    # while the oracle threaded profiles through the maps; before the table
+    # 17 792 and 12 353, before the gfs orbit tables gfs 19 194, before
+    # main_bijection handed its profile on pipeline 20 566, and when the
+    # profiles were first threaded through the maps 75 663 and 45 883.
+    @pytest.mark.parametrize("suites,walks", [
+        ("bijections", 5_178), ("gfs", 6_770), ("pipeline", 11_456),
+        ("bijections+gfs+pipeline", 16_640)])
+    def test_map_suites_profile_each_object_once(self, monkeypatch, suites, walks):
+        calls = _count_walks(monkeypatch)
+        assert all(r.passed for r in run_suite(5, 3, suites=suites.split("+")))
+        assert calls["_walk"] == walks
 
     # The suites call each map by its public name, so a wrapper put on it
     # (the benchmark's tracer, a mutant) sees their calls.
@@ -390,8 +430,9 @@ class TestRunSuite:
         # the others, so it is not the orbit's young-leaf-free member
         real = gfs.phi
 
-        def one_toggle(t, profile):
-            return real(t, max(profile.yleaf)) if profile.yleaf else t
+        def one_toggle(f):
+            yleaf = forest_profile(f).yleaf
+            return Forest(f.k, (real(f.trees[0], max(yleaf)),)) if yleaf else f
 
         monkeypatch.setattr(gfs, "orbit_representative", one_toggle)
         reports = {(r.identity, r.n, r.k): r for r in run_suite(4, 2, suites=("gfs",))}

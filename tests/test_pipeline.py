@@ -1,7 +1,8 @@
 import pytest
 
-from stirling_forests import gfs, pipeline
+from stirling_forests import pipeline
 from stirling_forests.forest import (
+    Forest,
     enumerate_forests,
     forest_profile,
     forest_stats,
@@ -10,7 +11,7 @@ from stirling_forests.forest import (
     removable_labels,
     serialize_forest,
 )
-from stirling_forests.gfs import MarkedForest, marked_forest, orbit_representative
+from stirling_forests.gfs import MarkedForest, marked_forest
 from stirling_forests.pipeline import (
     alpha_step,
     beta_step,
@@ -135,19 +136,21 @@ class TestGammaMaps:
 
     def test_gamma_prime_trajectory_exposed(self):
         f = parse_forest("1[;4,7;2[;5;],3,6[;8;]]", 3)
-        states = [mf for mf, _ in pipeline._beta_chain(f, forest_profile(f))]
+        states = list(pipeline._beta_chain(f))
         assert states[0] == MarkedForest(f, frozenset())
         # the first step removes the old leaf 3 and marks its root 1
         assert states[1].text() == "1 2[;5;] 3[;4,7;6[;8;]] | {1}"
         assert forest_stats(states[-1].forest).rleaf == 0
 
     def test_beta_chain_and_its_profiles(self):
+        # each state's forest holds the profile that its fresh copy reads
         for f in _small_forests():
-            chain = list(pipeline._beta_chain(f, forest_profile(f)))
-            states = [mf for mf, _ in chain]
+            states = list(pipeline._beta_chain(f))
             assert states[0] == MarkedForest(f, frozenset())
             assert states[-1] == gamma_prime_map(f)
-            assert [p for _, p in chain] == [forest_profile(mf.forest) for mf in states]
+            assert all(mf.forest._profile is not None for mf in states)
+            assert [mf.forest._profile for mf in states] == [
+                forest_profile(Forest(mf.forest.k, mf.forest.trees)) for mf in states]
             assert all(len(b.marks - a.marks) == 1 for a, b in zip(states, states[1:]))
 
     def test_gamma_prime_budget_guard_raises(self, monkeypatch):
@@ -199,41 +202,26 @@ class TestMainBijection:
             main_bijection(mf("1[;2] 3", 2))  # removable old leaf, not starred
 
 
-def _outcome(fn, *args):
-    """What a call gives: its value, or the type and message of its error."""
-    try:
-        return ("value", fn(*args))
-    except Exception as exc:  # the calls must agree on errors too
-        return ("error", type(exc), str(exc))
-
-
 def _small_forests():
     for k in (1, 2, 3):
         for n in range(5):
             yield from enumerate_forests(range(1, n + 1), k)
 
 
-class TestProfileArgument:
-    # each map, handed its input's profile, equals its call without one on
-    # every forest and marked forest with n <= 4, k <= 3
+class TestStoredProfile:
+    # a forest keeps the profile of its first forest_profile call, which the
+    # maps read, on every forest with n <= 4, k <= 3
 
-    def test_marked_maps(self):
-        maps = (alpha_step, beta_step, gamma_map, main_bijection, gfs.theta, gfs.theta_prime)
+    def test_every_small_forest(self):
         checked = 0
         for f in _small_forests():
             p = forest_profile(f)
-            labels = sorted(f.labels())
-            for mask in range(1 << len(labels)):
-                mf = MarkedForest(f, frozenset(x for i, x in enumerate(labels) if mask >> i & 1))
-                for fn in maps:
-                    assert _outcome(fn, mf, p) == _outcome(fn, mf), (mf.text(), fn)
-                checked += 1
-        assert checked == sum(count_k_stirling(n, k) << n for k in (1, 2, 3) for n in range(5))
-
-    def test_forest_maps(self):
-        for f in _small_forests():
-            p = forest_profile(f)
-            assert _outcome(gamma_prime_map, f, p) == _outcome(gamma_prime_map, f)
-            if len(f.trees) == 1:
-                t = f.trees[0]
-                assert _outcome(orbit_representative, t, p) == _outcome(orbit_representative, t)
+            assert forest_profile(f) is p
+            bare = Forest(f.k, f.trees)
+            assert bare._profile is None
+            # the stored profile takes no part in equality, hashing or text
+            assert bare == f and hash(bare) == hash(f)
+            assert repr(bare) == repr(f) and serialize_forest(bare) == serialize_forest(f)
+            assert forest_profile(bare) == p and forest_profile(bare) is not p
+            checked += 1
+        assert checked == sum(count_k_stirling(n, k) for k in (1, 2, 3) for n in range(5))
