@@ -1,6 +1,6 @@
 import pytest
 
-from stirling_forests import pipeline
+from stirling_forests import gfs, pipeline
 from stirling_forests.forest import (
     Forest,
     enumerate_forests,
@@ -11,7 +11,7 @@ from stirling_forests.forest import (
     removable_labels,
     serialize_forest,
 )
-from stirling_forests.gfs import MarkedForest, marked_forest
+from stirling_forests.gfs import MarkedForest, marked_forest, orbit_representative
 from stirling_forests.pipeline import (
     alpha_step,
     beta_step,
@@ -202,6 +202,14 @@ class TestMainBijection:
             main_bijection(mf("1[;2] 3", 2))  # removable old leaf, not starred
 
 
+def _outcome(fn, *args):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the calls must agree on errors too
+        return ("error", type(exc), str(exc))
+
+
 def _small_forests():
     for k in (1, 2, 3):
         for n in range(5):
@@ -225,3 +233,34 @@ class TestStoredProfile:
             assert forest_profile(bare) == p and forest_profile(bare) is not p
             checked += 1
         assert checked == sum(count_k_stirling(n, k) for k in (1, 2, 3) for n in range(5))
+
+
+def _bare(f):
+    """A copy of f that holds no stored profile."""
+    return Forest(f.k, f.trees)
+
+
+class TestProfileArgument:
+    # each map, on a forest that already holds its profile, equals its call on
+    # a bare copy on every forest and marked forest with n <= 4, k <= 3
+
+    def test_marked_maps(self):
+        maps = (alpha_step, beta_step, gamma_map, main_bijection, gfs.theta, gfs.theta_prime)
+        checked = 0
+        for f in _small_forests():
+            forest_profile(f)
+            labels = sorted(f.labels())
+            for mask in range(1 << len(labels)):
+                marks = frozenset(x for i, x in enumerate(labels) if mask >> i & 1)
+                held = MarkedForest(f, marks)
+                for fn in maps:
+                    bare = MarkedForest(_bare(f), marks)
+                    assert _outcome(fn, held) == _outcome(fn, bare), (held.text(), fn)
+                checked += 1
+        assert checked == sum(count_k_stirling(n, k) << n for k in (1, 2, 3) for n in range(5))
+
+    def test_forest_maps(self):
+        for f in _small_forests():
+            forest_profile(f)
+            assert _outcome(gamma_prime_map, f) == _outcome(gamma_prime_map, _bare(f))
+            assert _outcome(orbit_representative, f) == _outcome(orbit_representative, _bare(f))
