@@ -104,7 +104,7 @@ _FAMILY = oracle.FAMILY_TESTS
 _FILTERS = {
     "perms": {"bar": _FAMILY["Qbar"], "hat": _FAMILY["Qhat"], "tilde": _FAMILY["Qtilde"]},
     "forests": {"bar": _FAMILY["Fbar"], "hat": _FAMILY["Fhat"], "tilde": _FAMILY["T"],
-                "star": lambda f, w: w.in_star},
+                "star": lambda w: w.in_star},
 }
 
 
@@ -126,7 +126,7 @@ def _cmd_enumerate(args) -> int:
     for obj in objects:  # the first step runs the enumerator's checks
         if emitted == args.limit:
             break
-        if test is not None and not test(obj, record(obj)):
+        if test is not None and not test(record(obj)):
             continue
         text = show(obj)
         print(_compact({key: text}) if args.format == "json" else text)

@@ -24,16 +24,16 @@ checks against ``phi``.
 One explicit-stack traversal, ``_walk``, checks the invariants and
 classifies the nodes: the class map, the label lists by class, the
 removable leaves, bar, and ``ForestStats``, the one count record.
-``validate_forest`` returns the record's violations and never raises, and
-the private ``_census_walk`` returns the record, which freezes no set, for
-the oracle's theorem census and ``sf enumerate --filter``: each walks once
-per call.  ``forest_profile`` freezes each list once and keeps the record as
-``stats``, for the maps; it walks a forest at its first call only and
-stores the profile on the forest, which keeps it for as long as it lives.
-The one text reader, ``parse_forest``, refuses the profile's first
-violation, so a parsed forest holds its profile.  ``node_classes``,
-``forest_stats``, ``removable_labels`` and ``label_sets`` are views of
-``forest_profile``.
+``forest_profile`` freezes each list once and keeps the record as
+``stats``; it walks a forest at its first call only and stores the profile,
+read-only (the class map behind a ``MappingProxyType``, the violations a
+tuple), in the forest's one declared slot, ``Forest._profile``.  Every
+reader takes a stored profile and otherwise walks once: the private
+``_census_walk`` returns the record, for the oracle and ``sf enumerate
+--filter``, and ``validate_forest`` a new list of its violations.  The one
+text reader, ``parse_forest``, refuses the profile's first violation, so a
+parsed forest holds its profile.  ``node_classes``, ``forest_stats``,
+``removable_labels`` and ``label_sets`` are views of ``forest_profile``.
 
 Canonical text grammar (bit-exact round-trip):
 
@@ -61,8 +61,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
+from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
 from .polyx import check_order
@@ -85,7 +86,7 @@ class ForestInvariantError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledTree:
     """A labeled node: a leaf (slots is None) or exactly k slot lists."""
 
@@ -108,15 +109,18 @@ class LabeledTree:
                 stack.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forest:
-    """The arity k and the trees.  ``forest_profile`` stores the profile as
-    ``_profile``, no dataclass field, so ``==``, ``hash`` and ``repr`` leave
-    it out."""
+    """The arity k and the trees.  ``forest_profile`` fills the ``_profile``
+    slot once; ``==``, ``hash``, ``repr`` and ``__init__`` leave it out, and a
+    copy (``dataclasses.replace``, ``pickle``) holds none."""
 
     k: int
     trees: tuple[LabeledTree, ...] = ()
-    _profile = None
+    _profile: ForestProfile | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return Forest, (self.k, self.trees)
 
     def labels(self) -> Iterator[int]:
         for t in self.trees:
@@ -149,7 +153,7 @@ class ForestStats(NamedTuple):
     leaves; the starred counts are the sizes of the profile's starred sets.
     ``in_bar``: the last tree is a singleton or its root's first k-1 slots
     are empty (the empty forest is bar); ``in_star``: no young and no
-    removable leaves; ``violations`` is ``validate_forest``'s list."""
+    removable leaves; ``violations`` is ``validate_forest``'s list, as a tuple."""
 
     lleaf: int
     si: int
@@ -164,17 +168,17 @@ class ForestStats(NamedTuple):
     oint_star: int
     si_star: int
     rleaf: int
-    violations: list[tuple[int | None, str]]
+    violations: tuple[tuple[int | None, str], ...]
 
 
 class ForestProfile(NamedTuple):
     """The analyses of one forest, from ``forest_profile``: ``classes`` is
-    ``node_classes``, ``stats`` the count record, the sets are those of
-    ``label_sets`` and ``removable_labels``.  A named tuple, not a frozen
-    dataclass: map loops build one per forest, and it constructs several
-    times faster."""
+    ``node_classes`` as a read-only view, ``stats`` the count record, the sets
+    are those of ``label_sets`` and ``removable_labels``.  A named tuple, not
+    a frozen dataclass: map loops build one per forest, and it constructs
+    several times faster."""
 
-    classes: dict[int, NodeClass]
+    classes: MappingProxyType[int, NodeClass]
     stats: ForestStats
     oint: frozenset[int]
     oleaf: frozenset[int]
@@ -404,31 +408,30 @@ def _walk(f: Forest) -> tuple:
     record = tuple.__new__(ForestStats, (
         n_oleaf + n_yleaf + n_si, n_si, n_oleaf, n_yleaf, len(trees) == 1, bar,
         not yleaf and not removable_old, len(classes), lint, n_oint, oint_star, si_star,
-        len(removable_old) + len(removable_young), violations))
+        len(removable_old) + len(removable_young), tuple(violations)))
     return record, classes, oint, oleaf, yleaf, si, removable_old, removable_young, root_top
 
 
 def _census_walk(f: Forest) -> ForestStats:
-    """The count record of ``_walk``; it freezes no set."""
-    return _walk(f)[0]
+    """The count record: the stored profile's, else one ``_walk``'s."""
+    return _walk(f)[0] if f._profile is None else f._profile.stats
 
 
 def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
     """All invariant violations as (offending label, message), in the order
-    of a depth-first walk; empty when valid.  The violations of ``_walk``."""
-    return _walk(f)[0].violations
+    of a depth-first walk; empty when valid.  A new list of the record's."""
+    return list(_census_walk(f).violations)
 
 
 _EMPTY: frozenset[int] = frozenset()
 
 
 def forest_profile(f: Forest) -> ForestProfile:
-    """Every per-forest statistic, from ``_walk``: its count record, and each
-    label list frozen once (the empty ones share one frozenset).  The first
-    call stores the profile on f, a plain attribute written past the frozen
-    dataclass, and later calls return that object; it is shared, so it is
-    read and never changed.  The named tuple is built with
-    ``tuple.__new__``, which skips its generated ``__new__``."""
+    """Every per-forest statistic, from ``_walk``: its count record, the
+    class map as a read-only view, and each label list frozen once (the empty
+    ones share one frozenset).  The first call writes the profile into f's
+    ``_profile`` slot; later calls return that object, shared by every
+    reader.  ``tuple.__new__`` skips the named tuple's generated ``__new__``."""
     p = f._profile
     if p is not None:
         return p
@@ -437,8 +440,8 @@ def forest_profile(f: Forest) -> ForestProfile:
         frozenset(labels) if labels else _EMPTY
         for labels in (oint, oleaf, yleaf, si, si[: stats.si_star], removable_old, removable_young)]
     p = tuple.__new__(ForestProfile, (
-        classes, stats, oint, oleaf, yleaf, si, oint - {top} if top in oint else oint, si_star,
-        removable_old, removable_young))
+        MappingProxyType(classes), stats, oint, oleaf, yleaf, si,
+        oint - {top} if top in oint else oint, si_star, removable_old, removable_young))
     object.__setattr__(f, "_profile", p)
     return p
 

@@ -27,9 +27,10 @@ theta pairs up, and their bar/hat class versions (theta takes X-bar onto
 Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and the guards
 of theta, theta_prime and the pipeline maps read the same table.
 
-``theta``, ``theta_prime``, ``orbit_representative`` and ``in_domain``
-read their forest's ``forest_profile``, which the forest stores: a forest
-read by ``parse_marked``, or profiled before, is not walked again.
+``theta``, ``theta_prime``, ``orbit_representative``, ``in_domain`` and
+``marked_forest`` read their forest's ``forest_profile``, which the forest
+stores: a forest read by ``parse_marked``, or profiled before, is not walked
+again.  ``orbit`` keys its members by their text, so it hashes no tree.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class MarkedForest:
 def parse_marked(text: str, k: int) -> MarkedForest:
     """The marked forest in the form ``MarkedForest.text`` writes:
     ``<forest> | {1,3}``, blanks allowed around the marks.  One walk: the
-    forest's faults are refused before the marks are checked against its
-    profile's classes, which hold every label."""
+    forest's faults are refused before ``marked_forest`` checks the marks."""
     forest_text, _, marks_text = text.partition("|")
     marks_text = marks_text.strip()
     inner = marks_text[1:-1].strip()
@@ -69,18 +69,13 @@ def parse_marked(text: str, k: int) -> MarkedForest:
     if not (marks_text.startswith("{") and marks_text.endswith("}")
             and all(p.isdecimal() for p in pieces)):
         raise ValueError("marks must look like {1,3}")
-    f = parse_forest(forest_text, k)
-    return _marked_among(f, map(read_label, pieces), forest_profile(f).classes)
+    return marked_forest(parse_forest(forest_text, k), map(read_label, pieces))
 
 
 def marked_forest(forest: Forest, marks) -> MarkedForest:
-    return _marked_among(forest, marks, forest.labels())
-
-
-def _marked_among(forest: Forest, marks, labels) -> MarkedForest:
-    """forest marked by marks, which must all lie among its labels."""
+    """forest marked by marks, which must all be keys of its profile's classes."""
     marks = frozenset(marks)
-    unknown = marks.difference(labels)
+    unknown = marks.difference(forest_profile(forest).classes)
     if unknown:
         raise ValueError(f"labels {sorted(unknown)} do not occur in the forest")
     return MarkedForest(forest, marks)
@@ -213,8 +208,8 @@ def phi_set(f: Forest, labels) -> Forest:
 
 
 def orbit(t: LabeledTree) -> list[LabeledTree]:
-    """Closure of the tree under all toggles, canonically ordered by text."""
-    seen = {t}
+    """Closure of the tree under all toggles, keyed and ordered by text."""
+    seen = {serialize_tree(t): t}
     frontier = [t]
     labels = sorted(t.labels())
     while frontier:
@@ -222,11 +217,11 @@ def orbit(t: LabeledTree) -> list[LabeledTree]:
         for s in frontier:
             for x in labels:
                 image = phi(s, x)
-                if image not in seen:
-                    seen.add(image)
+                if image is not s and (text := serialize_tree(image)) not in seen:
+                    seen[text] = image
                     nxt.append(image)
         frontier = nxt
-    return sorted(seen, key=serialize_tree)
+    return [seen[text] for text in sorted(seen)]
 
 
 def orbit_representative(f: Forest) -> Forest:

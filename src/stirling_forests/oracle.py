@@ -5,11 +5,12 @@ Every check compares exact polynomials or exact counts; there is no
 tolerance anywhere.  Failures come back as reports carrying a replayable
 witness in canonical text form, never as exceptions.
 
-``run_suite`` goes cell by cell, and the suites of a cell share what they
-make of it, dropped before the next cell: the word fold, made once per cell
-for all its suites, and for the map suites one forest table.  Two folds do
-the census work, each counting one signature per object and filling the
-histograms once per signature, from a representative object:
+``run_suite`` goes cell by cell, and the suites of a cell, run in ``SUITES``
+order whatever order they are named in, share what they make of it, dropped
+before the next cell: the word fold, made once per cell for all its suites,
+and for the map suites one forest table.  Two folds do the census work, each
+counting one signature per object and filling the histograms once per
+signature, from one record:
 
 * the word fold takes ap, lap and ``word_class`` once per word and fills the
   ap and lap histograms of Q, Qbar, Qhat and Qtilde: the ``poly.*`` routes,
@@ -30,10 +31,12 @@ or trees wrapped as one-tree forests.
 The map suites analyse each forest once, through the cell's forest table:
 one ``enumerate_forests`` pass, kept in its order, each forest the one object
 of its value, with its census record and, once a suite asks, its profile,
-which the forest stores (its ``stats`` is then the record).  Lookups go by
-value.  A miss, an image that equals no forest of the cell, is made only by a
-faulty map: it is walked fresh, never stored in the table, and fails its
-identity.  The theorem census streams its forests and keeps no table.
+which the forest stores.  Records are read by ``forest._census_walk``, so the
+bijection suite, run after the suites that profile every table forest,
+reads their profiles' ``stats``.  Lookups go by value.  A miss, an image
+that equals no forest of the cell, is made only by a faulty map: it is
+walked fresh, never stored in the table, and fails its identity.  The
+theorem census streams its forests and keeps no table.
 
 Enumerated words are k-Stirling, so the bijection suite runs the unchecked
 passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``), takes ap once per
@@ -96,19 +99,19 @@ from .stirling import (
     word_to_text,
 )
 
-# The one table of families: membership of an object given its class record
-# (``word_class`` for a word, ``forest._census_walk``'s record for a
-# forest).  A family named Q* holds words, T one-tree forests, the others
-# forests.
+# The one table of families: membership of an object read off its class
+# record alone (``word_class`` for a word, ``forest._census_walk``'s record
+# for a forest).  A family named Q* holds words, T one-tree forests, the
+# others forests.
 FAMILY_TESTS = {
-    "Q": lambda w, cls: True,
-    "Qbar": lambda w, cls: cls["in_bar"],
-    "Qhat": lambda w, cls: not cls["in_bar"],
-    "Qtilde": lambda w, cls: cls["in_tilde"],
-    "F": lambda f, w: True,
-    "Fbar": lambda f, w: w.in_bar,
-    "Fhat": lambda f, w: not w.in_bar,
-    "T": lambda f, w: len(f.trees) == 1,
+    "Q": lambda cls: True,
+    "Qbar": lambda cls: cls["in_bar"],
+    "Qhat": lambda cls: not cls["in_bar"],
+    "Qtilde": lambda cls: cls["in_tilde"],
+    "F": lambda w: True,
+    "Fbar": lambda w: w.in_bar,
+    "Fhat": lambda w: not w.in_bar,
+    "T": lambda w: w.one_tree,
 }
 FAMILIES = tuple(FAMILY_TESTS)
 STATISTICS = ("ap", "lap", "lleaf", "lleaf-si")
@@ -197,11 +200,11 @@ def _fold_words(n: int, k: int) -> _Census:
         lap = ap + (bool(w) and cls["in_bar"])  # = stat_lap(w, k)
         sig = (ap, lap, cls["in_bar"], cls["in_tilde"])  # () is in Qbar with lap = ap
         tally[sig] += 1
-        reps.setdefault(sig, (w, cls))
+        reps.setdefault(sig, cls)
     for sig, times in tally.items():
-        w, cls = reps[sig]
+        cls = reps[sig]
         for family in _WORD_FAMILIES:
-            if FAMILY_TESTS[family](w, cls):
+            if FAMILY_TESTS[family](cls):
                 census.bump((family, "ap"), sig[0], times)
                 census.bump((family, "lap"), sig[1], times)
     return census
@@ -215,7 +218,7 @@ def _fold_forests(forests: Iterable[Forest]) -> _Census:
         w = _census_walk(f)
         sig = w[:7]  # lleaf, si, oleaf, yleaf, one tree, in_bar, in_star
         tally[sig] += 1
-        reps.setdefault(sig, (f, w))
+        reps.setdefault(sig, w)
         if w.lleaf != w.nodes - w.lint or w.violations:
             census.bad["thm.relation.leaf-split"].append(serialize_forest(f))
         if w.in_star and w.in_bar and w.oint_star + w.si_star != w.nodes - 1 - 2 * w.oleaf:
@@ -223,13 +226,13 @@ def _fold_forests(forests: Iterable[Forest]) -> _Census:
         if w.in_star and not w.in_bar and w.oint + w.si != w.nodes - 2 * w.oleaf:
             census.bad["thm.relation.hat-star"].append(serialize_forest(f))
     for sig, times in tally.items():
-        f, w = reps[sig]
+        w = reps[sig]
         census.count += times
         for family in _FOREST_FAMILIES:
-            if FAMILY_TESTS[family](f, w):
+            if FAMILY_TESTS[family](w):
                 census.bump((family, "lleaf"), w.lleaf, times)
                 census.bump((family, "lleaf-si"), w.lleaf - w.si, times)
-        if FAMILY_TESTS["T"](f, w) and not w.yleaf:
+        if FAMILY_TESTS["T"](w) and not w.yleaf:
             census.bump("tilde", w.lleaf, times)
         if w.in_star:
             census.bump("gamma_bar" if w.in_bar else "gamma_hat", w.oleaf, times)
@@ -291,8 +294,8 @@ class _Table:
     """The forests of one (n, k) cell for the map suites: one
     ``enumerate_forests`` pass, kept in its order, each forest the one object
     of its value.  A forest's census record is taken when a suite first asks
-    for it, and so is its profile, which the forest stores and whose
-    ``stats`` is then the record.
+    for it, through ``_census_walk``, and so is its profile, which the forest
+    stores; a record asked for after the profile is the profile's ``stats``.
 
     Lookups go by value; the table's own objects are found by identity,
     without hashing.  A miss is an image that equals no forest of the cell,
@@ -302,6 +305,7 @@ class _Table:
         self.forests = list(_forests(n, k))
         self._places = {f: i for i, f in enumerate(self.forests)}
         self._ids = {id(f): i for i, f in enumerate(self.forests)}
+        # a forest stores no bare record: a bijection-only cell's stay here
         self._records: list[ForestStats | None] = [None] * len(self.forests)
 
     def place(self, f: Forest) -> int | None:
@@ -322,12 +326,9 @@ class _Table:
         """f's place, the table's object of f's value (f itself for a miss)
         and that object's profile."""
         i = self.place(f)
-        if i is None:
-            return None, f, forest_profile(f)
-        f = self.forests[i]
-        p = forest_profile(f)
-        self._records[i] = p.stats
-        return i, f, p
+        if i is not None:
+            f = self.forests[i]
+        return i, f, forest_profile(f)
 
 
 class _Cell:
@@ -686,12 +687,12 @@ def _suite_theorems(n, k, cell):
 # The suites in run order, each with its runner and its exhaustive range, the
 # largest n per k: censuses run to 7 for k <= 2 and 6 for k = 3 (about 2 * 10^6
 # objects); the action and pipeline suites, which touch each object many
-# times, stop at 5.
+# times, stop at 5 and profile the forest table before the bijection suite.
 _SUITE_TABLE = {
     "polynomials": (_suite_polynomials, lambda k: 7 if k <= 2 else 6),
-    "bijections": (_suite_bijections, lambda k: 6),
     "gfs": (_suite_gfs, lambda k: 5),
     "pipeline": (_suite_pipeline, lambda k: 5),
+    "bijections": (_suite_bijections, lambda k: 6),
     "theorems": (_suite_theorems, lambda k: 7 if k <= 2 else 6),
 }
 SUITES = tuple(_SUITE_TABLE)
@@ -701,16 +702,16 @@ def run_suite(n_max: int, k_max: int, suites=SUITES) -> list[IdentityReport]:
     """One report per (identity, n, k) cell, sorted by identity, n, k; a
     suite named twice runs once.
 
-    The cells run in turn, k then n, each through every suite whose range
-    holds it, in the order named; a cell's word fold and forest table are
-    made when a suite first asks for them and dropped with the cell."""
+    The cells run in turn, k then n, each through every named suite whose
+    range holds it, in ``SUITES`` order; a cell's word fold and forest table
+    are made when a suite first asks for them and dropped with the cell."""
     unknown = set(suites) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if n_max < 0 or k_max < 1:
         raise ValueError("need n_max >= 0 and k_max >= 1")
     reports: list[IdentityReport] = []
-    runs = [_SUITE_TABLE[suite] for suite in dict.fromkeys(suites)]
+    runs = [run for suite, run in _SUITE_TABLE.items() if suite in suites]
     for k in range(1, k_max + 1):
         for n in range(0, min(n_max, max((cap(k) for _, cap in runs), default=-1)) + 1):
             cell = _Cell(n, k)  # the suites of this cell share it, and drop it after

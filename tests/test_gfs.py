@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from stirling_forests.bimap import xi, zeta
 from stirling_forests.forest import (
     Forest,
+    LabeledTree,
     enumerate_forests,
     enumerate_trees,
     forest_profile,
@@ -146,6 +147,18 @@ class TestOrbit:
         f = parse_forest("1[2;3]", 2)
         assert serialize_forest(orbit_representative(f)) == "1[2[;3];]"
         assert len(orbit(f.trees[0])) == 2
+
+    def test_deep_comb_is_its_own_orbit(self):
+        # node i holds node i+1 and the leaf 2d+1-i in slot 1, node d the leaf
+        # 2d+1: no old internal and no young leaf, so the orbit is [t]; its
+        # members are keyed by text, as trees this deep cannot be hashed
+        d = 500
+        t = LabeledTree(d, ((LabeledTree(2 * d + 1),), ()))
+        for i in range(d - 1, 0, -1):
+            t = LabeledTree(i, ((t, LabeledTree(2 * d + 1 - i)), ()))
+        assert validate_forest(Forest(2, (t,))) == []
+        members = orbit(t)
+        assert len(members) == 1 and members[0] is t
 
     def test_young_free_tree_is_its_own_representative(self):
         f = parse_forest("1[2[3;];]", 2)

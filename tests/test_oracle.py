@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 from collections import Counter
@@ -222,9 +223,9 @@ class TestRunSuite:
         # the three map suites share one table per (n, k) cell: one forest
         # enumeration per cell, no tree enumeration, the oracle's own census
         # walks see every forest of a cell once, and each table object is
-        # walked twice, for its census record and for the profile it then
-        # stores: 946 of the 1 480 walks, the rest the maps' walks of the
-        # states they make
+        # walked once, for the profile it stores, whose record the bijection
+        # suite then reads: 473 of the 1 007 walks, the rest the maps' walks
+        # of the states they make
         cells, seen = Counter(), {"_census_walk": Counter()}
         walked, tables = [], []  # the walked forests stay alive, so their ids stay theirs
         real_enumerate, real_walk = oracle.enumerate_forests, forest_module._walk
@@ -266,8 +267,8 @@ class TestRunSuite:
         walks = Counter(map(id, walked))
         held = [f for table in tables for f in table.forests]
         assert len(held) == forests == 473
-        assert [walks[id(f)] for f in held] == [2] * forests
-        assert len(walked) == 1_480
+        assert [walks[id(f)] for f in held] == [1] * forests
+        assert len(walked) == 1_007
 
     def test_census_suites_share_one_word_fold_per_cell(self, monkeypatch):
         # theorems and polynomials fold each cell's words once per call; the
@@ -299,6 +300,19 @@ class TestRunSuite:
         assert [r.as_dict() for r in both] == [r.as_dict() for r in alone]
         assert all(r.passed for r in both)
 
+    def test_map_suites_run_in_one_order(self, monkeypatch):
+        # a cell runs its suites in SUITES order, whatever order they are
+        # named in: every order of the three map suites gives the same
+        # reports from the same 1 007 walks at n <= 4, k <= 3
+        calls = _count_walks(monkeypatch)
+        outcomes = set()
+        for suites in itertools.permutations(("bijections", "gfs", "pipeline")):
+            calls.clear()
+            reports = tuple(repr(r.as_dict()) for r in run_suite(4, 3, suites))
+            outcomes.add((reports, calls["_walk"]))
+        assert len(outcomes) == 1
+        assert outcomes.pop()[1] == 1_007
+
     def test_repeated_suite_runs_once(self):
         once = [r.as_dict() for r in run_suite(3, 2, ("gfs",))]
         assert len(once) == 60
@@ -317,18 +331,20 @@ class TestRunSuite:
     # The oracle walks each of the 5 178 forests of the cells once for the
     # suite's record or profile, in the cell's table, which the forest then
     # stores (the pipeline suite also walks for 1 586 census records, of the
-    # psi and main-bijection images it has not profiled yet); the rest are
-    # the maps' walks of the
-    # states they make (of the beta chains and of gamma's alpha steps, and
-    # each orbit representative checked young-leaf free).  Counted as
+    # psi and main-bijection images it has not profiled yet; with the gfs
+    # suite, which runs first, it profiles them all, and the bijection suite
+    # reads their records); the rest are the maps' walks of the states they
+    # make (of the beta chains and of gamma's alpha steps, and each orbit
+    # representative checked young-leaf free).  Counted as
     # forest_profile calls, the pipeline and gfs bounds were 9 870 and 6 770
-    # while the oracle threaded profiles through the maps; before the table
+    # while the oracle threaded profiles through the maps; all three made
+    # 16 640 walks while they ran in the order named; before the table
     # 17 792 and 12 353, before the gfs orbit tables gfs 19 194, before
     # main_bijection handed its profile on pipeline 20 566, and when the
     # profiles were first threaded through the maps 75 663 and 45 883.
     @pytest.mark.parametrize("suites,walks", [
         ("bijections", 5_178), ("gfs", 6_770), ("pipeline", 11_456),
-        ("bijections+gfs+pipeline", 16_640)])
+        ("bijections+gfs+pipeline", 11_462)])
     def test_map_suites_profile_each_object_once(self, monkeypatch, suites, walks):
         calls = _count_walks(monkeypatch)
         assert all(r.passed for r in run_suite(5, 3, suites=suites.split("+")))

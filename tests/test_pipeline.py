@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from stirling_forests import gfs, pipeline
@@ -7,9 +10,11 @@ from stirling_forests.forest import (
     forest_profile,
     forest_stats,
     label_sets,
+    node_classes,
     parse_forest,
     removable_labels,
     serialize_forest,
+    validate_forest,
 )
 from stirling_forests.gfs import MarkedForest, marked_forest, orbit_representative
 from stirling_forests.pipeline import (
@@ -233,6 +238,31 @@ class TestStoredProfile:
             assert forest_profile(bare) == p and forest_profile(bare) is not p
             checked += 1
         assert checked == sum(count_k_stirling(n, k) for k in (1, 2, 3) for n in range(5))
+
+
+    def test_stored_profile_is_read_only(self):
+        # clearing or setting the class map, or appending to the violations,
+        # raises, and every later reader sees the profile unchanged
+        f = parse_forest("1 2", 2)
+        p = forest_profile(f)
+        with pytest.raises(AttributeError):
+            p.classes.clear()
+        with pytest.raises(TypeError):
+            p.classes[1] = None
+        with pytest.raises(AttributeError):
+            p.stats.violations.append((1, "spoiled"))
+        node_classes(f).clear()  # a copy
+        validate_forest(f).append((1, "spoiled"))  # a new list
+        assert forest_profile(f) is p and validate_forest(f) == []
+        assert psi(f, 1) == psi(parse_forest("1 2", 2), 1)
+
+    def test_profile_is_a_declared_slot(self):
+        f = parse_forest("1[;2] 3", 2)
+        assert not hasattr(f, "__dict__") and not hasattr(f.trees[0], "__dict__")
+        # a copy holds no profile, and compares equal
+        for copy in (dataclasses.replace(f), pickle.loads(pickle.dumps(f))):
+            assert copy == f and copy._profile is None
+            assert forest_profile(copy) == forest_profile(f)
 
 
 def _bare(f):
