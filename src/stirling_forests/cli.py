@@ -5,11 +5,14 @@ as dense integer arrays lowest degree first (``[1,10,4]``), gamma vectors as
 ``{"center":2,"gamma":[1,5]}``, words and forests in their canonical text
 forms, marked forests as ``<forest> | {1,3}``; ``sf map`` takes marks only
 inline; only ``phi`` and ``psi`` take ``--x``, its labels between commas.
-Exit status: 0 on success, 1 when ``verify`` finds a failing identity, 2 for
-every refused input: a ``ValueError``, input the caller can fix (the
-enumeration ceiling included), prints one line ``sf <command>: error:
-<message>``.  A ``RuntimeError`` is a library fault; ``main`` does not catch
-it, so it escapes with its traceback.
+``sf stats`` prints a word's ``word_class`` record (valid or not) or a
+forest's profile, and ``--filter`` tests each object's record
+(``word_class``, ``forest_stats``); a forest read from text is profiled, so
+an invalid one is refused.  Exit status: 0 on success, 1 when ``verify``
+finds a failing identity, 2 for every refused input: a ``ValueError``, input
+the caller can fix (the enumeration ceiling included), prints one line ``sf
+<command>: error: <message>``.  A ``RuntimeError`` is a library fault;
+``main`` does not catch it, so it escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import sys
 
 from . import bimap, gfs, oracle, pipeline
 from .forest import (
-    _census_walk,
     enumerate_forests,
     forest_profile,
+    forest_stats,
     parse_forest,
     serialize_forest,
     serialize_tree,
@@ -33,8 +36,6 @@ from .stirling import (
     exc_cyc_polynomial,
     is_k_stirling,
     read_label,
-    stat_ap,
-    stat_lap,
     word_class,
     word_from_text,
     word_to_text,
@@ -98,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# --filter by --kind: the oracle's family tests, plus the starred forests; a
-# forest's tests read its census record
+# --filter by --kind: the oracle's family tests, plus the starred forests;
+# each test reads its object's record (word_class, forest_stats)
 _FAMILY = oracle.FAMILY_TESTS
 _FILTERS = {
     "perms": {"bar": _FAMILY["Qbar"], "hat": _FAMILY["Qhat"], "tilde": _FAMILY["Qtilde"]},
@@ -118,7 +119,7 @@ def _cmd_enumerate(args) -> int:
         record, show, key = (lambda w: word_class(w, k)), word_to_text, "word"
     else:
         objects = enumerate_forests(range(1, args.n + 1), k)
-        record, show, key = _census_walk, serialize_forest, "forest"
+        record, show, key = forest_stats, serialize_forest, "forest"
     test = _FILTERS[args.kind].get(args.filter)
     if args.filter and test is None:
         raise ValueError("--filter star applies to forests")
@@ -150,14 +151,11 @@ def _cmd_stats(args) -> int:
     kind = args.type or ("word" if _looks_like_word(text, args.k) else "forest")
     if kind == "word":
         w = word_from_text(text)
-        cls = word_class(w, args.k)
         record = {
             "kind": "word",
             "word": word_to_text(w),
             "valid": is_k_stirling(w, args.k),
-            "ap": stat_ap(w, args.k),
-            "lap": stat_lap(w, args.k),
-            **cls,
+            **word_class(w, args.k)._asdict(),
         }
     else:
         f = parse_forest(text, args.k)

@@ -23,16 +23,16 @@ checks against ``phi``.
 
 One explicit-stack traversal, ``_walk``, checks the invariants and
 classifies the nodes: the class map, the label lists by class, the
-removable leaves, bar, and ``ForestStats``, the one count record.
-``forest_profile`` freezes each list once and keeps the record as
-``stats``; it walks a forest at its first call only and stores the profile,
-read-only (the class map behind a ``MappingProxyType``, the violations a
-tuple), in the forest's one declared slot, ``Forest._profile``.  Every
-reader takes a stored profile and otherwise walks once: the private
-``_census_walk`` returns the record, for the oracle and ``sf enumerate
---filter``, and ``validate_forest`` a new list of its violations.  The one
-text reader, ``parse_forest``, refuses the profile's first violation, so a
-parsed forest holds its profile.  ``node_classes``, ``forest_stats``,
+removable leaves, bar, and ``ForestStats``, the one count record.  Its two
+readers take a stored profile, else walk once.  ``forest_stats`` returns
+the record of any forest and stores nothing: the oracle, ``sf enumerate
+--filter`` and ``validate_forest`` (a new list of its violations) read it.
+``forest_profile`` refuses an invalid forest by its first violation,
+freezes each list once, keeps the record as ``stats`` and stores the
+profile, read-only (the class map behind a ``MappingProxyType``, the
+violations a tuple), in the forest's one declared slot, ``Forest._profile``.
+``parse_forest`` reads, then profiles, and every gfs and pipeline map reads
+the profile, so each refuses an invalid forest.  ``node_classes``,
 ``removable_labels`` and ``label_sets`` are views of ``forest_profile``.
 
 Canonical text grammar (bit-exact round-trip):
@@ -147,7 +147,7 @@ _ROOT, _OLD_LEAF, _YOUNG_LEAF, _OLD_INTERNAL, _YOUNG_INTERNAL = NodeClass
 
 class ForestStats(NamedTuple):
     """The one count record of a forest, built by ``_walk``;
-    ``_census_walk`` returns it and ``forest_profile`` keeps it as
+    ``forest_stats`` returns it and ``forest_profile`` keeps it as
     ``stats``.  ``record[:7]`` is the census signature.  ``nodes`` counts
     distinct labels, ``lint`` internal nodes and ``rleaf`` removable
     leaves; the starred counts are the sizes of the profile's starred sets.
@@ -280,12 +280,10 @@ def _read_forest(text: str, k: int) -> Forest:
 
 def parse_forest(text: str, k: int) -> Forest:
     """The forest a canonical text reads as, holding its ``forest_profile``,
-    from one walk; the profile's first violation is refused."""
+    from one walk; the profile refuses its first violation."""
     check_order(k)
     f = _read_forest(text, k)
-    violations = forest_profile(f).stats.violations
-    if violations:
-        raise ForestInvariantError(*violations[0])
+    forest_profile(f)
     return f
 
 
@@ -412,30 +410,34 @@ def _walk(f: Forest) -> tuple:
     return record, classes, oint, oleaf, yleaf, si, removable_old, removable_young, root_top
 
 
-def _census_walk(f: Forest) -> ForestStats:
-    """The count record: the stored profile's, else one ``_walk``'s."""
+def forest_stats(f: Forest) -> ForestStats:
+    """The count record of any forest, valid or not: the stored profile's,
+    else one ``_walk``'s, not stored.  Singletons count as labeled leaves."""
     return _walk(f)[0] if f._profile is None else f._profile.stats
 
 
 def validate_forest(f: Forest) -> list[tuple[int | None, str]]:
     """All invariant violations as (offending label, message), in the order
     of a depth-first walk; empty when valid.  A new list of the record's."""
-    return list(_census_walk(f).violations)
+    return list(forest_stats(f).violations)
 
 
 _EMPTY: frozenset[int] = frozenset()
 
 
 def forest_profile(f: Forest) -> ForestProfile:
-    """Every per-forest statistic, from ``_walk``: its count record, the
-    class map as a read-only view, and each label list frozen once (the empty
-    ones share one frozenset).  The first call writes the profile into f's
-    ``_profile`` slot; later calls return that object, shared by every
-    reader.  ``tuple.__new__`` skips the named tuple's generated ``__new__``."""
+    """Every per-forest statistic of a valid forest, from ``_walk``: its
+    count record, the class map as a read-only view, and each label list
+    frozen once (the empty ones share one frozenset); an invalid forest is
+    refused by its first violation.  The first call stores the profile in
+    f's ``_profile`` slot, and later calls return that object.
+    ``tuple.__new__`` skips the named tuple's generated ``__new__``."""
     p = f._profile
     if p is not None:
         return p
     stats, classes, oint, oleaf, yleaf, si, removable_old, removable_young, top = _walk(f)
+    if stats.violations:
+        raise ForestInvariantError(*stats.violations[0])
     oint, oleaf, yleaf, si, si_star, removable_old, removable_young = [
         frozenset(labels) if labels else _EMPTY
         for labels in (oint, oleaf, yleaf, si, si[: stats.si_star], removable_old, removable_young)]
@@ -464,11 +466,6 @@ def removable_labels(f: Forest) -> dict:
     """
     p = forest_profile(f)
     return {"old": set(p.removable_old), "young": set(p.removable_young)}
-
-
-def forest_stats(f: Forest) -> ForestStats:
-    """The count record; singletons count as labeled leaves."""
-    return forest_profile(f).stats
 
 
 def label_sets(f: Forest) -> dict:

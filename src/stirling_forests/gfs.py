@@ -27,10 +27,10 @@ theta pairs up, and their bar/hat class versions (theta takes X-bar onto
 Y-bar and X-hat onto Y-hat).  ``in_domain`` tests membership, and the guards
 of theta, theta_prime and the pipeline maps read the same table.
 
-``theta``, ``theta_prime``, ``orbit_representative``, ``in_domain`` and
-``marked_forest`` read their forest's ``forest_profile``, which the forest
-stores: a forest read by ``parse_marked``, or profiled before, is not walked
-again.  ``orbit`` keys its members by their text, so it hashes no tree.
+Every function here but ``phi`` and ``phi_set`` reads its forest's
+``forest_profile``, which refuses an invalid forest and is stored: a forest
+read by ``parse_marked``, or profiled before, is not walked again.  ``orbit``
+toggles only old internals and young leaves, and keys members by text.
 """
 
 from __future__ import annotations
@@ -208,16 +208,18 @@ def phi_set(f: Forest, labels) -> Forest:
 
 
 def orbit(t: LabeledTree) -> list[LabeledTree]:
-    """Closure of the tree under all toggles, keyed and ordered by text."""
+    """Closure of the tree under all toggles, keyed and ordered by text; a
+    member moves only at its old internals and young leaves."""
+    k = 1 if t.slots is None else len(t.slots)
     seen = {serialize_tree(t): t}
     frontier = [t]
-    labels = sorted(t.labels())
     while frontier:
         nxt = []
         for s in frontier:
-            for x in labels:
+            p = forest_profile(Forest(k, (s,)))
+            for x in p.oint | p.yleaf:
                 image = phi(s, x)
-                if image is not s and (text := serialize_tree(image)) not in seen:
+                if (text := serialize_tree(image)) not in seen:
                     seen[text] = image
                     nxt.append(image)
         frontier = nxt

@@ -12,14 +12,14 @@ and for the map suites one forest table.  Two folds do the census work, each
 counting one signature per object and filling the histograms once per
 signature, from one record:
 
-* the word fold takes ap, lap and ``word_class`` once per word and fills the
-  ap and lap histograms of Q, Qbar, Qhat and Qtilde: the ``poly.*`` routes,
-  the classwise splits A = a + x*b, ``thm.tilde.trees=words`` and
-  ``thm.k1.reduction``;
-* the forest fold reads each forest's ``forest._census_walk`` record, the
-  counts of the one forest walk, which also validates it; it freezes no
-  label set.  From the record it fills the lleaf and lleaf - si histograms
-  of F, Fbar and Fhat, the bar/hat gamma censuses, the forest count and,
+* the word fold takes each word's ``word_class`` record (ap, lap and the
+  bar and tilde classes) and fills the ap and lap histograms of Q, Qbar,
+  Qhat and Qtilde: the ``poly.*`` routes, the classwise splits A = a + x*b,
+  ``thm.tilde.trees=words`` and ``thm.k1.reduction``;
+* the forest fold reads each forest's ``forest_stats`` record, the counts
+  of the one forest walk, which also validates it; it freezes no label
+  set.  From the record it fills the lleaf and lleaf - si histograms of F,
+  Fbar and Fhat, the bar/hat gamma censuses, the forest count and,
   per forest, the ``thm.relation.*`` checks (an invalid forest fails
   ``thm.relation.leaf-split``), and from the one-tree forests the T lleaf
   histogram and the tilde gamma census: every other ``thm.*`` report.
@@ -31,22 +31,25 @@ or trees wrapped as one-tree forests.
 The map suites analyse each forest once, through the cell's forest table:
 one ``enumerate_forests`` pass, kept in its order, each forest the one object
 of its value, with its census record and, once a suite asks, its profile,
-which the forest stores.  Records are read by ``forest._census_walk``, so the
+which the forest stores.  Records are read by ``forest_stats``, so the
 bijection suite, run after the suites that profile every table forest,
 reads their profiles' ``stats``.  Lookups go by value.  A miss, an image
 that equals no forest of the cell, is made only by a faulty map: it is
-walked fresh, never stored in the table, and fails its identity.  The
-theorem census streams its forests and keeps no table.
+walked fresh, never stored in the table, and fails its identity; a miss
+whose profile is asked for (``_Table.held``) must be valid, as
+``forest_profile`` refuses it otherwise.  The theorem census streams its
+forests and keeps no table.
 
 Enumerated words are k-Stirling, so the bijection suite runs the unchecked
-passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``), takes ap once per
-word and reads each image's census record from the table; ``image=forests``
-counts the table places its images take.  The gfs and pipeline suites call
-the public maps on the table's objects, so each map finds its input's
-profile stored: ``_Table.held`` swaps theta's images and the alpha steps for
-the table's objects of their values, and the psi and main-bijection images
-take their records from the table.  The image counts are keyed by table
-place, with theta's marks.  The suites replay gamma_prime's states with
+passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``), takes each word's
+``word_class`` record once and checks it against each image's census
+record, read from the table; ``image=forests`` counts the table places its
+images take.  The gfs and pipeline suites call the public maps on the
+table's objects, so each map finds its input's profile stored:
+``_Table.held`` swaps theta's images and the alpha steps for the table's
+objects of their values, and the psi and main-bijection images take their
+records from the table.  The image counts are keyed by table place, with
+theta's marks.  The suites replay gamma_prime's states with
 ``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
 
 The gfs suite walks each orbit of the toggles once, breadth first from the
@@ -74,10 +77,10 @@ from .forest import (
     ForestProfile,
     ForestStats,
     NodeClass,
-    _census_walk,
     enumerate_forests,
     enumerate_trees,
     forest_profile,
+    forest_stats,
     serialize_forest,
 )
 from .gfs import DOMAINS, MarkedForest
@@ -94,20 +97,18 @@ from .stirling import (
     descent_polynomial,
     enumerate_k_stirling,
     exc_cyc_polynomial,
-    stat_ap,
     word_class,
     word_to_text,
 )
 
-# The one table of families: membership of an object read off its class
-# record alone (``word_class`` for a word, ``forest._census_walk``'s record
-# for a forest).  A family named Q* holds words, T one-tree forests, the
-# others forests.
+# The one table of families: membership of an object read off its record
+# alone (``word_class`` for a word, ``forest_stats`` for a forest).  A family
+# named Q* holds words, T one-tree forests, the others forests.
 FAMILY_TESTS = {
-    "Q": lambda cls: True,
-    "Qbar": lambda cls: cls["in_bar"],
-    "Qhat": lambda cls: not cls["in_bar"],
-    "Qtilde": lambda cls: cls["in_tilde"],
+    "Q": lambda w: True,
+    "Qbar": lambda w: w.in_bar,
+    "Qhat": lambda w: not w.in_bar,
+    "Qtilde": lambda w: w.in_tilde,
     "F": lambda w: True,
     "Fbar": lambda w: w.in_bar,
     "Fhat": lambda w: not w.in_bar,
@@ -191,31 +192,24 @@ class _Census:
 
 
 def _fold_words(n: int, k: int) -> _Census:
-    """The word fold of cell (n, k)."""
+    """The word fold of cell (n, k): one ``word_class`` record per word,
+    tallied as it is (() is in Qbar with lap = ap)."""
     census = _Census()
-    tally, reps = Counter(), {}
-    for w in enumerate_k_stirling(n, k):
-        cls = word_class(w, k)
-        ap = stat_ap(w, k)
-        lap = ap + (bool(w) and cls["in_bar"])  # = stat_lap(w, k)
-        sig = (ap, lap, cls["in_bar"], cls["in_tilde"])  # () is in Qbar with lap = ap
-        tally[sig] += 1
-        reps.setdefault(sig, cls)
-    for sig, times in tally.items():
-        cls = reps[sig]
+    tally = Counter(word_class(w, k) for w in enumerate_k_stirling(n, k))
+    for w, times in tally.items():
         for family in _WORD_FAMILIES:
-            if FAMILY_TESTS[family](cls):
-                census.bump((family, "ap"), sig[0], times)
-                census.bump((family, "lap"), sig[1], times)
+            if FAMILY_TESTS[family](w):
+                census.bump((family, "ap"), w.ap, times)
+                census.bump((family, "lap"), w.lap, times)
     return census
 
 
 def _fold_forests(forests: Iterable[Forest]) -> _Census:
-    """The forest fold: one ``_census_walk`` per forest, which also validates it."""
+    """The forest fold: one ``forest_stats`` per forest, which also validates it."""
     census = _Census()
     tally, reps = Counter(), {}
     for f in forests:
-        w = _census_walk(f)
+        w = forest_stats(f)
         sig = w[:7]  # lleaf, si, oleaf, yleaf, one tree, in_bar, in_star
         tally[sig] += 1
         reps.setdefault(sig, w)
@@ -294,7 +288,7 @@ class _Table:
     """The forests of one (n, k) cell for the map suites: one
     ``enumerate_forests`` pass, kept in its order, each forest the one object
     of its value.  A forest's census record is taken when a suite first asks
-    for it, through ``_census_walk``, and so is its profile, which the forest
+    for it, through ``forest_stats``, and so is its profile, which the forest
     stores; a record asked for after the profile is the profile's ``stats``.
 
     Lookups go by value; the table's own objects are found by identity,
@@ -317,9 +311,9 @@ class _Table:
         """f's place and its census record."""
         i = self.place(f)
         if i is None:
-            return None, _census_walk(f)
+            return None, forest_stats(f)
         if self._records[i] is None:
-            self._records[i] = _census_walk(self.forests[i])
+            self._records[i] = forest_stats(self.forests[i])
         return i, self._records[i]
 
     def held(self, f: Forest) -> tuple[int | None, Forest, ForestProfile]:
@@ -402,28 +396,27 @@ def _suite_bijections(n, k, cell):
     xi_hits, zeta_hits = set(), set()  # the table places the images take
     # the enumerated words are k-Stirling: the unchecked passes take them
     for w in enumerate_k_stirling(n, k):
-        cls = word_class(w, k)
-        ap = stat_ap(w, k)
+        ws = word_class(w, k)
         fx = Forest(k, bimap._xi_trees(w, k))
         i, wx = table.record(fx)
-        if bimap.xi_inv(fx) != w or wx.lleaf != ap + (bool(w) and cls["in_bar"]):
+        if bimap.xi_inv(fx) != w or wx.lleaf != ws.lap:
             bad_xi.append(word_to_text(w))
         xi_hits.add(i)
         fz = bimap._zeta(w, k)
         i, wz = table.record(fz)
-        if bimap.zeta_inv(fz) != w or wz.lleaf - wz.si != ap:
+        if bimap.zeta_inv(fz) != w or wz.lleaf - wz.si != ws.ap:
             bad_zeta.append(word_to_text(w))
-        if cls["in_bar"] != wz.in_bar:
+        if ws.in_bar != wz.in_bar:
             bad_class.append(word_to_text(w))
         zeta_hits.add(i)
-        if n and cls["in_tilde"]:
+        if n and ws.in_tilde:
             t = bimap._chi_tree(w, k)
             _, wt = table.record(Forest(k, (t,)))
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
-                or (n >= 2 and wt.lleaf != ap)
-                or cls["in_bar"] != plateau_slots
+                or (n >= 2 and wt.lleaf != ws.ap)
+                or ws.in_bar != plateau_slots
             ):
                 bad_chi.append(word_to_text(w))
     xi_hits.discard(None)  # a miss takes no place

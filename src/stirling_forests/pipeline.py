@@ -29,8 +29,9 @@ The guards take their domains from ``gfs.DOMAINS``: gamma's marks lie in Y,
 and main_bijection's input in X-bar or X-hat by its forest's class.
 
 Each map reads its input forest's ``forest_profile``, which the forest
-stores, so a step that returns its input forest, or a forest profiled
-before, walks nothing.  ``_beta_chain`` yields gamma_prime's states; the
+stores and which refuses an invalid forest by its first violation, so a
+step that returns its input forest, or a forest profiled before, walks
+nothing.  ``_beta_chain`` yields gamma_prime's states; the
 oracle's pipeline suite replays it.
 """
 

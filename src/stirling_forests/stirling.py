@@ -13,6 +13,9 @@ here, in ``read_label`` (a run of at most ``MAX_LABEL_DIGITS`` decimal digits
 naming a positive integer), and every label reader calls it: word_from_text,
 ``forest._read_forest``, ``gfs.parse_marked`` and ``sf map --x``.
 
+A word's one record is ``word_class``'s ``WordStats`` (ap, lap, bar, tilde),
+read by the oracle and ``sf stats``; ``stat_lap`` is its view.
+
 Ordinary permutations of 1..n appear in one-line notation as sequences.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polyx import IntPolynomial, check_order
 
@@ -125,7 +128,7 @@ def stat_ap(word: Sequence[int], k: int) -> int:
 def stat_lap(word: Sequence[int], k: int) -> int:
     """Ascent-plateau count of the word with a 0 patched in front: with
     positive labels, ap plus one when the word starts with k equal letters."""
-    return stat_ap(word, k) + (len(word) >= k and starts_with_plateau(word, k))
+    return word_class(word, k).lap
 
 
 def starts_with_plateau(word: Sequence[int], k: int) -> bool:
@@ -134,16 +137,21 @@ def starts_with_plateau(word: Sequence[int], k: int) -> bool:
     return all(word[t] == word[0] for t in range(1, min(k, len(word))))
 
 
-def word_class(word: Sequence[int], k: int) -> dict:
-    """Membership record: first-k-equal (bar), starts-at-minimum (tilde).
+class WordStats(NamedTuple):
+    """A word's one record; ``zeta`` and ``xi`` carry ap and lap to a
+    forest's lleaf - si and lleaf, and keep the bar class."""
 
-    The complement of in_bar is membership in the hat class.  The empty word
-    is taken to lie in the bar and tilde classes.
-    """
-    return {
-        "in_bar": starts_with_plateau(word, k),
-        "in_tilde": not word or word[0] == min(word),
-    }
+    ap: int
+    lap: int
+    in_bar: bool  # the first k letters are equal; not in_bar is the hat class
+    in_tilde: bool  # the word starts at its minimum; the empty word is bar and tilde
+
+
+def word_class(word: Sequence[int], k: int) -> WordStats:
+    """The record of any word, ap taken once."""
+    ap, in_bar = stat_ap(word, k), starts_with_plateau(word, k)
+    lap = ap + (len(word) >= k and in_bar)
+    return WordStats(ap, lap, in_bar, not word or word[0] == min(word))
 
 
 def word_to_text(word: Sequence[int]) -> str:

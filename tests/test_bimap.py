@@ -116,7 +116,7 @@ class TestExhaustive:
             assert zeta_inv(fz) == w
             sz = forest_stats(fz)
             assert sz.lleaf - sz.si == stat_ap(w, k)
-            assert forest_profile(fz).stats.in_bar == word_class(w, k)["in_bar"]
+            assert forest_profile(fz).stats.in_bar == word_class(w, k).in_bar
             zeta_images.add(fz)
         family = set(enumerate_forests(labels, k))
         assert xi_images == family
@@ -140,7 +140,7 @@ class TestExhaustive:
             if n >= 2:
                 assert forest_stats(Forest(k, (t,))).lleaf == stat_ap(w, k)
             plateau = t.slots is None or all(not s for s in t.slots[: k - 1])
-            assert plateau == word_class(w, k)["in_bar"]
+            assert plateau == word_class(w, k).in_bar
             trees.add(t)
         single = {
             f.trees[0] for f in enumerate_forests(range(1, n + 1), k) if len(f.trees) == 1

@@ -367,6 +367,22 @@ class TestEnumerateStats:
         assert record["ap"] == 5 and record["lap"] == 5
         assert record["in_tilde"] is True
 
+    @pytest.mark.parametrize("k,word,fmt,expected", [
+        ("3", "133377711446664225552888", "json",
+         '{"kind":"word","word":"133377711446664225552888","valid":true,'
+         '"ap":5,"lap":5,"in_bar":false,"in_tilde":true}\n'),
+        # a word shorter than k: no plateau to patch in front, so lap = ap
+        ("2", "1", "json",
+         '{"kind":"word","word":"1","valid":false,'
+         '"ap":0,"lap":0,"in_bar":true,"in_tilde":true}\n'),
+        ("2", "1", "text",
+         "kind=word\nword=1\nvalid=False\nap=0\nlap=0\nin_bar=True\nin_tilde=True\n"),
+    ])
+    def test_stats_word_record_is_fixed(self, capsys, k, word, fmt, expected):
+        code, out, _ = run_cli(capsys, "stats", "--k", k, "--type", "word", "--input", word,
+                               "--format", fmt)
+        assert code == 0 and out == expected
+
     def test_stats_forest(self, capsys):
         # whole records, byte for byte
         cases = [

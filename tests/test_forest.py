@@ -500,6 +500,14 @@ def _scrambled_forests(seed, count):
         yield g
 
 
+def _refused(f, first):
+    """forest_profile refuses f by its first violation and stores nothing."""
+    with pytest.raises(ForestInvariantError) as err:
+        forest_profile(f)
+    assert (err.value.label, str(err.value)) == first
+    assert f._profile is None
+
+
 class TestCensusWalk:
     """The three readers of the one walk against each other, the census
     record's counts against ``forest_profile``'s, and the violation lists
@@ -507,7 +515,7 @@ class TestCensusWalk:
 
     def test_every_small_forest(self):
         for f in _SMALL_FORESTS:
-            w = forest_module._census_walk(f)
+            w = forest_stats(f)
             assert w[:13] == _profile_counts(f), serialize_forest(f)
             assert w.violations == tuple(_reference_violations(f)) == ()
 
@@ -516,51 +524,63 @@ class TestCensusWalk:
         # one count record: the profile's stats is the census walk's record
         for n in range(7):
             for f in enumerate_forests(range(1, n + 1), k):
-                assert forest_profile(f).stats == forest_module._census_walk(f), serialize_forest(f)
+                assert forest_profile(f).stats == forest_stats(f), serialize_forest(f)
 
     @pytest.mark.parametrize("k,seed", [(k, seed) for k in (1, 2, 3, 4) for seed in (1, 2)])
     def test_seeded_order_200_images(self, k, seed):
         word = _seeded_word(200, k, seed)
         for f in (xi(word, k), zeta(word, k)):
-            w = forest_module._census_walk(f)
+            w = forest_stats(f)
             assert w == forest_profile(f).stats
             assert (w[:13], w.violations) == (_profile_counts(f), ())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scrambled_forests(self, seed):
-        # the whole violation list, on every forest, from all three readers;
-        # the counts, and the profile against the reference, where the
-        # profile reads the forest as a valid one would be read: the labels
-        # are distinct and only paths or roots fail to increase
+        # the whole violation list, on every forest, from both record
+        # readers, and the profile's refusal of the first; the record and
+        # the walk's class map against the reference, and a valid forest's
+        # whole profile, where the walk reads the forest as a valid one
+        # would be read: the labels are distinct and only paths or roots
+        # fail to increase
         compared = 0
         for f in _scrambled_forests(seed, 1000):
-            w, p = forest_module._census_walk(f), forest_profile(f)
+            w = forest_stats(f)
             expected = _reference_violations(f)
-            assert p.stats == w
             assert w.violations == tuple(validate_forest(f)) == tuple(expected)
+            if expected:
+                _refused(f, expected[0])
+            else:
+                assert forest_profile(f).stats == w
             labels = list(f.labels())
             if len(set(labels)) == len(labels) and all(
                     message.startswith(("path", "roots")) for _, message in w.violations):
-                assert w[:13] == _profile_counts(f), serialize_forest(f)
-                assert p._asdict() == _reference_profile(f), serialize_forest(f)
+                reference = _reference_profile(f)
+                assert w == reference["stats"], serialize_forest(f)
+                assert forest_module._walk(f)[1] == reference["classes"], serialize_forest(f)
+                if not expected:
+                    assert forest_profile(f)._asdict() == reference, serialize_forest(f)
                 compared += 1
         assert compared
 
     @pytest.mark.parametrize("f,expected", _INVALID_FORESTS)
     def test_listed_invalid_forests(self, f, expected):
-        assert forest_module._census_walk(f).violations == tuple(_reference_violations(f)) == tuple(expected)
-        assert forest_profile(f).stats.violations == tuple(expected)
+        # the profile refuses the first violation and stores nothing; the
+        # record still lists every one
+        assert forest_stats(f).violations == tuple(_reference_violations(f)) == tuple(expected)
+        _refused(f, expected[0])
+        assert forest_stats(f).violations == tuple(expected)
 
     def test_internal_node_without_slots(self):
-        # no reader builds it; the readers list it and do not raise
+        # no reader builds it; the record readers list it and do not raise,
+        # and the profile refuses it
         f = Forest(2, (LabeledTree(1, ()),))
         expected = [
             (1, "node 1 has 0 slots, expected 2"),
             (1, "internal node 1 has k empty slots (not pruned)"),
         ]
         assert validate_forest(f) == _reference_violations(f) == expected
-        w = forest_module._census_walk(f)
-        assert forest_profile(f).stats == w and w.violations == tuple(expected)
+        assert forest_stats(f).violations == tuple(expected)
+        _refused(f, expected[0])
 
     def test_unpruned_node_read_from_text(self):
         # the text 1[;] reads as an internal node with k empty slots
@@ -568,8 +588,18 @@ class TestCensusWalk:
         assert f == Forest(2, (LabeledTree(1, ((), ())),))
         expected = [(1, "internal node 1 has k empty slots (not pruned)")]
         assert validate_forest(f) == _reference_violations(f) == expected
-        w = forest_module._census_walk(f)
-        assert forest_profile(f).stats == w and w.violations == tuple(expected)
+        assert forest_stats(f).violations == tuple(expected)
+        _refused(f, expected[0])
+
+    def test_record_reader_stores_nothing(self):
+        # forest_stats walks a forest that holds no profile and leaves it so;
+        # once the profile is stored, the record is its stats
+        f = forest_module._read_forest(FIG4, 3)
+        w = forest_stats(f)
+        assert f._profile is None
+        assert forest_stats(f) == w and forest_stats(f) is not w
+        assert forest_profile(f).stats == w
+        assert forest_stats(f) is f._profile.stats
 
     def test_each_reader_walks_once(self, monkeypatch):
         walks = [0]
@@ -580,7 +610,7 @@ class TestCensusWalk:
             return real(f)
 
         monkeypatch.setattr(forest_module, "_walk", walk)
-        for reader in (validate_forest, forest_profile, forest_module._census_walk,
+        for reader in (validate_forest, forest_profile, forest_stats,
                        lambda f: parse_forest(FIG4, f.k),
                        lambda f: parse_marked(FIG4 + " | {}", f.k)):
             f = forest_module._read_forest(FIG4, 3)  # fresh: it holds no profile

@@ -4,9 +4,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import stirling_forests.forest as forest_module
+from stirling_forests import gfs
 from stirling_forests.bimap import xi, zeta
 from stirling_forests.forest import (
     Forest,
+    ForestInvariantError,
     LabeledTree,
     enumerate_forests,
     enumerate_trees,
@@ -136,6 +139,15 @@ class TestPhiSet:
                             assert serialize_forest(Forest(k, tuple(trees))) == image
 
 
+def _comb(d):
+    """Node i holds node i+1 and the leaf 2d+1-i in slot 1, node d the leaf
+    2d+1: every grand child that is internal is young, and every leaf old."""
+    t = LabeledTree(d, ((LabeledTree(2 * d + 1),), ()))
+    for i in range(d - 1, 0, -1):
+        t = LabeledTree(i, ((t, LabeledTree(2 * d + 1 - i)), ()))
+    return t
+
+
 class TestOrbit:
     def test_pair_orbit(self):
         f = parse_forest("1[;2,3]", 2)
@@ -149,16 +161,39 @@ class TestOrbit:
         assert len(orbit(f.trees[0])) == 2
 
     def test_deep_comb_is_its_own_orbit(self):
-        # node i holds node i+1 and the leaf 2d+1-i in slot 1, node d the leaf
-        # 2d+1: no old internal and no young leaf, so the orbit is [t]; its
-        # members are keyed by text, as trees this deep cannot be hashed
-        d = 500
-        t = LabeledTree(d, ((LabeledTree(2 * d + 1),), ()))
-        for i in range(d - 1, 0, -1):
-            t = LabeledTree(i, ((t, LabeledTree(2 * d + 1 - i)), ()))
+        # no old internal and no young leaf, so the orbit is [t]; its members
+        # are keyed by text, as trees this deep cannot be hashed
+        t = _comb(500)
         assert validate_forest(Forest(2, (t,))) == []
         members = orbit(t)
         assert len(members) == 1 and members[0] is t
+
+    def test_deep_comb_toggles_nowhere(self, monkeypatch):
+        # a member is toggled only at its old internals and young leaves, so
+        # the comb's orbit calls phi at no label (at each of its 2 000 when
+        # every label was tried)
+        calls = [0]
+        real = gfs.phi
+
+        def counted(t, x):
+            calls[0] += 1
+            return real(t, x)
+
+        monkeypatch.setattr(gfs, "phi", counted)
+        t = _comb(1000)
+        members = orbit(t)
+        assert len(members) == 1 and members[0] is t
+        assert calls[0] == 0
+        assert len(orbit(parse_tree("1[;2,3]", 2))) == 2 and calls[0] == 2
+
+    @pytest.mark.parametrize("text,first", [
+        ("1[;3,2]", (2, "slot under 1 not increasing: 3 before 2")),
+        ("4[2;]", (2, "path not increasing: 2 below 4"))])
+    def test_invalid_tree_refused(self, text, first):
+        t = forest_module._read_forest(text, 2).trees[0]
+        with pytest.raises(ForestInvariantError) as err:
+            orbit(t)
+        assert (err.value.label, str(err.value)) == first
 
     def test_young_free_tree_is_its_own_representative(self):
         f = parse_forest("1[2[3;];]", 2)

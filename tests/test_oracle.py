@@ -48,8 +48,8 @@ def _count_walks(monkeypatch) -> Counter:
     oracle and of forest_profile at each module that calls it."""
     calls = Counter()
     monkeypatch.setattr(forest_module, "_walk", _counted(calls, "_walk", forest_module._walk))
-    monkeypatch.setattr(oracle, "_census_walk",
-                        _counted(calls, "_census_walk", oracle._census_walk))
+    monkeypatch.setattr(oracle, "forest_stats",
+                        _counted(calls, "forest_stats", oracle.forest_stats))
     profile = _counted(calls, "forest_profile", forest_module.forest_profile)
     for module in (forest_module, gfs, pipeline, oracle):
         monkeypatch.setattr(module, "forest_profile", profile)
@@ -203,7 +203,7 @@ class TestRunSuite:
         assert all(r.passed for r in run_suite(4, 2, suites=("gfs",)))
         assert calls["enumerate_forests"] == 10
         assert calls["enumerate_trees"] == 0
-        assert (calls["_walk"], calls["_census_walk"]) == (191, 0)
+        assert (calls["_walk"], calls["forest_stats"]) == (191, 0)
 
     # Each forest walk of these suites is that of a record they read: the
     # bijection suite reads census records, one per forest of the cells, and
@@ -215,9 +215,9 @@ class TestRunSuite:
         assert all(r.passed for r in run_suite(4, 3, suites=(suite,)))
         assert calls["_walk"] == walks
         if suite == "bijections":
-            assert calls["_census_walk"] == walks and calls["forest_profile"] == 0
+            assert calls["forest_stats"] == walks and calls["forest_profile"] == 0
         else:
-            assert calls["_census_walk"] == 0
+            assert calls["forest_stats"] == 0
 
     def test_map_suites_share_one_forest_table_per_cell(self, monkeypatch):
         # the three map suites share one table per (n, k) cell: one forest
@@ -226,7 +226,7 @@ class TestRunSuite:
         # walked once, for the profile it stores, whose record the bijection
         # suite then reads: 473 of the 1 007 walks, the rest the maps' walks
         # of the states they make
-        cells, seen = Counter(), {"_census_walk": Counter()}
+        cells, seen = Counter(), {"forest_stats": Counter()}
         walked, tables = [], []  # the walked forests stay alive, so their ids stay theirs
         real_enumerate, real_walk = oracle.enumerate_forests, forest_module._walk
 
@@ -275,7 +275,7 @@ class TestRunSuite:
         # theorem suite walks (and so validates) each forest once; each call
         # folds its own
         cells, walked = [], [0]
-        real_enumerate, real_walk = oracle.enumerate_k_stirling, oracle._census_walk
+        real_enumerate, real_walk = oracle.enumerate_k_stirling, oracle.forest_stats
 
         def enumerate_words(n, k, *args):
             cells.append((n, k))
@@ -286,7 +286,7 @@ class TestRunSuite:
             return real_walk(f)
 
         monkeypatch.setattr(oracle, "enumerate_k_stirling", enumerate_words)
-        monkeypatch.setattr(oracle, "_census_walk", walk)
+        monkeypatch.setattr(oracle, "forest_stats", walk)
         both = run_suite(4, 3, suites=("theorems", "polynomials"))
         expected = sorted((n, k) for n in range(5) for k in range(1, 4))
         assert sorted(cells) == expected
@@ -467,8 +467,8 @@ class TestRunSuite:
          lambda w: w._replace(oleaf=w.oleaf + 1, lleaf=w.lleaf + 1)),
     ])
     def test_relation_mutants_fail_their_identity(self, monkeypatch, identity, n, k, mutate):
-        real = oracle._census_walk
-        monkeypatch.setattr(oracle, "_census_walk", lambda f: mutate(real(f)))
+        real = oracle.forest_stats
+        monkeypatch.setattr(oracle, "forest_stats", lambda f: mutate(real(f)))
         reports = {(r.identity, r.n, r.k): r for r in run_suite(n, k, suites=("theorems",))}
         assert not reports[identity, n, k].passed
 
@@ -476,13 +476,13 @@ class TestRunSuite:
         # a walk that counts one internal node as an old leaf keeps
         # lleaf = oleaf + yleaf + si, but not lleaf = nodes - internal nodes
         bad = parse_forest("1[2[3;];] 4", 2)
-        real = oracle._census_walk
+        real = oracle.forest_stats
 
         def walk(f):
             w = real(f)
             return w._replace(oleaf=w.oleaf + 1, lleaf=w.lleaf + 1) if f == bad else w
 
-        monkeypatch.setattr(oracle, "_census_walk", walk)
+        monkeypatch.setattr(oracle, "forest_stats", walk)
         census = oracle._fold_forests(enumerate_forests([1, 2, 3, 4], 2))
         assert census.bad["thm.relation.leaf-split"] == ["1[2[3;];] 4"]
 
@@ -490,8 +490,8 @@ class TestRunSuite:
         # one old leaf too many in every forest: at n = 1 the bar census
         # [0, 1] does not fit its center 0, so its reports fail with the
         # vector as their left side instead of raising
-        real = oracle._census_walk
-        monkeypatch.setattr(oracle, "_census_walk",
+        real = oracle.forest_stats
+        monkeypatch.setattr(oracle, "forest_stats",
                             lambda f: (w := real(f))._replace(oleaf=w.oleaf + 1))
         reports = {(r.identity, r.n, r.k): r for r in run_suite(1, 1, suites=("theorems",))}
         for identity in ("thm.bar.census=distribution", "thm.bar.census=decomposition"):

@@ -6,6 +6,8 @@ import pytest
 from stirling_forests import gfs, pipeline
 from stirling_forests.forest import (
     Forest,
+    ForestInvariantError,
+    LabeledTree,
     enumerate_forests,
     forest_profile,
     forest_stats,
@@ -294,3 +296,50 @@ class TestProfileArgument:
             forest_profile(f)
             assert _outcome(gamma_prime_map, f) == _outcome(gamma_prime_map, _bare(f))
             assert _outcome(orbit_representative, f) == _outcome(orbit_representative, _bare(f))
+
+
+def _t(label, *slots):
+    return LabeledTree(label, slots or None)
+
+
+# forests built directly with a broken invariant, and their first violations
+_INVALID = {
+    "roots": (Forest(2, (_t(2), _t(1))), (1, "roots not increasing: 2 before 1")),
+    "duplicate-label": (Forest(2, (_t(1, (_t(2),), ()), _t(2))), (2, "duplicate label 2")),
+    "path": (Forest(2, (_t(4, (_t(2),), ()),)), (2, "path not increasing: 2 below 4")),
+    "slot-order": (Forest(2, (_t(1, (), (_t(3), _t(2))),)),
+                   (2, "slot under 1 not increasing: 3 before 2")),
+}
+
+
+def _marked(fn, marks=lambda f: ()):
+    return lambda f: fn(MarkedForest(f, frozenset(marks(f))))
+
+
+class TestInvalidForests:
+    # each gfs and pipeline map reads its input's profile, which refuses an
+    # invalid forest by its first violation and stores nothing
+    MAPS = {
+        "psi": lambda f: psi(f, f.trees[0].label),
+        "alpha_step": _marked(alpha_step, lambda f: [f.trees[0].label]),
+        "beta_step": _marked(beta_step),
+        "gamma_map": _marked(gamma_map),
+        "gamma_prime_map": gamma_prime_map,
+        "main_bijection": _marked(main_bijection),
+        "theta": _marked(gfs.theta),
+        "theta_prime": _marked(gfs.theta_prime),
+        "orbit_representative": orbit_representative,
+        "in_domain": _marked(lambda mf: gfs.in_domain(mf, "Y")),
+        "marked_forest": lambda f: marked_forest(f, ()),
+    }
+
+    @pytest.mark.parametrize("shape", _INVALID)
+    @pytest.mark.parametrize("name", MAPS)
+    def test_map_refuses_first_violation(self, name, shape):
+        f, first = _INVALID[shape]
+        f = Forest(f.k, f.trees)  # a fresh copy for each map
+        with pytest.raises(ForestInvariantError) as err:
+            self.MAPS[name](f)
+        assert (err.value.label, str(err.value)) == first
+        assert f._profile is None
+        assert validate_forest(f)[0] == first

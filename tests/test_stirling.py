@@ -125,9 +125,23 @@ class TestStatistics:
     )
     def test_word_class(self, text, k, in_bar, in_tilde):
         cls = word_class(W(text), k)
-        assert cls["in_bar"] is in_bar
-        assert cls["in_tilde"] is in_tilde
-        assert cls["in_bar"] is starts_with_plateau(W(text), k)
+        assert cls.in_bar is in_bar
+        assert cls.in_tilde is in_tilde
+        assert cls.in_bar is starts_with_plateau(W(text), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_word_record_fields(self, k):
+        # the one record of any word, field by field: ap, lap as ap plus one
+        # when the word starts with k equal letters, bar and tilde; every
+        # word with n <= 5 and the invalid words above, the short ones too
+        invalid = [W(text) for text in ("1212", "112", "231213", "1", "22", "1222")]
+        for word in [w for n in range(6) for w in enumerate_k_stirling(n, k)] + invalid:
+            ap, plateau = stat_ap(word, k), starts_with_plateau(word, k)
+            record = word_class(word, k)
+            assert record._fields == ("ap", "lap", "in_bar", "in_tilde")
+            assert record == (ap, ap + (len(word) >= k and plateau), plateau,
+                              not word or word[0] == min(word)), word
+            assert stat_lap(word, k) == record.lap
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_lap_is_ap_with_a_zero_in_front(self, k):
