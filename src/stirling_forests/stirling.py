@@ -14,7 +14,8 @@ naming a positive integer), and every label reader calls it: word_from_text,
 ``forest._read_forest``, ``gfs.parse_marked`` and ``sf map --x``.
 
 A word's one record is ``word_class``'s ``WordStats`` (ap, lap, bar, tilde),
-read by the oracle and ``sf stats``; ``stat_lap`` is its view.
+from one scan of the word, read by the oracle and ``sf stats``; ``stat_ap``,
+``stat_lap`` and ``starts_with_plateau`` are its views.
 
 Ordinary permutations of 1..n appear in one-line notation as sequences.
 """
@@ -116,25 +117,17 @@ def enumerate_k_stirling(n: int, k: int) -> Iterator[Word]:
 
 def stat_ap(word: Sequence[int], k: int) -> int:
     """Number of indices i with word[i] < word[i+1] = ... = word[i+k]."""
-    check_order(k)
-    count = 0
-    for j in range(1, len(word) - k + 1):
-        a = word[j]
-        if word[j - 1] < a and word[j : j + k].count(a) == k:
-            count += 1
-    return count
+    return word_class(word, k).ap
 
 
 def stat_lap(word: Sequence[int], k: int) -> int:
-    """Ascent-plateau count of the word with a 0 patched in front: with
-    positive labels, ap plus one when the word starts with k equal letters."""
+    """ap of the word with a 0 patched in front: plus one for k equal first letters."""
     return word_class(word, k).lap
 
 
 def starts_with_plateau(word: Sequence[int], k: int) -> bool:
     """True when the first k letters are equal (empty word counts as True)."""
-    check_order(k)
-    return all(word[t] == word[0] for t in range(1, min(k, len(word))))
+    return word_class(word, k).in_bar
 
 
 class WordStats(NamedTuple):
@@ -148,10 +141,18 @@ class WordStats(NamedTuple):
 
 
 def word_class(word: Sequence[int], k: int) -> WordStats:
-    """The record of any word, ap taken once."""
-    ap, in_bar = stat_ap(word, k), starts_with_plateau(word, k)
-    lap = ap + (len(word) >= k and in_bar)
-    return WordStats(ap, lap, in_bar, not word or word[0] == min(word))
+    """The record of any word, from one scan of the letters a = word[j] that
+    can start a plateau: word[j - 1] < a, then word[j + k - 1], then all k."""
+    check_order(k)
+    n, ap, j, prev = len(word), 0, 0, word[0] if word else None
+    for a in word[1 : max(n - k + 1, 0)]:  # none when k > n
+        j += 1
+        if prev < a and word[j + k - 1] == a and word[j : j + k].count(a) == k:
+            ap += 1
+        prev = a
+    in_bar = not word or word[:k].count(word[0]) == min(k, n)
+    return tuple.__new__(WordStats, (ap, ap + (n >= k and in_bar), in_bar,
+                                     not word or word[0] == min(word)))
 
 
 def word_to_text(word: Sequence[int]) -> str:

@@ -83,6 +83,45 @@ def _duplicated_label(real, f, x):
     return Forest(f.k, f.trees + (LabeledTree(x),)) if g is f else g
 
 
+def _reference_fold(forests) -> oracle._Census:
+    """The forest fold one forest at a time, each record read through
+    ``oracle.forest_stats`` (so a mutant put there is seen), the relations
+    checked per forest and its histograms filled per signature."""
+    census = oracle._Census()
+    tally, reps = Counter(), {}
+    for f in forests:
+        w = oracle.forest_stats(f)
+        sig = w[:7]  # lleaf, si, oleaf, yleaf, one tree, in_bar, in_star
+        tally[sig] += 1
+        reps.setdefault(sig, w)
+        if w.lleaf != w.nodes - w.lint or w.violations:
+            census.bad["thm.relation.leaf-split"].append(oracle.serialize_forest(f))
+        if w.in_star and w.in_bar and w.oint_star + w.si_star != w.nodes - 1 - 2 * w.oleaf:
+            census.bad["thm.relation.bar-star"].append(oracle.serialize_forest(f))
+        if w.in_star and not w.in_bar and w.oint + w.si != w.nodes - 2 * w.oleaf:
+            census.bad["thm.relation.hat-star"].append(oracle.serialize_forest(f))
+    for sig, times in tally.items():
+        w = reps[sig]
+        census.count += times
+        for family in ("F", "Fbar", "Fhat", "T"):
+            if oracle.FAMILY_TESTS[family](w):
+                census.bump((family, "lleaf"), w.lleaf, times)
+                census.bump((family, "lleaf-si"), w.lleaf - w.si, times)
+        if w.one_tree and not w.yleaf:
+            census.bump("tilde", w.lleaf, times)
+        if w.in_star:
+            census.bump("gamma_bar" if w.in_bar else "gamma_hat", w.oleaf, times)
+    return census
+
+
+def _assert_same_fold(objects, n, k):
+    """The fold of objects(n, k) equals the reference fold, witnesses too."""
+    census, reference = oracle._fold_forests(objects, n, k), _reference_fold(objects(n, k))
+    assert (census.hist, census.count, census.bad) == (
+        reference.hist, reference.count, reference.bad), (n, k)
+    return census
+
+
 class TestDistribution:
     @pytest.mark.parametrize(
         "family,stat,n,k,coeffs",
@@ -467,10 +506,16 @@ class TestRunSuite:
          lambda w: w._replace(oleaf=w.oleaf + 1, lleaf=w.lleaf + 1)),
     ])
     def test_relation_mutants_fail_their_identity(self, monkeypatch, identity, n, k, mutate):
+        # the fold tallies records, then walks the cell again for the text
+        # of each forest whose record breaks a relation: the same witnesses,
+        # in the same order, as the per-forest fold, and so the same count
+        # and first witness in the report
         real = oracle.forest_stats
         monkeypatch.setattr(oracle, "forest_stats", lambda f: mutate(real(f)))
         reports = {(r.identity, r.n, r.k): r for r in run_suite(n, k, suites=("theorems",))}
         assert not reports[identity, n, k].passed
+        bad = _assert_same_fold(oracle._forests, n, k).bad[identity]
+        assert (reports[identity, n, k].left, reports[identity, n, k].witness) == (len(bad), bad[0])
 
     def test_leaf_split_catches_a_misfiled_node(self, monkeypatch):
         # a walk that counts one internal node as an old leaf keeps
@@ -483,8 +528,31 @@ class TestRunSuite:
             return w._replace(oleaf=w.oleaf + 1, lleaf=w.lleaf + 1) if f == bad else w
 
         monkeypatch.setattr(oracle, "forest_stats", walk)
-        census = oracle._fold_forests(enumerate_forests([1, 2, 3, 4], 2))
+        census = _assert_same_fold(oracle._forests, 4, 2)
         assert census.bad["thm.relation.leaf-split"] == ["1[2[3;];] 4"]
+
+    # The fold reads each forest's record once, through the public
+    # forest_stats, on a passing census: 74 530 calls for the forests of
+    # n = 1..6, k <= 3, the count the benchmark's traced census run sees.
+    # A broken relation costs a second pass over the cells it breaks in.
+    def test_census_reads_each_record_once(self, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(oracle, "forest_stats",
+                            _counted(calls, "forest_stats", oracle.forest_stats))
+        assert all(r.passed for r in run_suite(6, 3, ("theorems",)))
+        forests = sum(count_k_stirling(n, k) for n in range(1, 7) for k in range(1, 4))
+        assert calls["forest_stats"] == forests == 74_530
+        calls.clear()
+        real = oracle.forest_stats
+        monkeypatch.setattr(oracle, "forest_stats",
+                            lambda f: (w := real(f))._replace(oint_star=w.oint))
+        reports = run_suite(4, 2, ("theorems",))
+        assert not all(r.passed for r in reports)
+        # the forests with a last root's old internal grand child exist from
+        # n = 3 on: those cells are walked twice, n = 1 and 2 once
+        forests = sum(count_k_stirling(n, k) for n in range(1, 5) for k in (1, 2))
+        twice = sum(count_k_stirling(n, k) for n in (3, 4) for k in (1, 2))
+        assert calls["forest_stats"] == forests + twice
 
     def test_overlong_census_fails_with_its_vector(self, monkeypatch):
         # one old leaf too many in every forest: at n = 1 the bar census
@@ -564,6 +632,16 @@ _CELLS = [(n, k) for n in range(5) for k in range(1, 4)]
 
 
 class TestIndependentReference:
+    # the fold of the census suite against the per-forest reference fold,
+    # for forests and for trees wrapped as one-tree forests; the relations
+    # hold from n = 1, where the theorem suite starts (the empty forest
+    # breaks bar-star, as 0 != 0 - 1)
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(6) for k in range(1, 4)])
+    def test_forest_fold_matches_reference(self, n, k):
+        for objects in (oracle._forests, oracle._trees):
+            census = _assert_same_fold(objects, n, k)
+            assert not any(census.bad.values()) or n == 0
+
     @pytest.mark.parametrize("n,k", _CELLS)
     def test_distribution_matches_reference(self, n, k):
         reference = _reference_histograms(n, k)

@@ -28,6 +28,18 @@ def W(text):
     return word_from_text(text)
 
 
+def _reference_word_class(word, k):
+    """The record of a word from its per-position definitions, independent of
+    the library's one scan: ap counts the i with word[i] < word[i+1] = ... =
+    word[i+k] by slices, the plateau is the first k letters equal, by
+    ``all()``, lap adds one for a leading plateau of k letters, and tilde
+    compares the first letter with ``min``."""
+    ap = sum(1 for j in range(1, len(word) - k + 1)
+             if word[j - 1] < word[j] and word[j : j + k].count(word[j]) == k)
+    plateau = all(word[t] == word[0] for t in range(1, min(k, len(word))))
+    return ap, ap + (len(word) >= k and plateau), plateau, not word or word[0] == min(word)
+
+
 class TestMembership:
     def test_nested_blocks(self):
         assert is_k_stirling(W("1221"), 2)
@@ -128,20 +140,37 @@ class TestStatistics:
         assert cls.in_bar is in_bar
         assert cls.in_tilde is in_tilde
         assert cls.in_bar is starts_with_plateau(W(text), k)
+        assert cls == _reference_word_class(W(text), k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_word_record_fields(self, k):
-        # the one record of any word, field by field: ap, lap as ap plus one
-        # when the word starts with k equal letters, bar and tilde; every
-        # word with n <= 5 and the invalid words above, the short ones too
+        # the one record of any word, field by field, against the reference:
+        # ap, lap as ap plus one when the word starts with k equal letters,
+        # bar and tilde; every word with n <= 5 and the invalid words above,
+        # the short ones too; the three views read the record
         invalid = [W(text) for text in ("1212", "112", "231213", "1", "22", "1222")]
         for word in [w for n in range(6) for w in enumerate_k_stirling(n, k)] + invalid:
-            ap, plateau = stat_ap(word, k), starts_with_plateau(word, k)
             record = word_class(word, k)
+            assert type(record) is stirling.WordStats
             assert record._fields == ("ap", "lap", "in_bar", "in_tilde")
-            assert record == (ap, ap + (len(word) >= k and plateau), plateau,
-                              not word or word[0] == min(word)), word
-            assert stat_lap(word, k) == record.lap
+            assert record == _reference_word_class(word, k), word
+            assert (stat_ap(word, k), stat_lap(word, k), starts_with_plateau(word, k)) == (
+                record.ap, record.lap, record.in_bar)
+
+    @given(st.lists(st.integers(-2, 4), max_size=14), st.integers(1, 5), st.booleans())
+    @example([], 1, True)
+    @example([], 3, False)
+    @example([2, 2], 3, True)  # k > len, one repeated letter
+    @example([1, 2], 3, False)  # k > len, two letters
+    @example([3, 1, 1, 1, 2, 2, 2], 3, True)
+    @example([1, 2, 2, 1, 2, 2], 2, False)  # not Stirling, two plateaus of 2
+    @example([1, 2, 2, 2, 2, 3], 2, True)  # a plateau longer than k
+    @example([2, 1, 1, 2, 2, 2, 1], 3, False)
+    def test_word_record_matches_reference(self, word, k, as_tuple):
+        # any integer list or tuple, Stirling or not, labels repeated at will
+        if as_tuple:
+            word = tuple(word)
+        assert word_class(word, k) == _reference_word_class(word, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_lap_is_ap_with_a_zero_in_front(self, k):
@@ -173,7 +202,7 @@ class TestStatistics:
             word = word[:gap] + (i,) * k + word[gap:]
         assert is_k_stirling(word, k)
         diff = stat_lap(word, k) - stat_ap(word, k)
-        assert diff == (1 if starts_with_plateau(word, k) else 0)
+        assert diff == (1 if _reference_word_class(word, k)[2] else 0)
 
 
 class TestTextForm:
