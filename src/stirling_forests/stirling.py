@@ -144,12 +144,11 @@ def word_class(word: Sequence[int], k: int) -> WordStats:
     """The record of any word, from one scan of the letters a = word[j] that
     can start a plateau: word[j - 1] < a, then word[j + k - 1], then all k."""
     check_order(k)
-    n, ap, j, prev = len(word), 0, 0, word[0] if word else None
-    for a in word[1 : max(n - k + 1, 0)]:  # none when k > n
-        j += 1
-        if prev < a and word[j + k - 1] == a and word[j : j + k].count(a) == k:
+    n, ap = len(word), 0
+    for j in range(1, n - k + 1):  # none when k >= n
+        a = word[j]
+        if word[j - 1] < a and word[j + k - 1] == a and word[j : j + k].count(a) == k:
             ap += 1
-        prev = a
     in_bar = not word or word[:k].count(word[0]) == min(k, n)
     return tuple.__new__(WordStats, (ap, ap + (n >= k and in_bar), in_bar,
                                      not word or word[0] == min(word)))
