@@ -155,8 +155,6 @@ def _raise_children(slots, gx: LabeledTree, lists) -> list[list[LabeledTree]]:
     """Old-internal case: gx's slot contents join the slots of its grand
     parent, and gx becomes a leaf.  ``lists`` holds gx's slots as decreasing
     lists, or None; the joined slots come back in the same form."""
-    if gx.slots is None:
-        raise RuntimeError("only an internal grand child can raise its children")
     if lists is None:
         lists = _decreasing(gx.slots)
     for slot, extra in zip(slots, lists):

@@ -2,15 +2,19 @@
 identity suite tying the whole library together.
 
 Every check compares exact polynomials or exact counts; there is no
-tolerance anywhere.  Failures come back as reports carrying a replayable
-witness in canonical text form, never as exceptions.
+tolerance anywhere.  A report passes when its two sides are equal and it
+holds no witness; a failing check's first witness is a replayable object in
+canonical text form.  A faulty map whose images are valid forests ends in
+failing reports.  An image that is an invalid forest where a suite needs its
+profile, or an input that the next map refuses, raises that refusal
+(``ForestInvariantError`` or another ``ValueError``) out of ``run_suite``.
 
 ``run_suite`` goes cell by cell, and the suites of a cell, run in ``SUITES``
 order whatever order they are named in, share what they make of it, dropped
 before the next cell: the word fold, made once per cell for all its suites,
 and for the map suites one forest table.  Two folds do the census work, each
 tallying whole records in C (a ``Counter`` over a ``map``) and reading each
-distinct record once (140 for the 58 240 forests at n = 6, k = 3):
+distinct record once:
 
 * the word fold takes each word's ``word_class`` record (ap, lap and the
   bar and tilde classes) and fills the ap and lap histograms of Q, Qbar,
@@ -28,40 +32,35 @@ distinct record once (140 for the 58 240 forests at n = 6, k = 3):
 ``distribution``, ``gamma_census_bar_hat`` and ``gamma_census_tilde`` are
 views of these folds, over words, forests or trees as one-tree forests.
 
-The map suites analyse each forest once, through the cell's forest table:
-one ``enumerate_forests`` pass, kept in its order, each forest the one object
-of its value, with its census record and, once a suite asks, its profile,
-which the forest stores.  Records are read by ``forest_stats``, so the
-bijection suite, run after the suites that profile every table forest,
-reads their profiles' ``stats``.  Lookups go by value.  A miss, an image
-that equals no forest of the cell, is made only by a faulty map: it is
-walked fresh, never stored in the table, and fails its identity; a miss
-whose profile is asked for (``_Table.held``) must be valid, as
-``forest_profile`` refuses it otherwise.  The theorem census streams its
+The map suites share the cell's forest table (``_Table``): one
+``enumerate_forests`` pass, kept in its order, in which a lookup finds the
+place and the table's object of a forest's value.  A map's image that hits
+the table is read through that object, whose profile the forest stores, so
+each table forest is walked once.  A miss, an image that equals no forest of
+the cell, is made only by a faulty map: it is walked fresh for its record,
+never stored, and fails its identity.  The theorem census streams its
 forests and keeps no table.
 
 Enumerated words are k-Stirling, so the bijection suite runs the unchecked
-passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``), takes each word's
-``word_class`` record once and checks it against each image's census
-record, read from the table; ``image=forests`` counts the table places its
-images take.  The gfs and pipeline suites call the public maps on the
-table's objects, so each map finds its input's profile stored:
-``_Table.held`` swaps theta's images and the alpha steps for the table's
-objects of their values, and the psi and main-bijection images take their
-records from the table.  The image counts are keyed by table place, with
-theta's marks.  The suites replay gamma_prime's states with
-``pipeline._beta_chain`` and mark each forest over ``gfs.DOMAINS``.
+passes (``bimap._xi_trees``, ``_zeta``, ``_chi_tree``) and builds no
+profile: it takes each word's ``word_class`` record and each table forest's
+``forest_stats`` record once, and checks one against the other;
+``image=forests`` counts the table places its images take.  The gfs and
+pipeline suites call the public maps on the table's objects, so each map
+finds its input's profile stored, and tally the images of the marked
+bijections in ``Counter``s keyed by table place (with theta's marks).  The
+suites replay gamma_prime's states with ``pipeline._beta_chain`` and mark
+each forest over ``gfs.DOMAINS``.
 
 The gfs suite walks each orbit of the toggles once, breadth first from the
 first tree that no earlier orbit reached, over the table's one-tree forests
-(in ``enumerate_trees`` order, so no tree enumeration is made), and keeps one
-table per orbit: every member's image at every label, from one ``gfs.phi``
-call per (tree, label) and held as the cell's one object of its value, and
-every member's profile.  The involution, commutation, type-preservation and
-orbit checks are read off that table, which is dropped before the next
-orbit.  The walk stays inside the cell's trees: an image outside them, or in
-an earlier orbit, is not walked and fails ``gfs.phi.involution``, so a
-faulty toggle ends in failing reports.  ``gfs.orbit`` is not called.
+(in ``enumerate_trees`` order), and keeps one table per orbit: every
+member's image at every label, from one ``gfs.phi`` call per (tree, label)
+and held as the cell's one object of its value, and every member's profile.
+The involution, commutation, type-preservation and orbit checks are read off
+that table, which is dropped before the next orbit.  The walk stays inside
+the cell's trees: an image outside them, or in an earlier orbit, is not
+walked and fails ``gfs.phi.involution``.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from typing import Callable, Iterable, Iterator
 from . import bimap, gfs, pipeline
 from .forest import (
     Forest,
-    ForestProfile,
     ForestStats,
     NodeClass,
     enumerate_forests,
@@ -130,8 +128,11 @@ class IdentityReport:
     k: int
     left: object
     right: object
-    passed: bool
     witness: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.left == self.right and self.witness is None
 
     def as_dict(self) -> dict:
         out = {
@@ -286,42 +287,28 @@ def gamma_census_tilde(n: int, k: int) -> list[int]:
 class _Table:
     """The forests of one (n, k) cell for the map suites: one
     ``enumerate_forests`` pass, kept in its order, each forest the one object
-    of its value.  A forest's census record is taken when a suite first asks
-    for it, through ``forest_stats``, and so is its profile, which the forest
-    stores; a record asked for after the profile is the profile's ``stats``.
-
-    Lookups go by value; the table's own objects are found by identity,
-    without hashing.  A miss is an image that equals no forest of the cell,
-    which only a faulty map makes: it is walked fresh and never stored."""
+    of its value.  Lookups go by value; the table's own objects are found by
+    identity, without hashing."""
 
     def __init__(self, n: int, k: int):
         self.forests = list(_forests(n, k))
         self._places = {f: i for i, f in enumerate(self.forests)}
         self._ids = {id(f): i for i, f in enumerate(self.forests)}
-        # a forest stores no bare record: a bijection-only cell's stay here
-        self._records: list[ForestStats | None] = [None] * len(self.forests)
 
-    def place(self, f: Forest) -> int | None:
-        """The index of f's value in ``forests``, or None for a miss."""
+    def find(self, f: Forest) -> tuple[int | None, Forest]:
+        """The place of f's value in ``forests`` and the table's object of
+        it, or (None, f) for a miss."""
         i = self._ids.get(id(f))
-        return self._places.get(f) if i is None else i
-
-    def record(self, f: Forest) -> tuple[int | None, ForestStats]:
-        """f's place and its census record."""
-        i = self.place(f)
         if i is None:
-            return None, forest_stats(f)
-        if self._records[i] is None:
-            self._records[i] = forest_stats(self.forests[i])
-        return i, self._records[i]
+            i = self._places.get(f)
+        return (None, f) if i is None else (i, self.forests[i])
 
-    def held(self, f: Forest) -> tuple[int | None, Forest, ForestProfile]:
-        """f's place, the table's object of f's value (f itself for a miss)
-        and that object's profile."""
-        i = self.place(f)
-        if i is not None:
-            f = self.forests[i]
-        return i, f, forest_profile(f)
+
+def _image_record(table: _Table, g: Forest) -> tuple[int | None, ForestStats]:
+    """The table place and the record of a map's image g: the table
+    object's profile's, or for a miss, which may be invalid, a fresh walk."""
+    i, g = table.find(g)
+    return i, forest_stats(g) if i is None else forest_profile(g).stats
 
 
 class _Cell:
@@ -360,16 +347,9 @@ def _class_domain(name: str, p) -> frozenset[int] | None:
 # identity suite
 
 
-def _eq_report(identity, n, k, left, right, witness=None) -> IdentityReport:
-    passed = left == right
-    return IdentityReport(
-        identity, n, k, left, right, passed, witness if not passed else None
-    )
-
-
-def _count_report(identity, n, k, violations: list[str]) -> IdentityReport:
-    return IdentityReport(identity, n, k, len(violations), 0, not violations,
-                          violations[0] if violations else None)
+def _report(identity, n, k, left, right, bad=()) -> IdentityReport:
+    """The report of left against right, witnessed by the first of ``bad``."""
+    return IdentityReport(identity, n, k, left, right, bad[0] if bad else None)
 
 
 def _suite_polynomials(n, k, cell):
@@ -377,32 +357,35 @@ def _suite_polynomials(n, k, cell):
     A_egf = _egf_last(k, n)
     A_exc = exc_cyc_polynomial(n, k)
     A_ap = words.poly(("Q", "ap"))
-    yield _eq_report("poly.egf=exc-cyc", n, k, A_egf, A_exc)
-    yield _eq_report("poly.egf=ap", n, k, A_egf, A_ap)
-    yield _eq_report("poly.total=rising-product", n, k,
-                     A_egf.evaluate(1), count_k_stirling(n, k))
-    yield _eq_report("poly.lap=reversed-ap", n, k, words.poly(("Q", "lap")),
-                     A_ap.reversal(n))
+    yield _report("poly.egf=exc-cyc", n, k, A_egf, A_exc)
+    yield _report("poly.egf=ap", n, k, A_egf, A_ap)
+    yield _report("poly.total=rising-product", n, k, A_egf.evaluate(1), count_k_stirling(n, k))
+    yield _report("poly.lap=reversed-ap", n, k, words.poly(("Q", "lap")), A_ap.reversal(n))
     if k == 1:
-        yield _eq_report("poly.descent-symmetric", n, k,
-                         descent_polynomial(n),
-                         descent_polynomial(n).reversal(max(n - 1, 0)))
+        descents = descent_polynomial(n)
+        yield _report("poly.descent-symmetric", n, k, descents, descents.reversal(max(n - 1, 0)))
 
 
 def _suite_bijections(n, k, cell):
     table = cell.forests
+    records = [forest_stats(f) for f in table.forests]  # a stored profile's, if held
+
+    def record(f: Forest) -> tuple[int | None, ForestStats]:
+        i = table.find(f)[0]
+        return i, forest_stats(f) if i is None else records[i]
+
     bad_xi, bad_chi, bad_zeta, bad_class = [], [], [], []
     xi_hits, zeta_hits = set(), set()  # the table places the images take
     # the enumerated words are k-Stirling: the unchecked passes take them
     for w in enumerate_k_stirling(n, k):
         ws = word_class(w, k)
         fx = Forest(k, bimap._xi_trees(w, k))
-        i, wx = table.record(fx)
+        i, wx = record(fx)
         if bimap.xi_inv(fx) != w or wx.lleaf != ws.lap:
             bad_xi.append(word_to_text(w))
         xi_hits.add(i)
         fz = bimap._zeta(w, k)
-        i, wz = table.record(fz)
+        i, wz = record(fz)
         if bimap.zeta_inv(fz) != w or wz.lleaf - wz.si != ws.ap:
             bad_zeta.append(word_to_text(w))
         if ws.in_bar != wz.in_bar:
@@ -410,7 +393,7 @@ def _suite_bijections(n, k, cell):
         zeta_hits.add(i)
         if n and ws.in_tilde:
             t = bimap._chi_tree(w, k)
-            _, wt = table.record(Forest(k, (t,)))
+            _, wt = record(Forest(k, (t,)))
             plateau_slots = t.slots is None or all(not s for s in t.slots[: k - 1])
             if (
                 bimap.chi_inv(t, k) != w
@@ -420,27 +403,15 @@ def _suite_bijections(n, k, cell):
                 bad_chi.append(word_to_text(w))
     xi_hits.discard(None)  # a miss takes no place
     zeta_hits.discard(None)
-    yield _count_report("bij.xi.roundtrip+lap", n, k, bad_xi)
-    yield _count_report("bij.chi.roundtrip+ap", n, k, bad_chi)
-    yield _count_report("bij.zeta.roundtrip+ap", n, k, bad_zeta)
-    yield _count_report("bij.zeta.bar-class", n, k, bad_class)
-    yield _eq_report("bij.xi.image=forests", n, k, len(xi_hits), len(table.forests))
-    yield _eq_report("bij.zeta.image=forests", n, k, len(zeta_hits), len(table.forests))
+    for name, bad in (("bij.xi.roundtrip+lap", bad_xi), ("bij.chi.roundtrip+ap", bad_chi),
+                      ("bij.zeta.roundtrip+ap", bad_zeta), ("bij.zeta.bar-class", bad_class)):
+        yield _report(name, n, k, len(bad), 0, bad)
+    yield _report("bij.xi.image=forests", n, k, len(xi_hits), len(table.forests))
+    yield _report("bij.zeta.image=forests", n, k, len(zeta_hits), len(table.forests))
 
 
 def _toggled(before, after) -> bool:
     return {before, after} == {NodeClass.OLD_INTERNAL, NodeClass.YOUNG_LEAF}
-
-
-def _bijection_report(identity, n, k, image: dict, target: list, bad: list):
-    """Every target key hit exactly once by the image counts, keyed alike by
-    table place (a miss's place is None), and no witness of a broken side
-    condition."""
-    members = sum(image.values())
-    bijective = members == len(target) and all(image.get(t, 0) == 1 for t in target)
-    witness = bad[0] if bad else None if bijective else "image mismatch"
-    return IdentityReport(identity, n, k, members, len(target),
-                          bijective and not bad, witness)
 
 
 def _orbit_table(start, labels, trees: dict, walked: set):
@@ -481,7 +452,7 @@ def _suite_gfs(n, k, cell):
             continue
         # one table per orbit: each member's toggle images and profile
         members, rows = _orbit_table(start, labels, trees, walked)
-        profiles = [table.held(s)[2] for s in members]
+        profiles = [forest_profile(s) for s in members]
         pos = {id(s): i for i, s in enumerate(members)}
         for s, row, p in zip(members, rows, profiles):
             tree_lleaf.bump("lleaf", p.stats.lleaf)
@@ -522,30 +493,31 @@ def _suite_gfs(n, k, cell):
                 GammaExpansion(center=2 * st.oleaf + st.oint,
                                gamma=(0,) * st.oleaf + (1,))
             )
-    yield _count_report("gfs.phi.involution", n, k, bad_inv)
-    yield _count_report("gfs.phi.commutation", n, k, bad_comm)
-    yield _count_report("gfs.phi.type-preservation", n, k, bad_type)
-    yield _count_report("gfs.orbit.unique-representative", n, k, bad_orbit)
+    for name, bad in (("gfs.phi.involution", bad_inv), ("gfs.phi.commutation", bad_comm),
+                      ("gfs.phi.type-preservation", bad_type),
+                      ("gfs.orbit.unique-representative", bad_orbit)):
+        yield _report(name, n, k, len(bad), 0, bad)
     if n >= 2:
         # the closed form for an orbit's leaf generating function needs at
         # least two labels (a lone singleton has a leaf but no old leaf)
-        yield _eq_report("gfs.orbit.census=lleaf-distribution", n, k,
-                         orbit_total, tree_lleaf.poly("lleaf"))
+        yield _report("gfs.orbit.census=lleaf-distribution", n, k,
+                      orbit_total, tree_lleaf.poly("lleaf"))
     # theta round trip on X; on X-bar and X-hat (keyed by in_bar) also image
     # equality onto Y-bar and Y-hat, plus the statistic shift and invariance
     # facts; a marked forest is keyed by (table place, marks)
     bad_theta: list[str] = []
     bad_shift: dict[bool, list[str]] = {True: [], False: []}
-    image: dict[bool, dict[tuple, int]] = {True: {}, False: {}}
+    image: dict[bool, Counter] = {True: Counter(), False: Counter()}
     target: dict[bool, list[tuple]] = {True: [], False: []}
     for i, f in enumerate(table.forests):
-        p = table.held(f)[2]
+        p = forest_profile(f)
         base = p.stats
         target[base.in_bar].extend((i, mf.marks) for mf in _marked(f, _class_domain("Y", p)))
         pool = _class_domain("X", p)
         for mf in _marked(f, DOMAINS["X"](p)):
             out = gfs.theta(mf)
-            j, g, outp = table.held(out.forest)  # g is f unless an old internal is marked
+            j, g = table.find(out.forest)  # g is f unless an old internal is marked
+            outp = forest_profile(g)
             if gfs.theta_prime(MarkedForest(g, out.marks)) != mf:
                 bad_theta.append(mf.text())
             if pool is None or not mf.marks <= pool:
@@ -558,12 +530,13 @@ def _suite_gfs(n, k, cell):
                 or outst.in_bar != base.in_bar
             ):
                 bad_shift[base.in_bar].append(mf.text())
-            key = j, out.marks
-            image[base.in_bar][key] = image[base.in_bar].get(key, 0) + 1
-    yield _count_report("gfs.theta.roundtrip", n, k, bad_theta)
+            image[base.in_bar][j, out.marks] += 1
+    yield _report("gfs.theta.roundtrip", n, k, len(bad_theta), 0, bad_theta)
     for bar, side in ((True, "bar"), (False, "hat")):
-        yield _bijection_report(f"gfs.theta.{side}-bijection", n, k,
-                                image[bar], target[bar], bad_shift[bar])
+        # every target key hit once, and nothing else
+        mismatch = [] if image[bar] == Counter(target[bar]) else ["image mismatch"]
+        yield _report(f"gfs.theta.{side}-bijection", n, k, image[bar].total(),
+                      len(target[bar]), bad_shift[bar] + mismatch)
 
 
 def _suite_pipeline(n, k, cell):
@@ -573,16 +546,15 @@ def _suite_pipeline(n, k, cell):
     bad_pairs, bad_ba = [], []
     # the composite bijection onto each class (keyed by in_bar), with the
     # mark-count shift; a forest is keyed by its table place
-    image: dict[bool, dict[int | None, int]] = {True: {}, False: {}}
+    image: dict[bool, Counter] = {True: Counter(), False: Counter()}
     target: dict[bool, list[int]] = {True: [], False: []}
     bad_main: dict[bool, list[str]] = {True: [], False: []}
     for i, f in enumerate(table.forests):
-        p = table.held(f)[2]
+        p = forest_profile(f)
         base_stat, bar = p.stats.lleaf - p.stats.si, p.stats.in_bar
         target[bar].append(i)
         for x in labels:
-            g = pipeline.psi(f, x)
-            gs = p.stats if g is f else table.record(g)[1]
+            gs = _image_record(table, pipeline.psi(f, x))[1]
             if x in p.si_star:  # a non-final singleton
                 expect = base_stat + 1
             elif x in p.removable_old:
@@ -620,7 +592,7 @@ def _suite_pipeline(n, k, cell):
             state = mf
             while state.marks:
                 nxt = pipeline.alpha_step(state)
-                nxt = MarkedForest(table.held(nxt.forest)[1], nxt.marks)
+                nxt = MarkedForest(table.find(nxt.forest)[1], nxt.marks)
                 if pipeline.beta_step(nxt) != state:
                     bad_ba.append(state.text())
                 state = nxt
@@ -628,20 +600,22 @@ def _suite_pipeline(n, k, cell):
             if pipeline.gamma_prime_map(state.forest) != mf:
                 bad_pairs.append(mf.text())
         for mf in _marked(f, _class_domain("X", p)):
-            j, gs = table.record(pipeline.main_bijection(mf))
+            j, gs = _image_record(table, pipeline.main_bijection(mf))
             if gs.lleaf - gs.si != base_stat + len(mf.marks):
                 bad_main[bar].append(mf.text())
-            image[bar][j] = image[bar].get(j, 0) + 1
-    yield _count_report("pipe.psi.shift", n, k, bad_shift)
-    yield _count_report("pipe.psi.bar-preserved", n, k, bad_class)
-    yield _count_report("pipe.gamma.gamma-prime.roundtrip", n, k, bad_round)
-    yield _count_report("pipe.alpha-after-beta.inversion", n, k, bad_ab_traj)
-    yield _count_report("pipe.beta.left-clean", n, k, bad_obs)
-    yield _count_report("pipe.beta-after-alpha.inversion", n, k, bad_ba)
-    yield _count_report("pipe.gamma-prime.gamma.roundtrip", n, k, bad_pairs)
+            image[bar][j] += 1
+    for name, bad in (
+        ("pipe.psi.shift", bad_shift), ("pipe.psi.bar-preserved", bad_class),
+        ("pipe.gamma.gamma-prime.roundtrip", bad_round),
+        ("pipe.alpha-after-beta.inversion", bad_ab_traj), ("pipe.beta.left-clean", bad_obs),
+        ("pipe.beta-after-alpha.inversion", bad_ba),
+        ("pipe.gamma-prime.gamma.roundtrip", bad_pairs),
+    ):
+        yield _report(name, n, k, len(bad), 0, bad)
     for bar, side in ((True, "bar"), (False, "hat")):
-        yield _bijection_report(f"pipe.main.{side}-bijection", n, k,
-                                image[bar], target[bar], bad_main[bar])
+        mismatch = [] if image[bar] == Counter(target[bar]) else ["image mismatch"]
+        yield _report(f"pipe.main.{side}-bijection", n, k, image[bar].total(),
+                      len(target[bar]), bad_main[bar] + mismatch)
 
 
 def _suite_theorems(n, k, cell):
@@ -652,28 +626,29 @@ def _suite_theorems(n, k, cell):
     A = _egf_last(k, n)
     dec = symmetric_decompose(A, n - 1)
     a_part, xb_part = dec.a, dec.b.shift(1)
-    yield _eq_report("thm.classwise.bar=a", n, k, words.poly(("Qbar", "ap")), a_part)
-    yield _eq_report("thm.classwise.hat=xb", n, k, words.poly(("Qhat", "ap")), xb_part)
+    yield _report("thm.classwise.bar=a", n, k, words.poly(("Qbar", "ap")), a_part)
+    yield _report("thm.classwise.hat=xb", n, k, words.poly(("Qhat", "ap")), xb_part)
     composed_bar = forests.composed("gamma_bar", n - 1)
     composed_hat = forests.composed("gamma_hat", n)
-    yield _eq_report("thm.bar.census=distribution", n, k, composed_bar,
-                     forests.poly(("Fbar", "lleaf-si")))
-    yield _eq_report("thm.hat.census=distribution", n, k, composed_hat,
-                     forests.poly(("Fhat", "lleaf-si")))
-    yield _eq_report("thm.bar.census=decomposition", n, k, composed_bar, a_part)
-    yield _eq_report("thm.hat.census=decomposition", n, k, composed_hat, xb_part)
-    yield _eq_report("thm.count.forests", n, k, forests.count, count_k_stirling(n, k))
+    yield _report("thm.bar.census=distribution", n, k, composed_bar,
+                  forests.poly(("Fbar", "lleaf-si")))
+    yield _report("thm.hat.census=distribution", n, k, composed_hat,
+                  forests.poly(("Fhat", "lleaf-si")))
+    yield _report("thm.bar.census=decomposition", n, k, composed_bar, a_part)
+    yield _report("thm.hat.census=decomposition", n, k, composed_hat, xb_part)
+    yield _report("thm.count.forests", n, k, forests.count, count_k_stirling(n, k))
     if n >= 2:
         tree_dist = forests.poly(("T", "lleaf"))
         tilde_words = words.poly(("Qtilde", "ap"))
-        yield _eq_report("thm.tilde.census=tree-distribution", n, k,
-                         forests.composed("tilde", n), tree_dist)
-        yield _eq_report("thm.tilde.trees=words", n, k, tree_dist, tilde_words)
+        yield _report("thm.tilde.census=tree-distribution", n, k,
+                      forests.composed("tilde", n), tree_dist)
+        yield _report("thm.tilde.trees=words", n, k, tree_dist, tilde_words)
         if k == 1:
-            yield _eq_report("thm.k1.reduction", n, k, tilde_words,
-                             descent_polynomial(n - 1).shift(1))
+            yield _report("thm.k1.reduction", n, k, tilde_words,
+                          descent_polynomial(n - 1).shift(1))
     for name in _RELATIONS:
-        yield _count_report(name, n, k, forests.bad[name])
+        bad = forests.bad[name]
+        yield _report(name, n, k, len(bad), 0, bad)
 
 
 # The suites in run order, each with its runner and its exhaustive range, the

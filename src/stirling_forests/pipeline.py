@@ -79,8 +79,6 @@ def _merge_into_last(f: Forest, i: int) -> Forest:
     """Case 2: relabel the last root by x; old root label becomes a leaf."""
     x = f.trees[i].label
     last = f.trees[-1]
-    if last.slots is None:
-        raise RuntimeError("case 2 needs a non-singleton last tree")
     y = last.label
     incoming = f.trees[i + 1 : -1] + (LabeledTree(y),)
     merged = tuple(sorted(last.slots[-1] + incoming, key=lambda t: t.label))

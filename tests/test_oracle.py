@@ -246,9 +246,11 @@ class TestRunSuite:
 
     # Each forest walk of these suites is that of a record they read: the
     # bijection suite reads census records, one per forest of the cells, and
-    # builds no profile, and the gfs suite reads profiles only
-    @pytest.mark.parametrize("suite,walks", [("bijections", 473), ("gfs", 595)],
-                             ids=["bijections", "gfs"])
+    # builds no profile; the gfs and pipeline suites read profiles only, and
+    # a map image that hits the table takes its record from the profile
+    @pytest.mark.parametrize("suite,walks", [("bijections", 473), ("gfs", 595),
+                                             ("pipeline", 885)],
+                             ids=["bijections", "gfs", "pipeline"])
     def test_map_suites_walk_only_for_their_records(self, monkeypatch, suite, walks):
         calls = _count_walks(monkeypatch)
         assert all(r.passed for r in run_suite(4, 3, suites=(suite,)))
@@ -352,6 +354,15 @@ class TestRunSuite:
         assert len(outcomes) == 1
         assert outcomes.pop()[1] == 1_007
 
+    def test_verdict_follows_from_the_report(self):
+        # a report passes when its sides are equal and it holds no witness;
+        # the verdict is no constructor field
+        assert oracle.IdentityReport("x", 1, 1, 2, 2).passed
+        assert not oracle.IdentityReport("x", 1, 1, 2, 2, "1 2 @ 1").passed
+        assert not oracle.IdentityReport("x", 1, 1, 2, 3).passed
+        with pytest.raises(TypeError):
+            oracle.IdentityReport("x", 1, 1, 2, 2, True, None)
+
     def test_repeated_suite_runs_once(self):
         once = [r.as_dict() for r in run_suite(3, 2, ("gfs",))]
         assert len(once) == 60
@@ -367,22 +378,15 @@ class TestRunSuite:
             run_suite(n_max, k_max)
 
     # Each suite analyses an object once: forest walks at n <= 5, k <= 3.
-    # The oracle walks each of the 5 178 forests of the cells once for the
-    # suite's record or profile, in the cell's table, which the forest then
-    # stores (the pipeline suite also walks for 1 586 census records, of the
-    # psi and main-bijection images it has not profiled yet; with the gfs
-    # suite, which runs first, it profiles them all, and the bijection suite
-    # reads their records); the rest are the maps' walks of the states they
-    # make (of the beta chains and of gamma's alpha steps, and each orbit
-    # representative checked young-leaf free).  Counted as
-    # forest_profile calls, the pipeline and gfs bounds were 9 870 and 6 770
-    # while the oracle threaded profiles through the maps; all three made
-    # 16 640 walks while they ran in the order named; before the table
-    # 17 792 and 12 353, before the gfs orbit tables gfs 19 194, before
-    # main_bijection handed its profile on pipeline 20 566, and when the
-    # profiles were first threaded through the maps 75 663 and 45 883.
+    # The oracle walks each of the 5 178 forests of the cells once, in the
+    # cell's table: the bijection suite for its record, the gfs and pipeline
+    # suites for the profile the forest then stores, and a map image that
+    # hits the table is read through that profile; with all three suites the
+    # bijection suite reads the profiles' records.  The rest are the maps'
+    # walks of the states they make (of the beta chains and of gamma's alpha
+    # steps, and each orbit representative checked young-leaf free).
     @pytest.mark.parametrize("suites,walks", [
-        ("bijections", 5_178), ("gfs", 6_770), ("pipeline", 11_456),
+        ("bijections", 5_178), ("gfs", 6_770), ("pipeline", 9_870),
         ("bijections+gfs+pipeline", 11_462)])
     def test_map_suites_profile_each_object_once(self, monkeypatch, suites, walks):
         calls = _count_walks(monkeypatch)
