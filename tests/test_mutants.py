@@ -84,20 +84,16 @@ def _unmarked_gamma_prime(real, f):
     return MarkedForest(f, frozenset())
 
 
-def _gamma_as_input(real, mf):
-    """gamma giving its input's forest back, marks drained untouched."""
-    return mf.forest
-
-
-def _main_as_input(real, mf):
-    """The main bijection giving its input's forest back."""
+def _input_forest(real, mf):
+    """A map of marked forests (gamma, the main bijection) giving its
+    input's forest back."""
     return mf.forest
 
 
 _ZETA = (bimap, "_zeta", _reversed_zeta, "bijections")
 _THETA = (gfs, "theta", _untoggled_theta, "gfs")
 _BETA = (pipeline, "beta_step", _beta_at_greatest, "pipeline")
-_MAIN = (pipeline, "main_bijection", _main_as_input, "pipeline")
+_MAIN = (pipeline, "main_bijection", _input_forest, "pipeline")
 
 # identity, (module, name, mutant, suite), cell, (left, right, witness)
 MUTANTS = [
@@ -119,7 +115,7 @@ MUTANTS = [
      (3, 0, "1[;2] 3 4 | {3} -> 1 2 3 4 | {1,3}")),
     ("pipe.beta.left-clean", _BETA, (4, 2), (1, 0, "1[;2] 3 4 @ 2")),
     ("pipe.beta-after-alpha.inversion", _BETA, (4, 2), (3, 0, "1 2 3[;4] | {1}")),
-    ("pipe.gamma.gamma-prime.roundtrip", (pipeline, "gamma_map", _gamma_as_input, "pipeline"),
+    ("pipe.gamma.gamma-prime.roundtrip", (pipeline, "gamma_map", _input_forest, "pipeline"),
      (4, 2), (24, 0, "1 2 3[;4]")),
     ("pipe.gamma-prime.gamma.roundtrip",
      (pipeline, "gamma_prime_map", _unmarked_gamma_prime, "pipeline"), (4, 2),
